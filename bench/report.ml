@@ -8,23 +8,22 @@
    scaling k = 2..32, interleaved-ECU scaling n = 2..12) and the
    Needham-Schroeder authentication check — the checks whose before/after
    numbers EXPERIMENTS.md tracks — plus an ablate/reductions family that
-   re-runs NS under each single reduction pass. The two largest checks
-   are re-run on 2 and 4 worker domains (rows suffixed /j2, /j4), whose
-   "speedup_vs_j1" compares their wall time to the sequential row; the
-   non-search rows (the CSPm lint, the live-JSONL rerun) carry
-   "ratio_vs_check" instead — their wall time relative to the check they
-   ride alongside, which is the number that actually means something for
-   them. The "_meta" entry records how many cores the host actually had,
-   since speedup on a single-core box measures only the pool's
-   overhead. *)
+   re-runs NS under each single reduction pass. The trace-check rows are
+   re-run on 2 worker domains (rows suffixed /j2), whose "speedup_vs_j1"
+   compares their wall time to the /j1 row; the non-search rows (the CSPm
+   lint, the live-JSONL rerun) carry "ratio_vs_check" instead — their
+   wall time relative to the check they ride alongside, which is the
+   number that actually means something for them. The "_meta" entry
+   records how many cores the host actually had, since speedup on a
+   single-core box measures only the fan-out's overhead. *)
 
 let wall f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   r, Unix.gettimeofday () -. t0
 
-(* What a row's wall time is measured against. A parallel rerun races its
-   own sequential baseline; a non-search row (lint, obs overhead) is only
+(* What a row's wall time is measured against. A /j2 rerun races its own
+   /j1 baseline; a non-search row (lint, obs overhead) is only
    meaningful relative to the check it accompanies; a plain sequential
    check stands alone and carries no comparison at all. *)
 type comparison =
@@ -40,8 +39,6 @@ type row = {
   pairs : int;
   states_per_sec : float;
   verdict : string;
-  workers : int;
-  par_speedup : float;  (** engine-estimated, from aggregate worker busy time *)
   comparison : comparison;
   extras : (string * float) list;
       (** row-family-specific numbers (the tracecheck rows carry
@@ -56,16 +53,14 @@ type row = {
    beats. wall_s (the whole row) and search_wall_s (the span) are both
    recorded so either denominator can be recovered. *)
 let row_of_result name result t ~comparison =
-  let impl_states, pairs, workers, par_speedup, search_wall_s, per_sec =
+  let impl_states, pairs, search_wall_s, per_sec =
     match (result : Csp.Refine.result) with
     | Csp.Refine.Holds stats | Csp.Refine.Inconclusive (stats, _) ->
       ( stats.Csp.Refine.impl_states,
         stats.Csp.Refine.pairs,
-        stats.Csp.Refine.workers,
-        stats.Csp.Refine.par_speedup,
         stats.Csp.Refine.wall_s,
         stats.Csp.Refine.states_per_sec )
-    | Csp.Refine.Fails _ -> 0, 0, 1, 1., 0., 0.
+    | Csp.Refine.Fails _ -> 0, 0, 0., 0.
   in
   let verdict =
     match result with
@@ -81,8 +76,6 @@ let row_of_result name result t ~comparison =
     pairs;
     states_per_sec = per_sec;
     verdict;
-    workers;
-    par_speedup;
     comparison;
     extras = [];
   }
@@ -167,8 +160,6 @@ let multi_ecu_system n =
   in
   defs, spec, impl
 
-let parallel_workloads = [ 2; 4 ]
-
 (* The trace-containment engine rows. Two families: [tracecheck/stream]
    measures the raw engine on in-memory streams synthesized by walking
    the NS authentication spec's own normal form (pure cursor stepping —
@@ -202,8 +193,8 @@ let ota_trace_specs =
    SPEC_AUTH = AUTH(0)\n"
 
 let tracecheck_rows rows =
-  let record name wall ~events ~streams ~accepted ~events_per_sec ~workers
-      ~comparison =
+  let record name wall ~events ~streams ~accepted ~events_per_sec ~comparison
+      =
     let row =
       {
         name;
@@ -213,8 +204,6 @@ let tracecheck_rows rows =
         pairs = 0;
         states_per_sec = 0.;
         verdict = Printf.sprintf "%d/%d streams accepted" accepted streams;
-        workers;
-        par_speedup = 1.;
         comparison;
         extras =
           [
@@ -286,8 +275,7 @@ let tracecheck_rows rows =
           ~events:summary.Csp.Tracecheck.events
           ~streams:summary.Csp.Tracecheck.streams
           ~accepted:summary.Csp.Tracecheck.accepted
-          ~events_per_sec:summary.Csp.Tracecheck.events_per_sec ~workers:j
-          ~comparison
+          ~events_per_sec:summary.Csp.Tracecheck.events_per_sec ~comparison
       in
       if !stream_base = None then stream_base := Some row.wall_s)
     [ 1; 2 ];
@@ -327,8 +315,7 @@ let tracecheck_rows rows =
           t ~events:report.Serve.Trace_run.events
           ~streams:report.Serve.Trace_run.streams
           ~accepted:report.Serve.Trace_run.streams_accepted
-          ~events_per_sec:report.Serve.Trace_run.events_per_sec ~workers:j
-          ~comparison
+          ~events_per_sec:report.Serve.Trace_run.events_per_sec ~comparison
       in
       if !corpus_base = None then corpus_base := Some row.wall_s)
     [ 1; 2 ];
@@ -348,27 +335,6 @@ let run_rows () =
       row.states_per_sec row.verdict;
     rows := row :: !rows;
     row
-  in
-  (* the /jN reruns of a sequential row: same check on a worker pool,
-     speedup measured against the just-recorded j1 wall time *)
-  let record_parallel base_row f =
-    List.iter
-      (fun j ->
-        let name = Printf.sprintf "%s/j%d" base_row.name j in
-        Gc.compact ();
-        let result, t = wall (fun () -> f j) in
-        let speedup = if t > 0. then base_row.wall_s /. t else 0. in
-        let row =
-          { (row_of_result name result t
-               ~comparison:(Speedup_vs_j1 speedup))
-            with workers = j }
-        in
-        Format.printf
-          "%-27s %9.2f ms %9d states %9d pairs %12.0f st/s  %s (%.2fx vs j1)@."
-          row.name (row.wall_s *. 1e3) row.impl_states row.pairs
-          row.states_per_sec row.verdict speedup;
-        rows := row :: !rows)
-      parallel_workloads
   in
   (* The NS family runs first: a check's first terms in a long-lived
      process pay the weak intern table's cleanup for whatever ran before
@@ -412,8 +378,6 @@ let run_rows () =
        pairs = 0;
        states_per_sec = 0.;
        verdict = Printf.sprintf "%d diagnostics" (List.length diags);
-       workers = 1;
-       par_speedup = 1.;
        comparison = Ratio_vs_check ratio;
        extras = [];
      }
@@ -446,8 +410,6 @@ let run_rows () =
        pairs = 0;
        states_per_sec = 0.;
        verdict = Printf.sprintf "%d diagnostics" (List.length diags);
-       workers = 1;
-       par_speedup = 1.;
        comparison = Ratio_vs_check ratio;
        extras = [];
      }
@@ -510,11 +472,6 @@ let run_rows () =
       | None -> Format.printf "    span %-16s (absent)@." name)
     [ "lts.compile"; "normalise"; "search.product" ];
   rows := row :: !rows;
-  record_parallel ns_base (fun j ->
-      Security.Ns_protocol.check
-        ~config:
-          (Csp.Check_config.with_workers j Security.Ns_protocol.default_config)
-        ~fixed:true ());
   List.iter
     (fun k ->
       let defs, spec, impl = echo_system k in
@@ -526,17 +483,10 @@ let run_rows () =
   List.iter
     (fun n ->
       let defs, spec, impl = multi_ecu_system n in
-      let base =
-        record
-          (Printf.sprintf "scale/ecus/n%d" n)
-          (fun () -> Csp.Refine.traces_refines defs ~spec ~impl)
-      in
-      if n = 5 then
-        record_parallel base (fun j ->
-            let defs, spec, impl = multi_ecu_system n in
-            Csp.Refine.traces_refines
-              ~config:Csp.Check_config.(default |> with_workers j)
-              defs ~spec ~impl))
+      ignore
+        (record
+           (Printf.sprintf "scale/ecus/n%d" n)
+           (fun () -> Csp.Refine.traces_refines defs ~spec ~impl)))
     (* n8..n12 were out of reach for the raw engine (the monolithic
        compile re-combines the whole interleaving per state); the staged
        pipeline makes them routine *)
@@ -549,7 +499,7 @@ let json_of_rows rows =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"_meta\": { \"cores\": %d, \"parallel_rows_at\": [2, 4] },\n"
+       "  \"_meta\": { \"cores\": %d, \"parallel_rows_at\": [2] },\n"
        (Domain.recommended_domain_count ()));
   List.iteri
     (fun i row ->
@@ -570,10 +520,9 @@ let json_of_rows rows =
         (Printf.sprintf
            "  %S: { \"wall_s\": %.6f, \"search_wall_s\": %.6f, \
             \"impl_states\": %d, \"pairs\": %d, \"states_per_sec\": %.0f, \
-            \"verdict\": %S, \"workers\": %d, \"par_speedup\": %.3f%s }%s\n"
+            \"verdict\": %S%s }%s\n"
            row.name row.wall_s row.search_wall_s row.impl_states row.pairs
-           row.states_per_sec row.verdict row.workers row.par_speedup
-           comparison
+           row.states_per_sec row.verdict comparison
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "}\n";

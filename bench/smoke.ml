@@ -113,32 +113,6 @@ let check_engine_agreement () =
       Format.printf "engine agreement: %s -> %s@." name head)
     checks
 
-let check_parallel_agreement () =
-  (* the domain-pool engine must be the same search: identical verdicts,
-     counterexamples, and exploration counts at -j 2 as sequentially *)
-  let s = Ota.Scenario.make () in
-  let cfg workers = Csp.Check_config.(default |> with_workers workers) in
-  let ns_cfg workers =
-    Csp.Check_config.with_workers workers Security.Ns_protocol.default_config
-  in
-  let checks =
-    [
-      "SP02", (fun w -> Ota.Requirements.r02 ~config:(cfg w) s);
-      "R05v1", (fun w -> Ota.Requirements.r05 ~config:(cfg w) s ~version:1);
-      ( "NS-broken",
-        fun w -> Security.Ns_protocol.check ~config:(ns_cfg w) ~fixed:false ()
-      );
-    ]
-  in
-  List.iter
-    (fun (name, run) ->
-      let seq = digest (run 1) and par = digest (run 2) in
-      if not (String.equal seq par) then
-        fail "engine smoke: %s disagrees at -j 2:\n  j1: %s\n  j2: %s" name seq
-          par;
-      Format.printf "parallel agreement: %s -> ok at -j 2@." name)
-    checks
-
 let check_cache_warm_speedup () =
   (* the LTS cache's one-line contract: re-checking an unchanged model
      against a warm cache skips compile/normalise/reduce and lands on a
@@ -714,7 +688,6 @@ let () =
   check_reduction_speedup ();
   check_cache_warm_speedup ();
   check_engine_agreement ();
-  check_parallel_agreement ();
   check_json_output ();
   check_lint_schema ();
   check_dataflow_lint ();

@@ -435,10 +435,11 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Number of OCaml domains (cores) for refinement checking; 0 \
-           means the runtime's recommended count. Verdicts, \
-           counterexamples, and state/pair counts are identical to a \
-           single-core run.")
+          "Number of independent assertions checked at once, each on its \
+           own OCaml domain; 0 means the runtime's recommended count. \
+           Each product search runs on one domain, and under --timeout \
+           assertions run one after another. Verdicts, counterexamples, \
+           and state/pair counts are identical to -j 1.")
 
 let list_arg =
   Arg.(

@@ -80,5 +80,5 @@ val check_refinement :
   system ->
   spec:Csp.Proc.t ->
   Csp.Refine.result
-(** Check [spec ⊑ SYSTEM] directly on the in-memory model. Budgets,
-    workers, and observability come from [config]. *)
+(** Check [spec ⊑ SYSTEM] directly on the in-memory model. Budgets and
+    observability come from [config]. *)

@@ -457,9 +457,15 @@ type disk_entry = {
 }
 
 (* Marshal is not portable across compiler versions; the magic ties a
-   cache directory to the format that wrote it, and any read failure is
-   treated as a miss. *)
-let disk_magic = "cspm-lts-cache/1:" ^ Sys.ocaml_version ^ "\n"
+   cache directory to the format that wrote it. Inside that framing
+   [Marshal.from_string] trusts its input, and a flipped bit can build an
+   ill-typed value that crashes the process. So the magic is followed by
+   the payload's hex digest and a newline, checked before unmarshalling.
+   A mismatch, like any read failure, is a miss. *)
+let disk_magic = "cspm-lts-cache/2:" ^ Sys.ocaml_version ^ "\n"
+
+let payload_digest payload = Digest.to_hex (Digest.string payload) ^ "\n"
+let digest_len = String.length (payload_digest "")
 
 let entry_path dir key = Filename.concat dir (key ^ ".ltsc")
 
@@ -479,10 +485,9 @@ let persist_store t key value =
   match t.persist with
   | None -> ()
   | Some { dir; write } -> (
-    let payload =
-      disk_magic ^ Marshal.to_string { d_key = key; d_value = value } []
-    in
-    try write ~path:(entry_path dir key) payload with Sys_error _ -> ())
+    let payload = Marshal.to_string { d_key = key; d_value = value } [] in
+    let contents = disk_magic ^ payload_digest payload ^ payload in
+    try write ~path:(entry_path dir key) contents with Sys_error _ -> ())
 
 let persist_load t key =
   match t.persist with
@@ -497,17 +502,21 @@ let persist_load t key =
           ~finally:(fun () -> close_in_noerr ic)
           (fun () ->
             let n = in_channel_length ic in
-            let magic_len = String.length disk_magic in
-            if n < magic_len then None
+            let header_len = String.length disk_magic + digest_len in
+            if n < header_len then None
             else begin
-              let magic = really_input_string ic magic_len in
+              let magic = really_input_string ic (String.length disk_magic) in
+              let digest = really_input_string ic digest_len in
               if not (String.equal magic disk_magic) then None
               else
-                let payload = really_input_string ic (n - magic_len) in
-                let entry : disk_entry = Marshal.from_string payload 0 in
-                if String.equal entry.d_key key then
-                  Some (of_disk_value entry.d_value)
-                else None
+                let payload = really_input_string ic (n - header_len) in
+                if not (String.equal digest (payload_digest payload)) then
+                  None
+                else
+                  let entry : disk_entry = Marshal.from_string payload 0 in
+                  if String.equal entry.d_key key then
+                    Some (of_disk_value entry.d_value)
+                  else None
             end)
       with
       | Sys_error _ | End_of_file | Failure _ -> None)

@@ -8,7 +8,7 @@
 
     {[
       let config =
-        Check_config.(default |> with_deadline 30. |> with_workers 4)
+        Check_config.(default |> with_deadline 30. |> with_max_states 50_000)
       in
       Refine.traces_refines ~config defs ~spec ~impl
     ]}
@@ -27,7 +27,10 @@ type t = {
   deadline : float option;
       (** wall-clock budget in seconds from the start of the check;
           [None] = unbounded *)
-  workers : int;  (** domain-pool size for the product search; 1 = sequential *)
+  workers : int;
+      (** how many independent assertions [Cspm.Check.run] runs at once,
+          each on its own domain; 1 = one after another. Every product
+          search runs on a single domain whatever this says. *)
   obs : Obs.t;
       (** observability handle: spans and metrics from every pipeline
           stage go here ({!Obs.silent} costs one branch per operation) *)
@@ -75,4 +78,4 @@ val with_memory_limit : int -> t -> t
 val with_reductions : Reduce.pipeline -> t -> t
 val with_cache : Cache.t -> t -> t
 (** Builders, argument-last so they chain:
-    [Check_config.(default |> with_deadline 0.5 |> with_workers 2)]. *)
+    [Check_config.(default |> with_deadline 0.5 |> with_max_pairs 1000)]. *)

@@ -132,9 +132,9 @@ end)
 (* One global intern table, weak so the GC can reclaim dead terms. Ids are
    handed out only when a candidate is actually added. The table is shared
    by every domain (terms must stay physically unique process-wide for the
-   O(1) equality to hold across the parallel search), so all access is
-   serialized by a mutex; per-domain transition memo tables keep most
-   parallel work off this path. *)
+   O(1) equality to hold across concurrently checked assertions), so all
+   access is serialized by a mutex; per-check transition memo tables keep
+   most repeated work off this path. *)
 let hc_table = HC.create 4096
 let hc_mutex = Mutex.create ()
 let next_id = ref 0

@@ -25,8 +25,6 @@ type stats = Search.stats = {
   wall_s : float;
   states_per_sec : float;
   peak_frontier : int;
-  workers : int;
-  par_speedup : float;
   reductions : (string * int * int) list;
 }
 
@@ -155,11 +153,11 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
       let impl0 = Proc.const_fold ~tys fenv impl in
       let source =
         Search.proc_source ~interner:config.interner
-          ~make_step:(fun () -> Semantics.make_cached ~obs defs)
+          ~step:(Semantics.make_cached ~obs defs)
           impl0
       in
-      Search.product ~refusal:refusal_mode ~max_pairs ?stop_at
-        ~workers:config.workers ~obs ?progress:config.progress
+      Search.product ~refusal:refusal_mode ~max_pairs ?stop_at ~obs
+        ?progress:config.progress
         ?cancel:config.cancel ?memory_limit_mb:config.memory_limit_mb
         ?resume_from ?resume_deadline:config.deadline ~norm source
     in
@@ -267,8 +265,8 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
           in
           let source = Search.lts_source ~check_divergence:false reduced in
           let result =
-            Search.product ~refusal:refusal_mode ~max_pairs ?stop_at
-              ~workers:config.workers ~obs ?progress:config.progress
+            Search.product ~refusal:refusal_mode ~max_pairs ?stop_at ~obs
+              ?progress:config.progress
               ?cancel:config.cancel ?memory_limit_mb:config.memory_limit_mb
               ?resume_from ?resume_deadline:config.deadline ?por
               ~pipeline:fp ~norm source
@@ -317,8 +315,8 @@ let fd_check ~(config : Check_config.t) ~max_pairs ?stop_at ?resume_from defs
      | Lts.Complete impl_lts ->
        let search ~pipeline lts =
          let source = Search.lts_source ~check_divergence:true lts in
-         Search.product ~refusal:`Acceptances ~max_pairs ?stop_at
-           ~workers:config.workers ~obs ?progress:config.progress
+         Search.product ~refusal:`Acceptances ~max_pairs ?stop_at ~obs
+           ?progress:config.progress
            ?cancel:config.cancel ?memory_limit_mb:config.memory_limit_mb
            ?resume_from ?resume_deadline:config.deadline ~pipeline ~norm
            source
@@ -370,9 +368,8 @@ let fd_check ~(config : Check_config.t) ~max_pairs ?stop_at ?resume_from defs
                let source =
                  Search.lts_source ~check_divergence:true impl_lts
                in
-               Search.product ~refusal:`Acceptances ~max_pairs ?stop_at
-                 ~workers:config.workers ~obs ?progress:config.progress
-                 ?cancel:config.cancel
+               Search.product ~refusal:`Acceptances ~max_pairs ?stop_at ~obs
+                 ?progress:config.progress ?cancel:config.cancel
                  ?memory_limit_mb:config.memory_limit_mb
                  ?resume_deadline:config.deadline ~norm source
              in
@@ -473,9 +470,6 @@ let bad_state_check ~violation ~find ~(config : Check_config.t) defs proc =
   | Lts.Complete lts ->
     (match find lts with
      | [] ->
-       (* [workers] deliberately left at [make_stats]'s default of 1:
-          graph compilation and the offender scan are sequential, so the
-          stats must not echo a requested pool size that did no work. *)
        Holds
          (Search.make_stats
             ~wall_s:(Obs.now () -. t0)
@@ -493,9 +487,6 @@ let bad_state_check ~violation ~find ~(config : Check_config.t) defs proc =
               impl_state = Lts.state_term lts i;
             }))
 
-(* [config.workers] is ignored by these two: graph compilation and the
-   offender scan are sequential (unlike the product-search checks above),
-   and their stats report [workers = 1] accordingly. *)
 let deadlock_free ?(config = Check_config.default) defs proc =
   bad_state_check ~violation:Deadlock ~find:Lts.deadlocks ~config defs proc
 
@@ -579,9 +570,7 @@ let pp_stats ppf stats =
     stats.spec_nodes stats.pairs;
   if stats.wall_s > 0. then
     Format.fprintf ppf "; %.3fs, %.0f states/s, peak frontier %d" stats.wall_s
-      stats.states_per_sec stats.peak_frontier;
-  if stats.workers > 1 then
-    Format.fprintf ppf "; %d workers, ~%.2fx" stats.workers stats.par_speedup
+      stats.states_per_sec stats.peak_frontier
 
 let pp_result ppf = function
   | Holds stats -> Format.fprintf ppf "holds (%a)" pp_stats stats

@@ -41,8 +41,6 @@ type stats = Search.stats = {
   wall_s : float;  (** wall-clock time spent in the search *)
   states_per_sec : float;  (** search throughput *)
   peak_frontier : int;  (** largest unexplored frontier at any point *)
-  workers : int;  (** domains used by the search (1 = sequential) *)
-  par_speedup : float;  (** estimated speedup over one worker *)
   reductions : (string * int * int) list;
       (** per reduction pass run on the implementation graph before the
           search: [(pass name, states before, states after)], in
@@ -95,8 +93,8 @@ val check :
   spec:Proc.t ->
   impl:Proc.t ->
   result
-(** Default model is {!Traces}. All budgets, the interner, the worker
-    pool, and the observability handle come from [config] (default
+(** Default model is {!Traces}. All budgets, the interner, and the
+    observability handle come from [config] (default
     {!Check_config.default}): [config.max_states] bounds each [Lts]
     compilation, [config.max_pairs] the product exploration (defaulting to
     [max_states]), [config.deadline] is a wall-clock budget in seconds
@@ -106,10 +104,10 @@ val check :
     {!Inconclusive} result always carries non-zero stats.
 
     [config.interner] is ignored by {!Failures_divergences}, which
-    precompiles both sides. [config.workers] runs the product search on a
-    pool of that many OCaml 5 domains; verdicts, counterexample traces,
-    and state/pair counts are byte-identical to a sequential run — as
-    they are under any [config.obs] sink or [config.progress] callback.
+    precompiles both sides. The search runs on the calling domain and
+    ignores [config.workers], which only [Cspm.Check.run] reads.
+    Verdicts, counterexample traces, and state/pair counts are the same
+    under any [config.obs] sink or [config.progress] callback.
 
     [max_states] and [deadline] are conveniences for the two most common
     one-off overrides; when given they take precedence over the record's
@@ -186,10 +184,8 @@ val fd_refines :
 val deadlock_free : ?config:Check_config.t -> Defs.t -> Proc.t -> result
 
 val divergence_free : ?config:Check_config.t -> Defs.t -> Proc.t -> result
-(** For {!deadlock_free} and {!divergence_free}, [config.workers] is
-    ignored: these checks are a sequential graph compilation plus an
-    offender scan, not a product search, and their stats report
-    [workers = 1] accordingly. *)
+(** {!deadlock_free} and {!divergence_free} are a graph compilation plus
+    an offender scan, not a product search. *)
 
 val deterministic : ?config:Check_config.t -> Defs.t -> Proc.t -> result
 (** FDR's determinism check in the stable-failures model: [P] is

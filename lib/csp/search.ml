@@ -20,8 +20,6 @@ type stats = {
   wall_s : float;
   states_per_sec : float;
   peak_frontier : int;
-  workers : int;
-  par_speedup : float;
   reductions : (string * int * int) list;
 }
 
@@ -48,14 +46,14 @@ let budget_kind_of_string = function
   | _ -> None
 
 (* A checkpoint is a commit-boundary snapshot of the deterministic search:
-   because pairs are interned (and committed) in an order that is
-   byte-identical at any worker count, "the state after [explored] commits"
-   fully determines the remaining search. The [visited_digest] is a rolling
-   hash over every interned (impl state, spec node) pair, masked to 52 bits
-   so it survives a float-backed JSON round trip exactly; it is validated
-   when a resumed run crosses the recorded position, so resuming against
-   the wrong script, configuration, or engine version fails loudly instead
-   of silently diverging. *)
+   because pairs are interned (and committed) in a fixed order, "the state
+   after [explored] commits" fully determines the remaining search. The
+   [visited_digest] is a rolling hash over every interned (impl state,
+   spec node) pair, masked to 52 bits so it survives a float-backed JSON
+   round trip exactly; it is validated when a resumed run crosses the
+   recorded position, so resuming against the wrong script,
+   configuration, or engine version fails loudly instead of silently
+   diverging. *)
 type checkpoint = {
   explored : int;  (* commits completed at the boundary *)
   pairs : int;  (* product pairs interned at the boundary *)
@@ -153,17 +151,13 @@ type result =
 
 type refusal = [ `None | `Acceptances | `Full ]
 
-(* A raw successor as computed by a worker: not yet interned into the
-   dense state space (interning mutates shared tables, so it happens only
-   in the deterministic merge phase). *)
-type raw_target =
-  | Raw_term of Proc.t
-  | Raw_state of int
-
-type source = {
+(* ['s] is an implementation successor before it is admitted to the dense
+   state space: a term for on-the-fly sources, already a state id for
+   precompiled graphs. *)
+type 's source = {
   initial : int;
-  raw_step : unit -> int -> (Event.label * raw_target) list;
-  intern : raw_target -> int;
+  step : int -> (Event.label * 's) list;
+  intern : 's -> int;
   term_of : int -> Proc.t;
   state_count : unit -> int;
   divergent : (int -> bool) option;
@@ -211,9 +205,8 @@ let visible_trace labels =
 
 let per_sec states wall = if wall > 0. then float_of_int states /. wall else 0.
 
-let make_stats ?(wall_s = 0.) ?(peak_frontier = 0) ?(workers = 1)
-    ?(par_speedup = 1.) ?(reductions = []) ~impl_states ~spec_nodes ~pairs ()
-    =
+let make_stats ?(wall_s = 0.) ?(peak_frontier = 0) ?(reductions = [])
+    ~impl_states ~spec_nodes ~pairs () =
   {
     impl_states;
     spec_nodes;
@@ -221,8 +214,6 @@ let make_stats ?(wall_s = 0.) ?(peak_frontier = 0) ?(workers = 1)
     wall_s;
     states_per_sec = per_sec (max impl_states pairs) wall_s;
     peak_frontier;
-    workers;
-    par_speedup;
     reductions;
   }
 
@@ -255,7 +246,7 @@ let proc_interner = function
     let tbl = Structural_tbl.create 1024 in
     (Structural_tbl.find_opt tbl, Structural_tbl.replace tbl)
 
-let proc_source ?(interner = `Id) ~make_step term0 =
+let proc_source ?(interner = `Id) ~step term0 =
   let find_opt, replace = proc_interner interner in
   let terms = ref (Array.make 1024 term0) in
   let count = ref 0 in
@@ -277,19 +268,8 @@ let proc_source ?(interner = `Id) ~make_step term0 =
   let initial = intern_term term0 in
   {
     initial;
-    (* each call builds a stepper with a private memo cache: one per
-       worker domain, so the parallel hot path takes no locks beyond the
-       hash-consing of freshly built terms *)
-    raw_step =
-      (fun () ->
-        let step = make_step () in
-        fun i ->
-          List.map (fun (l, t) -> l, Raw_term t) (step !terms.(i)));
-    intern =
-      (fun raw ->
-        match raw with
-        | Raw_term t -> intern_term t
-        | Raw_state _ -> invalid_arg "Search.proc_source: foreign raw target");
+    step = (fun i -> step !terms.(i));
+    intern = intern_term;
     term_of = (fun i -> !terms.(i));
     state_count = (fun () -> !count);
     divergent = None;
@@ -306,125 +286,12 @@ let lts_source ?(check_divergence = true) lts =
   in
   {
     initial = lts.Lts.initial;
-    raw_step =
-      (fun () i ->
-        List.map (fun (l, j) -> l, Raw_state j) (Lts.transitions_of lts i));
-    intern =
-      (fun raw ->
-        match raw with
-        | Raw_state j -> j
-        | Raw_term _ -> invalid_arg "Search.lts_source: foreign raw target");
+    step = Lts.transitions_of lts;
+    intern = Fun.id;
     term_of = Lts.state_term lts;
     state_count = (fun () -> Lts.num_states lts);
     divergent;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Worker pool                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* A fixed pool of [Domain.t] workers driven level-by-level. The calling
-   domain participates as a worker, so a pool of size [w] spawns [w - 1]
-   domains. Jobs pull work items through an atomic counter (dynamic load
-   balancing) and write results into position-indexed slots, so the merge
-   that follows is deterministic no matter how the work was scheduled.
-   The mutex/condition handshake on both sides of a job gives the
-   happens-before edges that make the shared search arrays safely visible
-   to workers (read-only during a job) and their result slots safely
-   visible to the merge. *)
-module Pool = struct
-  type 'a t = {
-    mutex : Mutex.t;
-    start : Condition.t;
-    finished : Condition.t;
-    mutable epoch : int;
-    mutable job : ('a -> unit) option;
-    mutable pending : int;
-    mutable stop : bool;
-    mutable failure : exn option;
-    mutable domains : unit Domain.t list;
-    caller_state : 'a;
-  }
-
-  let worker_loop t init =
-    let state = init () in
-    let seen = ref 0 in
-    let rec loop () =
-      Mutex.lock t.mutex;
-      while t.epoch = !seen && not t.stop do
-        Condition.wait t.start t.mutex
-      done;
-      if t.stop then Mutex.unlock t.mutex
-      else begin
-        seen := t.epoch;
-        let job = Option.get t.job in
-        Mutex.unlock t.mutex;
-        (try job state
-         with e ->
-           Mutex.lock t.mutex;
-           if t.failure = None then t.failure <- Some e;
-           Mutex.unlock t.mutex);
-        Mutex.lock t.mutex;
-        t.pending <- t.pending - 1;
-        if t.pending = 0 then Condition.broadcast t.finished;
-        Mutex.unlock t.mutex;
-        loop ()
-      end
-    in
-    loop ()
-
-  let create ~init size =
-    let t =
-      {
-        mutex = Mutex.create ();
-        start = Condition.create ();
-        finished = Condition.create ();
-        epoch = 0;
-        job = None;
-        pending = 0;
-        stop = false;
-        failure = None;
-        domains = [];
-        caller_state = init ();
-      }
-    in
-    t.domains <-
-      List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t init));
-    t
-
-  (* Run [job] on every worker (including the caller); returns once all
-     are done. A job that raised in a spawned worker re-raises here. *)
-  let run t job =
-    Mutex.lock t.mutex;
-    t.job <- Some job;
-    t.pending <- List.length t.domains;
-    t.epoch <- t.epoch + 1;
-    Condition.broadcast t.start;
-    Mutex.unlock t.mutex;
-    let caller_failure =
-      try
-        job t.caller_state;
-        None
-      with e -> Some e
-    in
-    Mutex.lock t.mutex;
-    while t.pending > 0 do
-      Condition.wait t.finished t.mutex
-    done;
-    let worker_failure = t.failure in
-    t.failure <- None;
-    Mutex.unlock t.mutex;
-    match caller_failure, worker_failure with
-    | Some e, _ | None, Some e -> raise e
-    | None, None -> ()
-
-  let shutdown t =
-    Mutex.lock t.mutex;
-    t.stop <- true;
-    Condition.broadcast t.start;
-    Mutex.unlock t.mutex;
-    List.iter Domain.join t.domains
-end
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                          *)
@@ -437,25 +304,6 @@ module Pair_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* What a worker computes for one dequeued pair: everything that needs no
-   shared mutable state. Interning the successors, recording parent edges
-   and deciding the verdict happen later, in frontier order, so the
-   outcome is byte-identical to the sequential engine's. *)
-type edge =
-  | E_step of Event.label * raw_target * int  (* label, successor, spec node *)
-  | E_trace_violation of Event.label  (* the specification forbids it *)
-
-type expansion =
-  | X_pruned  (* divergent specification node: the subtree is allowed *)
-  | X_divergent  (* divergent implementation state: a violation *)
-  | X_refusal of Event.label list * Event.label list list
-  | X_edges of edge list
-  | X_error of exn  (* re-raised in frontier order by the merge *)
-
-(* Level-size buckets for the per-level histogram (pair counts, not
-   durations, so the duration defaults don't fit). *)
-let level_buckets = [| 1.; 4.; 16.; 64.; 256.; 1024.; 4096.; 16384. |]
-
 (* Heap watermark for the memory guard, in MiB. [Gc.quick_stat] reads
    counters without walking the heap, so polling it on the dequeue cadence
    costs about as much as the deadline's clock read. *)
@@ -463,10 +311,9 @@ let heap_mb () =
   let words = (Gc.quick_stat ()).Gc.heap_words in
   float_of_int (words * (Sys.word_size / 8)) /. (1024. *. 1024.)
 
-let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
-    ?progress ?cancel ?memory_limit_mb ?resume_from ?resume_deadline ?por
+let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
+    ?cancel ?memory_limit_mb ?resume_from ?resume_deadline ?por
     ?(pipeline = "none") ~norm source =
-  let workers = max 1 workers in
   (* A checkpoint records the pipeline it was taken under; its pair ids
      and visit-order digest are meaningless under any other pipeline. *)
   (match resume_from with
@@ -484,14 +331,9 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
      update below is a single branch and allocates nothing. *)
   let c_explored = Obs.counter obs "search.pairs_explored" in
   let c_interned = Obs.counter obs "search.pairs_interned" in
-  let c_worker_items = Obs.counter obs "search.worker_items" in
   let g_frontier = Obs.gauge obs "search.frontier" in
   let g_budget = Obs.gauge obs "search.budget_frac" in
   let g_impl_states = Obs.gauge obs "search.impl_states" in
-  let h_level = Obs.histogram ~buckets:level_buckets obs "search.level_pairs" in
-  let h_batch =
-    Obs.histogram ~buckets:level_buckets obs "search.worker_batch"
-  in
   (* Product pairs (impl state, normal-form node), interned to dense ids;
      per-id state and parent edge live in growable arrays. *)
   let pair_ids = Pair_tbl.create 4096 in
@@ -501,9 +343,7 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
   let pair_count = ref 0 in
   let queue = Queue.create () in
   let peak_frontier = ref 0 in
-  let busy_us = Atomic.make 0 in
-  (* Rolling digest over every interned pair, in interning order — the
-     order is byte-identical at any worker count, so the digest is a
+  (* Rolling digest over every interned pair, in interning order — a
      portable fingerprint of search progress. *)
   let digest = ref 0 in
   let intern_pair parent ((impl_i, node) as pair) =
@@ -661,69 +501,43 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
           }
     end
   in
-  let par_speedup wall =
-    if workers > 1 && wall > 0. then
-      float_of_int (Atomic.get busy_us) /. 1e6 /. wall
-    else 1.
-  in
   let current_stats () =
     let wall_s = Obs.now () -. t0 in
-    make_stats ~wall_s ~peak_frontier:!peak_frontier ~workers
-      ~par_speedup:(par_speedup wall_s) ~impl_states:(source.state_count ())
+    make_stats ~wall_s ~peak_frontier:!peak_frontier
+      ~impl_states:(source.state_count ())
       ~spec_nodes:(Normalise.num_nodes norm) ~pairs:!pair_count ()
   in
-  (* Stage 1 (parallel-safe): expand one pair using a worker's private
-     stepper. Reads the shared arrays but never writes them. *)
-  let expand step impl_i node =
-    match source.divergent with
-    | Some _ when Normalise.divergent norm node -> X_pruned
-    | Some impl_divergent when impl_divergent impl_i -> X_divergent
-    | _ ->
-      let ts = step impl_i in
-      let stable =
-        not
-          (List.exists
-             (fun (l, _) -> match l with Event.Tau -> true | _ -> false)
-             ts)
+  (* A stable state whose offers cover none of the node's acceptance sets
+     is a refusal violation: [Some (offered, acceptances)]. *)
+  let refused node ts =
+    let stable =
+      not
+        (List.exists
+           (fun (l, _) -> match l with Event.Tau -> true | _ -> false)
+           ts)
+    in
+    if refusal <> `None && stable then begin
+      let offered = List.sort_uniq Event.compare_label (List.map fst ts) in
+      let accs =
+        match refusal with
+        | `Acceptances -> Normalise.acceptances norm node
+        | `Full ->
+          [ List.sort_uniq Event.compare_label
+              (List.map fst (Normalise.afters norm node)) ]
+        | `None -> []
       in
-      let refused =
-        if refusal <> `None && stable then begin
-          let offered = List.sort_uniq Event.compare_label (List.map fst ts) in
-          let accs =
-            match refusal with
-            | `Acceptances -> Normalise.acceptances norm node
-            | `Full ->
-              [ List.sort_uniq Event.compare_label
-                  (List.map fst (Normalise.afters norm node)) ]
-            | `None -> []
-          in
-          let covered =
-            List.exists
-              (fun acc -> List.for_all (fun l -> List.mem l offered) acc)
-              accs
-          in
-          if covered then None else Some (offered, accs)
-        end
-        else None
+      let covered =
+        List.exists
+          (fun acc -> List.for_all (fun l -> List.mem l offered) acc)
+          accs
       in
-      (match refused with
-       | Some (offered, accs) -> X_refusal (offered, accs)
-       | None ->
-         X_edges
-           (List.map
-              (fun (l, target) ->
-                match l with
-                | Event.Tau -> E_step (l, target, node)
-                | Event.Tick | Event.Vis _ ->
-                  (match Normalise.after norm node l with
-                   | Some node' -> E_step (l, target, node')
-                   | None -> E_trace_violation l))
-              ts))
+      if covered then None else Some (offered, accs)
+    end
+    else None
   in
-  (* Ample-set selection, evaluated in the commit phase so the choice is
-     made in deterministic merge order and the proviso can consult pair
-     ids (FIFO interning order = dequeue order). A group G of state [s]'s
-     transitions qualifies as ample when:
+  (* Ample-set selection. The proviso consults pair ids (FIFO interning
+     order = dequeue order), so the choice depends only on the commit
+     order. A group G of state [s]'s transitions qualifies as ample when:
      - every edge of [s] is a plain step (no trace violation, no tick):
        otherwise the violation must be found / the spec must move;
      - the state's transitions split into >= 2 component groups that
@@ -736,13 +550,15 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
        still queued) — deferring the other groups along a cycle of
        already-closed states would postpone them forever. *)
   let c_ample = Obs.counter obs "search.por_ample_commits" in
-  let ample p pair_id node edges =
+  let ample pair_id node edges =
     let plain_step = function
-      | E_step ((Event.Tau | Event.Vis _), _, _) -> true
-      | E_step (Event.Tick, _, _) | E_trace_violation _ -> false
+      | (Event.Tau | Event.Vis _), _, Some _ -> true
+      | Event.Tick, _, _ | _, _, None -> false
     in
-    if not (List.for_all plain_step edges) then None
-    else
+    match por with
+    | Some p
+      when refusal = `None && source.divergent = None
+           && List.for_all plain_step edges -> (
       match p.por_groups !pair_impl.(pair_id) with
       | [] | [ _ ] -> None
       | groups ->
@@ -761,165 +577,89 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
                    | Some id -> id > pair_id)
                  g
           in
-          List.find_opt qualifies groups
+          List.find_opt qualifies groups)
+    | _ -> None
   in
-  (* Stage 2 (merge, single domain): commit one pair's expansion in
-     frontier order. [Some result] short-circuits the search. *)
-  let rec commit pair_id expansion =
+  (* Expand and commit one dequeued pair. [Some result] ends the search. *)
+  let visit pair_id =
     last_dequeued := pair_id;
     incr explored;
     Obs.incr c_explored;
-    let impl_i = !pair_impl.(pair_id) in
-    match expansion with
-    | X_pruned -> None
-    | X_divergent -> Some (Fails (counterexample pair_id [] Divergence impl_i))
-    | X_refusal (offered, acceptances) ->
-      Some
-        (Fails
-           (counterexample pair_id []
-              (Refusal_violation { offered; acceptances })
-              impl_i))
-    | X_error e -> raise e
-    | X_edges edges ->
-      let node = !pair_node.(pair_id) in
-      let chosen =
-        match por with
-        | Some p when refusal = `None && source.divergent = None ->
-          ample p pair_id node edges
-        | _ -> None
-      in
-      (match chosen with
-       | Some group ->
-         (* Every label of an ample group leaves the spec node in place
-            (Tau, or a label the spec self-loops on everywhere). *)
-         Obs.incr c_ample;
-         List.iter
-           (fun (l, j) ->
-             intern_pair (Some (l, pair_id))
-               (source.intern (Raw_state j), node))
-           group;
-         None
-       | None -> commit_edges pair_id edges impl_i)
-  and commit_edges pair_id edges impl_i =
-      (* Intern every successor state first, then scan for violations
-         while interning pairs: the same order as a sequential stepper
-         that interns its whole result list before the scan. *)
-      let interned =
-        List.map
-          (fun edge ->
-            match edge with
-            | E_step (l, target, node') -> `Step (l, source.intern target, node')
-            | E_trace_violation l -> `Violation l)
-          edges
-      in
-      List.find_map
-        (fun step ->
-          match step with
-          | `Step (l, target_i, node') ->
-            intern_pair (Some (l, pair_id)) (target_i, node');
-            None
-          | `Violation l ->
-            Some
-              (Fails (counterexample pair_id [ l ] (Trace_violation l) impl_i)))
-        interned
+    let impl_i = !pair_impl.(pair_id) and node = !pair_node.(pair_id) in
+    let fails extra violation =
+      Some (Fails (counterexample pair_id extra violation impl_i))
+    in
+    match source.divergent with
+    | Some _ when Normalise.divergent norm node ->
+      None (* below a divergent specification node anything is allowed *)
+    | Some impl_divergent when impl_divergent impl_i -> fails [] Divergence
+    | _ -> (
+      let ts = source.step impl_i in
+      match refused node ts with
+      | Some (offered, acceptances) ->
+        fails [] (Refusal_violation { offered; acceptances })
+      | None -> (
+        (* each successor with the spec node it moves to; [None] when the
+           specification forbids the label *)
+        let edges =
+          List.map
+            (fun (l, target) ->
+              match l with
+              | Event.Tau -> l, target, Some node
+              | Event.Tick | Event.Vis _ ->
+                l, target, Normalise.after norm node l)
+            ts
+        in
+        match ample pair_id node edges with
+        | Some group ->
+          (* Every label of an ample group leaves the spec node in place
+             (Tau, or a label the spec self-loops on everywhere). POR
+             groups name graph states, which need no interning. *)
+          Obs.incr c_ample;
+          List.iter
+            (fun (l, j) -> intern_pair (Some (l, pair_id)) (j, node))
+            group;
+          None
+        | None ->
+          (* Intern every permitted successor state first, in row order,
+             then the pairs up to the first violation. The target of a
+             forbidden label is never interned. *)
+          let steps =
+            List.map
+              (fun (l, target, after) ->
+                match after with
+                | Some node' -> l, Some (source.intern target, node')
+                | None -> l, None)
+              edges
+          in
+          List.find_map
+            (fun (l, pair) ->
+              match pair with
+              | Some pair ->
+                intern_pair (Some (l, pair_id)) pair;
+                None
+              | None -> fails [ l ] (Trace_violation l))
+            steps))
   in
   intern_pair None (source.initial, Normalise.initial norm);
   note_boundary ();
-  (* Sequential engine: one stepper, expand-and-commit per dequeue. *)
-  let run_sequential () =
-    let step = source.raw_step () in
-    let rec search () =
-      (* an empty queue is a completed search: the verdict stands even if
-         the deadline expired while reaching it *)
-      if Queue.is_empty queue then Holds (current_stats ())
-      else begin
-        cross_if_resuming ();
-        tick ();
-        check_budgets ();
-        match Queue.take_opt queue with
-        | None -> Holds (current_stats ())
-        | Some pair_id ->
-          let expansion =
-            expand step !pair_impl.(pair_id) !pair_node.(pair_id)
-          in
-          (match commit pair_id expansion with
-           | Some result -> result
-           | None ->
-             note_boundary ();
-             search ())
-      end
-    in
-    search ()
-  in
-  (* Parallel engine: the queue is drained level-synchronously. Workers
-     expand the snapshot of the current frontier into position-indexed
-     slots; the merge then replays the slots in frontier order, so
-     verdicts, counterexample traces, and state/pair counts are
-     byte-identical to the sequential engine (only wall-clock differs).
-     Work discovered during the merge forms the next level. *)
-  let run_parallel pool =
-    (* A loop (not merge-tail-calls-level recursion) so each BFS level can
-       be wrapped in an [Obs.span] without the span body capturing the
-       rest of the search. *)
-    let verdict = ref None in
-    while !verdict = None do
-      if Queue.is_empty queue then verdict := Some (Holds (current_stats ()))
-      else
-        Obs.span obs "search.level" (fun () ->
-            let frontier = Array.of_seq (Queue.to_seq queue) in
-            let n = Array.length frontier in
-            Obs.observe h_level (float_of_int n);
-            let results = Array.make n X_pruned in
-            let next = Atomic.make 0 in
-            Pool.run pool (fun step ->
-                let t_start = Obs.now () in
-                let grabbed = ref 0 in
-                let rec grab () =
-                  let k = Atomic.fetch_and_add next 1 in
-                  if k < n then begin
-                    incr grabbed;
-                    let pair_id = frontier.(k) in
-                    results.(k) <-
-                      (try
-                         expand step !pair_impl.(pair_id) !pair_node.(pair_id)
-                       with e -> X_error e);
-                    grab ()
-                  end
-                in
-                grab ();
-                let spent = Obs.now () -. t_start in
-                Obs.add c_worker_items !grabbed;
-                Obs.observe h_batch (float_of_int !grabbed);
-                ignore
-                  (Atomic.fetch_and_add busy_us (int_of_float (spent *. 1e6))));
-            let rec merge k =
-              if k >= n then ()
-              else begin
-                cross_if_resuming ();
-                tick ();
-                check_budgets ();
-                let pair_id = Queue.take queue in
-                match commit pair_id results.(k) with
-                | Some result -> verdict := Some result
-                | None ->
-                  note_boundary ();
-                  merge (k + 1)
-              end
-            in
-            merge 0)
-    done;
-    Option.get !verdict
-  in
-  let run () =
-    if workers = 1 then run_sequential ()
+  let rec search () =
+    (* an empty queue is a completed search: the verdict stands even if
+       the deadline expired while reaching it *)
+    if Queue.is_empty queue then Holds (current_stats ())
     else begin
-      let pool = Pool.create ~init:source.raw_step workers in
-      Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-          run_parallel pool)
+      cross_if_resuming ();
+      tick ();
+      check_budgets ();
+      match visit (Queue.take queue) with
+      | Some result -> result
+      | None ->
+        note_boundary ();
+        search ()
     end
   in
   try
-    let result = Obs.span obs "search.product" run in
+    let result = Obs.span obs "search.product" search in
     (* A terminal verdict while still fast-forwarding means the replay ran
        out of states before the recorded position — the checkpoint cannot
        belong to this search. Refuse rather than return the wrong model's

@@ -10,11 +10,10 @@
     determinism checking are all thin configurations of {!product}.
 
     The engine owns the shared mechanics: pair interning, parent tracking
-    with O(depth) trace reconstruction, pair/deadline budgets, per-check
-    instrumentation (wall time, states per second, peak frontier), and —
-    with [workers > 1] — a level-synchronous multicore exploration over a
-    fixed pool of OCaml 5 domains whose verdicts, counterexample traces,
-    and state/pair counts are byte-identical to the sequential engine's. *)
+    with O(depth) trace reconstruction, pair/deadline budgets, and per-check
+    instrumentation (wall time, states per second, peak frontier). It is
+    one sequential loop on the calling domain; parallelism lives a level
+    up, where whole assertions or trace streams are independent. *)
 
 type violation =
   | Trace_violation of Event.label
@@ -47,10 +46,6 @@ type stats = {
       (** [max impl_states pairs / wall_s] — the search throughput *)
   peak_frontier : int;
       (** largest number of discovered-but-unexplored pairs at any point *)
-  workers : int;  (** domains used by the search (1 = sequential) *)
-  par_speedup : float;
-      (** estimated speedup over one worker: aggregate worker busy time
-          divided by wall time; 1.0 for a sequential search *)
   reductions : (string * int * int) list;
       (** per reduction pass: name, implementation states before, states
           after. Empty for the raw (unreduced) engine and for [Fails]
@@ -90,11 +85,11 @@ type checkpoint = {
           other. *)
 }
 (** A serializable commit-boundary snapshot of the deterministic search.
-    The engine commits pairs in an order that is byte-identical at any
-    worker count, so "the state after [explored] commits" determines the
-    rest of the search: resuming replays the prefix (deadline unarmed,
-    progress suppressed), validates [pairs]/[visited_digest] at the
-    crossing point, then continues with the remaining budget. Final
+    The engine commits pairs in a fixed order, so "the state after
+    [explored] commits" determines the rest of the search: resuming
+    replays the prefix (deadline unarmed, progress suppressed), validates
+    [pairs]/[visited_digest] at the crossing point, then continues with
+    the remaining budget. Final
     verdicts, counterexamples, and state/pair counts are byte-identical
     to an uninterrupted run. *)
 
@@ -141,22 +136,17 @@ type refusal =
     (** a stable implementation state must offer every label the normal
         form can perform (the determinism check) *) ]
 
-type raw_target =
-  | Raw_term of Proc.t
-  | Raw_state of int
-      (** a successor produced by a worker, not yet interned: interning
-          mutates the shared state tables, so it is deferred to the
-          deterministic merge phase *)
-
-type source = {
+type 's source = {
   initial : int;
-  raw_step : unit -> int -> (Event.label * raw_target) list;
-      (** [raw_step ()] builds a fresh stepper with its own private memo
-          caches — one per worker domain, so the parallel hot path takes
-          no locks *)
-  intern : raw_target -> int;
-      (** merge-phase only: admit a raw successor into the dense state
-          space *)
+  step : int -> (Event.label * 's) list;
+      (** the transitions of a state, with successors not yet interned:
+          ['s] is a process term for {!proc_source} and a graph state for
+          {!lts_source} *)
+  intern : 's -> int;
+      (** admit a successor into the dense state space. The engine interns
+          a row's successors in order before any of its pairs, and never
+          the target of a label the specification forbids, so state ids
+          are the same on every run. *)
   term_of : int -> Proc.t;
   state_count : unit -> int;
       (** distinct implementation states interned so far *)
@@ -199,15 +189,15 @@ type progress = {
 
 val proc_source :
   ?interner:interner ->
-  make_step:(unit -> Proc.t -> (Event.label * Proc.t) list) ->
+  step:(Proc.t -> (Event.label * Proc.t) list) ->
   Proc.t ->
-  source
+  Proc.t source
 (** States are process terms, interned on the fly as the search reaches
     them (early counterexamples avoid compiling the full state space).
-    [make_step] is invoked once per worker domain so each gets a private
-    transition memo. Default interner is [`Id]. *)
+    [step] is the transition function, typically a per-check
+    {!Semantics.make_cached}. Default interner is [`Id]. *)
 
-val lts_source : ?check_divergence:bool -> Lts.t -> source
+val lts_source : ?check_divergence:bool -> Lts.t -> int source
 (** States are the nodes of a precompiled graph. [check_divergence]
     (default [true]) precomputes the tau-SCC divergence bitset. *)
 
@@ -215,9 +205,14 @@ val visible_trace : Event.label list -> Event.label list
 (** Drop [Tau] labels (keeps [Tick]). *)
 
 val make_stats :
-  ?wall_s:float -> ?peak_frontier:int -> ?workers:int -> ?par_speedup:float ->
+  ?wall_s:float ->
+  ?peak_frontier:int ->
   ?reductions:(string * int * int) list ->
-  impl_states:int -> spec_nodes:int -> pairs:int -> unit -> stats
+  impl_states:int ->
+  spec_nodes:int ->
+  pairs:int ->
+  unit ->
+  stats
 (** Assemble a {!stats} for results produced outside {!product} (partial
     compiles, deadlock/divergence checks); derives [states_per_sec]. *)
 
@@ -225,7 +220,6 @@ val product :
   refusal:refusal ->
   max_pairs:int ->
   ?stop_at:float ->
-  ?workers:int ->
   ?obs:Obs.t ->
   ?progress:(progress -> unit) ->
   ?cancel:(unit -> bool) ->
@@ -235,7 +229,7 @@ val product :
   ?por:por ->
   ?pipeline:string ->
   norm:Normalise.t ->
-  source ->
+  's source ->
   result
 (** Run the search. [stop_at] is an absolute wall-clock deadline (seconds,
     on the {!Obs.now} clock), polled once every 256 dequeues (a clock read
@@ -262,23 +256,14 @@ val product :
     verdict, counterexample, and state/pair counts are byte-identical to
     an uninterrupted run with sufficient budget.
 
-    [workers] (default 1) sets the size of the domain pool; the calling
-    domain participates, so [workers = 4] spawns three extra domains.
-    Every BFS level of the frontier is expanded concurrently into
-    position-indexed slots and merged in frontier order, so verdicts,
-    counterexample traces, and state/pair counts are byte-identical to a
-    [workers = 1] run — only [wall_s], [states_per_sec], and
-    [par_speedup] vary.
-
-    [obs] (default {!Obs.silent}) receives a [search.product] span (plus
-    one [search.level] span per BFS level when [workers > 1]), counters
-    for pairs explored/interned and per-domain work items, gauges for the
-    live frontier depth, budget fraction, and implementation state count,
-    and level-size histograms. With the silent handle every update is a
-    single branch — the hot path allocates nothing.
+    [obs] (default {!Obs.silent}) receives a [search.product] span,
+    counters for pairs explored and interned, and gauges for the live
+    frontier depth, budget fraction, and implementation state count.
+    With the silent handle every update is a single branch — the hot path
+    allocates nothing.
 
     [progress] is invoked at the deadline-poll cadence (once per 256
     dequeues) with a {!progress} snapshot; searches smaller than one
-    cadence interval never fire it. The callback runs on the merge domain
-    and must not mutate the search. Neither [obs] nor [progress] affects
-    verdicts, counterexamples, or state/pair counts. *)
+    cadence interval never fire it. The callback runs on the searching
+    domain and must not mutate the search. Neither [obs] nor [progress]
+    affects verdicts, counterexamples, or state/pair counts. *)

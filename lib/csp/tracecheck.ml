@@ -169,39 +169,11 @@ let check_one t (stream, labels) =
 let check_streams ?(workers = 1) ?(obs = Obs.silent) t streams =
   Obs.span obs "tracecheck.check_streams" (fun () ->
       let n = Array.length streams in
-      let results = Array.make n None in
       let t0 = Obs.now () in
-      (* Streams are independent; claim indices off a shared atomic so
-         long and short streams balance across domains. Writes land in
-         distinct slots, so the results array needs no lock. *)
-      let next = Atomic.make 0 in
-      let run () =
-        let rec loop () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            results.(i) <- Some (check_one t streams.(i));
-            loop ()
-          end
-        in
-        loop ()
-      in
-      if workers <= 1 || n <= 1 then run ()
-      else begin
-        let domains =
-          List.init
-            (min (workers - 1) (n - 1))
-            (fun _ -> Domain.spawn run)
-        in
-        run ();
-        List.iter Domain.join domains
-      end;
+      (* Streams are independent, and claimed one at a time, so long and
+         short streams balance across domains. *)
       let results =
-        Array.map
-          (function
-            | Some r -> r
-            | None ->
-              invalid_arg "Tracecheck.check_streams: unclaimed stream")
-          results
+        Fanout.init ~workers n (fun i -> check_one t streams.(i))
       in
       let wall_s = Obs.now () -. t0 in
       let accepted = ref 0 and rejected = ref 0 in

@@ -6,7 +6,7 @@ type outcome = {
 
 (* An assertion with its process terms elaborated up front. Elaboration
    mutates nothing but builds terms through the hash-consing constructors;
-   doing it eagerly on the calling domain keeps the parallel scheduling
+   doing it eagerly on the calling domain keeps the concurrent assertions
    below confined to the (domain-safe) refinement engine. *)
 type prepared =
   | P_refines of Csp.Proc.t * Csp.Refine.model * Csp.Proc.t
@@ -56,93 +56,54 @@ let slice ~remaining_wall ~remaining =
   if remaining <= 0 then remaining_wall
   else max 0. remaining_wall /. float_of_int remaining
 
-(* Deadline runs are sequential: each assertion's slice depends on how
-   much wall-clock the previous ones actually used. *)
-let run_with_deadline ~(config : Csp.Check_config.t) ~total
-    (loaded : Elaborate.t) =
-  let n = List.length loaded.Elaborate.assertions in
-  let t0 = Obs.now () in
-  List.mapi
-    (fun i (assertion, pos) ->
-      let remaining_wall = total -. (Obs.now () -. t0) in
-      let deadline = slice ~remaining_wall ~remaining:(n - i) in
-      let config = Csp.Check_config.with_deadline deadline config in
-      {
-        assertion;
-        pos = Some pos;
-        result =
-          Obs.span config.Csp.Check_config.obs "check.assertion" (fun () ->
-              run_assertion ~config loaded assertion);
-      })
-    loaded.Elaborate.assertions
-
-(* Without a deadline the assertions are independent, so idle domains can
-   take whole assertions: [concurrent] of them run at once, each with an
-   equal share of the worker pool for its own product search. Results are
-   reported in script order regardless of completion order. *)
-let run_concurrent ~(config : Csp.Check_config.t) (loaded : Elaborate.t) =
-  let workers = config.Csp.Check_config.workers in
-  let assertions = Array.of_list loaded.Elaborate.assertions in
-  let n = Array.length assertions in
-  let prepared =
-    Array.map (fun (a, _) -> prepare loaded a) assertions
-  in
-  let concurrent = min workers n in
-  let per_assertion = max 1 (workers / concurrent) in
-  let config = Csp.Check_config.with_workers per_assertion config in
-  let results = Array.make n None in
-  let next = Atomic.make 0 in
-  let task () =
-    let rec grab () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <-
-          Some
-            (try Ok (run_prepared ~config loaded.Elaborate.defs prepared.(i))
-             with e -> Error e);
-        grab ()
-      end
-    in
-    grab ()
-  in
-  let domains =
-    List.init (concurrent - 1) (fun _ -> Domain.spawn task)
-  in
-  task ();
-  List.iter Domain.join domains;
-  Array.to_list
-    (Array.mapi
-       (fun i (assertion, pos) ->
-         match results.(i) with
-         | Some (Ok result) -> { assertion; pos = Some pos; result }
-         | Some (Error e) -> raise e
-         | None -> invalid_arg "Check.run: worker left a result slot empty")
-       assertions)
-
-let run ?(config = Csp.Check_config.default) (loaded : Elaborate.t) =
-  let config =
-    Csp.Check_config.with_workers
-      (max 1 config.Csp.Check_config.workers)
-      config
-  in
-  let n = List.length loaded.Elaborate.assertions in
+(* The config assertion [i] of [n] runs under, in a sequence that started
+   at [t0]: under a total deadline, its slice of what is left. *)
+let sliced ~(config : Csp.Check_config.t) ~t0 ~n i =
   match config.Csp.Check_config.deadline with
   | Some total ->
-    run_with_deadline ~config ~total loaded
-  | None ->
-    if config.Csp.Check_config.workers > 1 && n > 1 then
-      run_concurrent ~config loaded
-    else
-      List.map
-        (fun (assertion, pos) ->
-          {
-            assertion;
-            pos = Some pos;
-            result =
-              Obs.span config.Csp.Check_config.obs "check.assertion"
-                (fun () -> run_assertion ~config loaded assertion);
-          })
-        loaded.Elaborate.assertions
+    let remaining_wall = total -. (Obs.now () -. t0) in
+    Csp.Check_config.with_deadline
+      (slice ~remaining_wall ~remaining:(n - i))
+      config
+  | None -> config
+
+(* Without a deadline the assertions are independent, so up to
+   [config.workers] of them run at once, each on its own domain. Results
+   are reported in script order regardless of completion order. *)
+let run_concurrent ~(config : Csp.Check_config.t) (loaded : Elaborate.t) =
+  let assertions = Array.of_list loaded.Elaborate.assertions in
+  let prepared = Array.map (fun (a, _) -> prepare loaded a) assertions in
+  let results =
+    Csp.Fanout.init ~workers:config.Csp.Check_config.workers
+      (Array.length assertions) (fun i ->
+        run_prepared ~config loaded.Elaborate.defs prepared.(i))
+  in
+  List.mapi
+    (fun i (assertion, pos) ->
+      { assertion; pos = Some pos; result = results.(i) })
+    loaded.Elaborate.assertions
+
+(* Otherwise one assertion after another: under a deadline each
+   assertion's slice depends on how much wall-clock the previous ones
+   actually used. *)
+let run ?(config = Csp.Check_config.default) (loaded : Elaborate.t) =
+  let n = List.length loaded.Elaborate.assertions in
+  match config.Csp.Check_config.deadline with
+  | None when config.Csp.Check_config.workers > 1 && n > 1 ->
+    run_concurrent ~config loaded
+  | _ ->
+    let t0 = Obs.now () in
+    List.mapi
+      (fun i (assertion, pos) ->
+        let config = sliced ~config ~t0 ~n i in
+        {
+          assertion;
+          pos = Some pos;
+          result =
+            Obs.span config.Csp.Check_config.obs "check.assertion" (fun () ->
+                run_assertion ~config loaded assertion);
+        })
+      loaded.Elaborate.assertions
 
 let all_pass outcomes =
   List.for_all (fun o -> Csp.Refine.holds o.result) outcomes
@@ -173,8 +134,9 @@ let json_of_outcome i o =
         "wall_s", Num s.Csp.Refine.wall_s;
         "states_per_sec", Num s.Csp.Refine.states_per_sec;
         "peak_frontier", num s.Csp.Refine.peak_frontier;
-        "workers", num s.Csp.Refine.workers;
-        "par_speedup", Num s.Csp.Refine.par_speedup;
+        (* the search is single-domain; both keys stay in the schema *)
+        "workers", num 1;
+        "par_speedup", Num 1.;
         ( "reductions",
           List
             (List.map
@@ -311,15 +273,7 @@ let run_seq ?(start = 0) ?resume_first ~(config : Csp.Check_config.t)
     if i >= n then (List.rev acc, None)
     else begin
       let assertion, pos = assertions.(i) in
-      let config =
-        match config.Csp.Check_config.deadline with
-        | Some total ->
-          let remaining_wall = total -. (Obs.now () -. t0) in
-          Csp.Check_config.with_deadline
-            (slice ~remaining_wall ~remaining:(n - i))
-            config
-        | None -> config
-      in
+      let config = sliced ~config ~t0 ~n i in
       let resume = if i = start then resume_first else None in
       let result =
         Obs.span config.Csp.Check_config.obs "check.assertion" (fun () ->

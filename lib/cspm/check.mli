@@ -15,8 +15,8 @@ val run_assertion :
   Csp.Refine.result
 (** Elaborate the assertion's terms against the loaded script and run the
     corresponding check ([T=] trace refinement, [F=] stable-failures
-    refinement, deadlock or divergence freedom). Budgets, worker pool,
-    and observability come from [config] (default
+    refinement, deadlock or divergence freedom). Budgets and
+    observability come from [config] (default
     {!Csp.Check_config.default}); on a budget expiry the result is
     {!Csp.Refine.Inconclusive} rather than an exception. *)
 
@@ -60,15 +60,14 @@ val run : ?config:Csp.Check_config.t -> Elaborate.t -> outcome list
     unused by fast assertions rolls forward to later (possibly hard) ones
     instead of being discarded.
 
-    [config.workers] enables multicore checking: under a deadline (whose
-    accounting is inherently sequential) each assertion runs the parallel
-    engine with the full pool; without one, up to that many independent
-    assertions run concurrently on their own domains, each given an equal
-    share of the pool for its own product search. Verdicts and
-    counterexamples are identical to a sequential run either way.
+    [config.workers] is how many independent assertions run at once, each
+    on its own domain. It applies only without a deadline, whose
+    accounting is inherently sequential; each product search itself
+    always runs on one domain. Verdicts and counterexamples are identical
+    to a sequential run either way.
 
     [config.obs] records a [check.assertion] span per assertion (on the
-    sequential paths) on top of the engine's own spans and metrics. *)
+    sequential path) on top of the engine's own spans and metrics. *)
 
 val all_pass : outcome list -> bool
 (** Every outcome is {!Csp.Refine.Holds} — inconclusive is not a pass. *)
@@ -113,8 +112,10 @@ val json_of_outcomes : ?cache:Csp.Cache.stats -> outcome list -> Obs.Json.t
     optional top-level ["cache"] object — [{"hits", "misses",
     "evictions", "resident_states", "resident_entries"}], present when
     the run used an LTS cache). Timing fields ([wall_s],
-    [states_per_sec], [par_speedup]) vary run to run; everything else is
-    deterministic. *)
+    [states_per_sec]) vary run to run; everything else is deterministic.
+    The search runs on one domain, so ["workers"] is always 1 and
+    ["par_speedup"] always 1.0; both keys stay for schema
+    compatibility. *)
 
 val json_of_outcome : int -> outcome -> Obs.Json.t
 (** One entry of the report's ["assertions"] array, at index [i]. *)

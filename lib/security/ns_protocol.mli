@@ -26,9 +26,8 @@ val default_config : Csp.Check_config.t
 
 val check :
   ?config:Csp.Check_config.t -> fixed:bool -> unit -> Csp.Refine.result
-(** Build and check authentication. Budgets, the interner, the worker
-    pool, and observability all come from [config] (default
-    {!default_config}); a [config.deadline] makes the check budgeted —
-    exhausting it returns [Inconclusive] rather than running to
-    completion. The verdict and counts are identical at any worker count
-    and under any obs sink. *)
+(** Build and check authentication. Budgets, the interner, and
+    observability all come from [config] (default {!default_config}); a
+    [config.deadline] makes the check budgeted — exhausting it returns
+    [Inconclusive] rather than running to completion. The verdict and
+    counts are identical under any obs sink. *)

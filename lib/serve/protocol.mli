@@ -28,7 +28,8 @@
                                     // header's embedded database
       // both kinds:
       "deadline_s": 5.0,     // optional per-attempt wall budget (check)
-      "workers": 2,          // optional, default 1
+      "workers": 2,          // optional, default 1 (trace-check only:
+                             // parsing domains; check jobs ignore it)
       "max_states": 100000,  // optional
       "max_retries": 3,      // optional (check only)
       "reductions": "none",  // optional (check only)
@@ -89,7 +90,8 @@ type job = {
       (** wall budget per attempt; the runner doubles it on every retry
           so a too-tight first guess still converges (check jobs) *)
   workers : int;
-      (** check: product-search domains; trace-check: parsing domains *)
+      (** trace-check: corpus parsing domains. Check jobs run their
+          assertions one after another on one domain and ignore it. *)
   max_states : int option;
   max_retries : int option;  (** [None] = the runner's default *)
   reductions : string option;

@@ -249,7 +249,6 @@ let run_check_job t (job : Protocol.job) =
         let open Csp.Check_config in
         let c =
           default
-          |> with_workers (max 1 job.Protocol.workers)
           |> with_obs cfg.obs
           |> with_cancel (Signals.read cfg.cancel)
           |> with_reductions reductions

@@ -4,7 +4,8 @@
     {!serve} or programmatically via {!submit}), wait in a bounded queue
     — submissions beyond [queue_limit] are rejected, which is the
     protocol's backpressure — and run one at a time on the calling
-    domain, each with its own worker pool as requested.
+    domain; a trace-check job fans its corpus parsing out across the
+    [workers] it requests.
 
     The runner dispatches on {!Protocol.kind}: [Check] jobs run the
     refinement engine with the retry/checkpoint machinery below;

@@ -264,27 +264,9 @@ let check_corpus ?(workers = 1) ?(obs = Obs.silent) ?(batch = 8192)
               done)
           else totals.skipped <- totals.skipped + 1
       in
-      (* Parse a slice of the batch on each domain; replay in order. *)
+      (* Parse the batch's lines across domains; replay in order. *)
       let parse_batch lines n =
-        let out = Array.make n (P_meta { stream = None; kinds = [] }) in
-        let chunks = max 1 (min workers n) in
-        let per = (n + chunks - 1) / chunks in
-        let fill c =
-          let lo = c * per and hi = min n ((c + 1) * per) in
-          for i = lo to hi - 1 do
-            out.(i) <- parse_raw map lines.(i)
-          done
-        in
-        if chunks = 1 then fill 0
-        else begin
-          let domains =
-            List.init (chunks - 1) (fun c ->
-                Domain.spawn (fun () -> fill (c + 1)))
-          in
-          fill 0;
-          List.iter Domain.join domains
-        end;
-        out
+        Csp.Fanout.init ~workers n (fun i -> parse_raw map lines.(i))
       in
       let run ic =
         let lines = Array.make batch "" in

@@ -34,7 +34,6 @@ let () =
       Test_productions.suite;
       Test_misc.suite;
       Test_hashcons.suite;
-      Test_search_par.suite;
       Test_obs.suite;
       Test_analysis.suite;
       Test_checkpoint.suite;

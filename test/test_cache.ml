@@ -1,5 +1,5 @@
 (* The content-addressed LTS cache: warm verdicts byte-identical to cold
-   ones for every model, pipeline, and worker count; digests that miss
+   ones for every model and pipeline; digests that miss
    only for the definitions an edit can actually reach; warm re-checks
    skipping the compile/normalise/reduce spans entirely; disk
    persistence surviving a fresh process ("daemon restart"); and a
@@ -28,14 +28,12 @@ let all_subsets =
 
 (* One cache is shared across the whole configuration matrix, exactly as
    the daemon shares one across a job stream: later configurations hit
-   entries populated by earlier ones (the keys deliberately exclude the
-   worker count), and every cached verdict — first-touch or hit — must
-   render identically to the cache-free engine's. *)
+   entries populated by earlier ones, and every cached verdict —
+   first-touch or hit — must render identically to the cache-free
+   engine's. *)
 let cached_equals_uncached =
   QCheck.Test.make ~count:6
-    ~name:
-      "cached verdicts match uncached ones for every model, pipeline, and \
-       worker count"
+    ~name:"cached verdicts match uncached ones for every model and pipeline"
     (QCheck.pair Helpers.arb_proc Helpers.arb_proc)
     (fun (spec, impl) ->
       let cache = Cache.create () in
@@ -52,35 +50,30 @@ let cached_equals_uncached =
           in
           List.for_all
             (fun pipeline ->
+              let config =
+                Check_config.(
+                  default |> with_max_states 50_000
+                  |> with_reductions pipeline |> with_cache cache)
+              in
               List.for_all
-                (fun w ->
-                  let config =
-                    Check_config.(
-                      default |> with_max_states 50_000 |> with_workers w
-                      |> with_reductions pipeline |> with_cache cache)
+                (fun leg ->
+                  let got =
+                    render (Refine.check ~config ~model defs ~spec ~impl)
                   in
-                  List.for_all
-                    (fun leg ->
-                      let got =
-                        render (Refine.check ~config ~model defs ~spec ~impl)
-                      in
-                      if String.equal expected got then true
-                      else
-                        QCheck.Test.fail_reportf
-                          "%s leg diverged (reductions=%s workers=%d \
-                           model=%s):@.uncached: %s@.cached:   \
-                           %s@.spec=%s@.impl=%s"
-                          leg
-                          (Reduce.pipeline_to_string pipeline)
-                          w
-                          (match model with
-                           | Refine.Traces -> "T"
-                           | Refine.Failures -> "F"
-                           | Refine.Failures_divergences -> "FD")
-                          expected got (Proc.to_string spec)
-                          (Proc.to_string impl))
-                    [ "cold"; "warm" ])
-                [ 1; 2; 4 ])
+                  if String.equal expected got then true
+                  else
+                    QCheck.Test.fail_reportf
+                      "%s leg diverged (reductions=%s model=%s):@.uncached: \
+                       %s@.cached:   %s@.spec=%s@.impl=%s"
+                      leg
+                      (Reduce.pipeline_to_string pipeline)
+                      (match model with
+                       | Refine.Traces -> "T"
+                       | Refine.Failures -> "F"
+                       | Refine.Failures_divergences -> "FD")
+                      expected got (Proc.to_string spec)
+                      (Proc.to_string impl))
+                [ "cold"; "warm" ])
             all_subsets)
         [ Refine.Traces; Refine.Failures; Refine.Failures_divergences ])
 
@@ -248,6 +241,65 @@ let test_persistence_across_caches () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir
 
+(* Every single-bit flip anywhere in a spilled entry must read as a miss:
+   the header's payload digest rejects it before [Marshal] sees a byte,
+   so the check recompiles and reaches the cold run's verdict. The model
+   fails, so a warm run reads the spec's normal form and the reduced
+   graph, and the counterexample it prints depends on both. *)
+let test_flipped_entries_are_misses () =
+  let dir = temp_dir () in
+  (* a plain write: the sweep rewrites entries thousands of times, and
+     durability is not what it tests *)
+  let write ~path text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  in
+  let persist = { Cache.dir; write } in
+  let defs = Helpers.make_defs () in
+  let impl = Helpers.send "a" 0 (Helpers.send "a" 1 Proc.stop) in
+  let spec = Helpers.send "a" 0 Proc.stop in
+  let run cache =
+    render
+      (Refine.check
+         ~config:Check_config.(default |> with_cache cache)
+         defs ~spec ~impl)
+  in
+  let cold = run (Cache.create ~persist ()) in
+  check_bool "the model fails" true (String.starts_with ~prefix:"fails" cold);
+  let entries =
+    List.filter
+      (fun f -> Filename.check_suffix f ".ltsc")
+      (Array.to_list (Sys.readdir dir))
+  in
+  check_bool "entries were spilled" true (entries <> []);
+  List.iter
+    (fun file ->
+      let path = Filename.concat dir file in
+      let key = Filename.chop_suffix file ".ltsc" in
+      let original = In_channel.with_open_bin path In_channel.input_all in
+      for i = 0 to String.length original - 1 do
+        for bit = 0 to 7 do
+          let flipped = Bytes.of_string original in
+          Bytes.set flipped i
+            (Char.chr (Char.code original.[i] lxor (1 lsl bit)));
+          write ~path (Bytes.to_string flipped);
+          if Cache.find (Cache.create ~persist ()) key <> None then
+            Alcotest.failf "%s: flipping bit %d of byte %d was a hit" file bit
+              i;
+          let got = run (Cache.create ~persist ()) in
+          if not (String.equal cold got) then
+            Alcotest.failf
+              "%s: flipping bit %d of byte %d changed the verdict:@.cold: \
+               %s@.got:  %s"
+              file bit i cold got
+        done
+      done;
+      write ~path original)
+    entries;
+  check_string "the intact directory still warms a fresh cache" cold
+    (run (Cache.create ~persist ()));
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
 (* ------------------------------------------------------------------ *)
 (* LRU bounding                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -344,6 +396,8 @@ let suite =
         `Quick test_warm_run_skips_pipeline_spans;
       Alcotest.test_case "a fresh cache starts warm from the spill directory"
         `Quick test_persistence_across_caches;
+      Alcotest.test_case "every bit flip in a spilled entry is a miss" `Quick
+        test_flipped_entries_are_misses;
       Alcotest.test_case "LRU eviction respects the resident-state bound"
         `Quick test_lru_eviction;
       Alcotest.test_case "reinterning restores hash-consing identity" `Quick

@@ -1,16 +1,16 @@
 (* Crash-safe checking: the checkpoint/resume machinery must be invisible
    in the verdicts. Interrupting a search — by pair budget, cancellation
    token, or heap watermark — and resuming from the checkpoint (JSON
-   round-tripped, at any worker count) must reproduce the uninterrupted
-   run's verdict, counterexample, and structural stats byte for byte; a
-   checkpoint replayed against the wrong model must be refused. *)
+   round-tripped) must reproduce the uninterrupted run's verdict,
+   counterexample, and structural stats byte for byte; a checkpoint
+   replayed against the wrong model must be refused. *)
 
 open Csp
 
 let check_string = Alcotest.(check string)
 
-(* Same canonical rendering as test_search_par: everything but the
-   timing/pool fields, which legitimately vary. *)
+(* Canonical rendering: everything but the timing fields, which
+   legitimately vary. *)
 let render result =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
@@ -26,8 +26,6 @@ let render result =
        Refine.pp_resume_hint hint);
   Format.pp_print_flush ppf ();
   Buffer.contents buf
-
-let worker_counts = [ 1; 2; 4 ]
 
 (* Serialize + reparse, as every consumer of a checkpoint file does. *)
 let roundtrip cp =
@@ -127,13 +125,12 @@ let interrupt_resume_equals_uninterrupted =
              checkpoint machinery, whose pacing and pair counts are those
              of the raw engine (reduced-vs-raw equivalence has its own
              suite in test_reduce) *)
-          let config w =
+          let config =
             Check_config.(
-              default |> with_max_states 50_000 |> with_workers w
-              |> with_reductions [])
+              default |> with_max_states 50_000 |> with_reductions [])
           in
           let expected =
-            render (Refine.check ~config:(config 1) ~model defs ~spec ~impl)
+            render (Refine.check ~config ~model defs ~spec ~impl)
           in
           let cut_config =
             Check_config.(
@@ -142,20 +139,14 @@ let interrupt_resume_equals_uninterrupted =
           in
           match Refine.check ~config:cut_config ~model defs ~spec ~impl with
           | Refine.Inconclusive (_, { Refine.checkpoint = Some cp; _ }) ->
-            let cp = roundtrip cp in
-            List.for_all
-              (fun w ->
-                let got =
-                  render
-                    (Refine.resume ~config:(config w) ~model ~checkpoint:cp
-                       defs ~spec ~impl)
-                in
-                if String.equal expected got then true
-                else
-                  QCheck.Test.fail_reportf
-                    "resume at workers=%d diverged:@.full: %s@.resumed: %s" w
-                    expected got)
-              worker_counts
+            let got =
+              render
+                (Refine.resume ~config ~model ~checkpoint:(roundtrip cp) defs
+                   ~spec ~impl)
+            in
+            String.equal expected got
+            || QCheck.Test.fail_reportf
+                 "resume diverged:@.full: %s@.resumed: %s" expected got
           | other ->
             (* the cut did not bite (model smaller than the budget, or the
                exhaustion predates any interned pair): the budgeted result
@@ -189,14 +180,10 @@ let test_cancel_token_checkpoint_resume () =
     ->
     Alcotest.(check bool) "interrupt stopped the search early" true
       (stats.Refine.pairs < 4096);
-    List.iter
-      (fun w ->
-        let config = Check_config.(raw |> with_workers w) in
-        check_string
-          (Printf.sprintf "resumed verdict at workers=%d" w)
-          expected
-          (render (Refine.resume ~config ~checkpoint:(roundtrip cp) defs ~spec ~impl)))
-      worker_counts
+    check_string "resumed verdict" expected
+      (render
+         (Refine.resume ~config:raw ~checkpoint:(roundtrip cp) defs ~spec
+            ~impl))
   | other ->
     Alcotest.failf "expected an interrupt checkpoint, got: %s" (render other)
 
@@ -247,6 +234,41 @@ let test_resume_mismatch () =
        Alcotest.fail "a checkpoint from a different model was accepted"
      with Search.Resume_mismatch _ -> ())
   | other -> Alcotest.failf "pair budget did not bite: %s" (render other)
+
+(* ------------------------------------------------------------------ *)
+(* Goldens: checkpoints written by earlier builds must still resume     *)
+(* ------------------------------------------------------------------ *)
+
+(* A checkpoint names a commit boundary by its pair count and visit-order
+   digest, both of which follow from the order the engine interns states
+   and pairs. Pinning them for one on-the-fly search and two over reduced
+   graphs (the second with POR choosing ample groups) pins that order: a
+   build that reorders interning would refuse every checkpoint an earlier
+   build wrote. *)
+let test_checkpoint_golden () =
+  let defs, spec, impl = big_model () in
+  let fields ?model ?(spec = spec) config =
+    match Refine.check ~config ?model defs ~spec ~impl with
+    | Refine.Inconclusive (_, { Refine.checkpoint = Some cp; _ }) ->
+      Printf.sprintf "%s explored=%d pairs=%d impl_states=%d digest=%#x"
+        cp.Search.pipeline cp.Search.explored cp.Search.pairs
+        cp.Search.impl_states cp.Search.visited_digest
+    | other -> Alcotest.failf "pair budget did not bite: %s" (render other)
+  in
+  let cut = Check_config.(default |> with_max_pairs 1000) in
+  check_string "on the fly"
+    "none explored=843 pairs=999 impl_states=1001 digest=0xc0d6902f3c7d9"
+    (fields Check_config.(cut |> with_reductions []));
+  (* CHAOS accepts every failure of the counters, and the failures
+     pipeline (tau, bisim) leaves all 4096 of their states in place *)
+  check_string "reduced graph"
+    "tau,bisim explored=843 pairs=999 impl_states=4096 digest=0x1d86c603e71ab"
+    (fields ~model:Refine.Failures
+       ~spec:(Proc.chaos (Eventset.chans [ "x"; "y"; "z" ]))
+       cut);
+  check_string "reduced graph under POR"
+    "por explored=999 pairs=1000 impl_states=4096 digest=0x7fbadc8c20c70"
+    (fields Check_config.(cut |> with_reductions [ Reduce.Por ]))
 
 (* ------------------------------------------------------------------ *)
 (* The cspm layer: run_seq + the cspm-checkpoint/1 document            *)
@@ -371,6 +393,8 @@ let suite =
         `Quick test_memory_watermark_checkpoint_resume;
       Alcotest.test_case "foreign or tampered checkpoints are refused" `Quick
         test_resume_mismatch;
+      Alcotest.test_case "pair-budget checkpoints are golden" `Quick
+        test_checkpoint_golden;
       Alcotest.test_case "run_seq interrupt, document round trip, resume"
         `Quick test_run_seq_interrupt_and_resume;
       Alcotest.test_case "malformed resume documents are rejected" `Quick

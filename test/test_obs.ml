@@ -1,8 +1,7 @@
 (* The observability layer: JSON round-trips, histogram bucketing, span
    nesting, Check_config's builders — and the load-bearing guarantee that
    instrumentation never changes what the checker computes: verdicts,
-   counterexamples, and stats are byte-identical whatever the sink and
-   whatever the worker count. *)
+   counterexamples, and stats are byte-identical whatever the sink. *)
 
 open Csp
 
@@ -211,30 +210,24 @@ let sinks =
 
 let obs_identity =
   QCheck.Test.make ~count:40
-    ~name:"verdicts byte-identical across sinks and worker counts"
+    ~name:"verdicts byte-identical across sinks"
     (QCheck.pair Helpers.arb_proc Helpers.arb_proc)
     (fun (spec, impl) ->
       let defs = Helpers.make_defs () in
-      let run sink w =
+      let run sink =
         let config =
           Check_config.(
-            default |> with_max_states 50_000 |> with_workers w
-            |> with_obs (sink ()))
+            default |> with_max_states 50_000 |> with_obs (sink ()))
         in
         render (Refine.check ~config defs ~spec ~impl)
       in
-      let expected = run (fun () -> Obs.silent) 1 in
+      let expected = run (fun () -> Obs.silent) in
       List.for_all
         (fun (label, sink) ->
-          List.for_all
-            (fun w ->
-              let got = run sink w in
-              if String.equal expected got then true
-              else
-                QCheck.Test.fail_reportf
-                  "sink=%s workers=%d diverged:@.silent/j1: %s@.got:       %s"
-                  label w expected got)
-            [ 1; 2; 4 ])
+          let got = run sink in
+          String.equal expected got
+          || QCheck.Test.fail_reportf
+               "sink=%s diverged:@.silent: %s@.got:    %s" label expected got)
         sinks)
 
 (* A chain long enough (2000 states > the 256-dequeue poll cadence) that

@@ -2,8 +2,8 @@
    compilation against the one-shot compiler, each graph pass actually
    reducing what it claims to reduce, the reduced engine's verdicts and
    counterexamples staying byte-identical to the raw engine's for every
-   pass combination and worker count, and checkpoints recording the
-   pipeline they were taken under. *)
+   pass combination, and checkpoints recording the pipeline they were
+   taken under. *)
 
 open Csp
 
@@ -212,8 +212,7 @@ let all_subsets =
 
 let reduced_equals_raw =
   QCheck.Test.make ~count:12
-    ~name:
-      "every pass combination at every worker count matches the raw engine"
+    ~name:"every pass combination at every model matches the raw engine"
     (QCheck.pair Helpers.arb_proc Helpers.arb_proc)
     (fun (spec, impl) ->
       let defs = Helpers.make_defs () in
@@ -229,29 +228,23 @@ let reduced_equals_raw =
           in
           List.for_all
             (fun pipeline ->
-              List.for_all
-                (fun w ->
-                  let config =
-                    Check_config.(
-                      default |> with_max_states 50_000 |> with_workers w
-                      |> with_reductions pipeline)
-                  in
-                  let got =
-                    render (Refine.check ~config ~model defs ~spec ~impl)
-                  in
-                  if String.equal expected got then true
-                  else
-                    QCheck.Test.fail_reportf
-                      "reductions=%s workers=%d model=%s diverged:@.raw: \
-                       %s@.got: %s@.spec=%s@.impl=%s"
-                      (Reduce.pipeline_to_string pipeline)
-                      w
-                      (match model with
-                       | Refine.Traces -> "T"
-                       | Refine.Failures -> "F"
-                       | Refine.Failures_divergences -> "FD")
-                      expected got (Proc.to_string spec) (Proc.to_string impl))
-                [ 1; 2; 4 ])
+              let config =
+                Check_config.(
+                  default |> with_max_states 50_000
+                  |> with_reductions pipeline)
+              in
+              let got = render (Refine.check ~config ~model defs ~spec ~impl) in
+              if String.equal expected got then true
+              else
+                QCheck.Test.fail_reportf
+                  "reductions=%s model=%s diverged:@.raw: %s@.got: \
+                   %s@.spec=%s@.impl=%s"
+                  (Reduce.pipeline_to_string pipeline)
+                  (match model with
+                   | Refine.Traces -> "T"
+                   | Refine.Failures -> "F"
+                   | Refine.Failures_divergences -> "FD")
+                  expected got (Proc.to_string spec) (Proc.to_string impl))
             all_subsets)
         [ Refine.Traces; Refine.Failures; Refine.Failures_divergences ])
 

@@ -333,6 +333,94 @@ let test_ns_attack_found () =
   | Refine.Holds _ | Refine.Inconclusive _ ->
     Alcotest.fail "expected Lowe's man-in-the-middle attack"
 
+(* Golden: the exact counterexample text of Lowe's attack. The trace and
+   the state term both follow from the order in which the search interns
+   states and pairs, so this pins that order (and with it the pair ids
+   every checkpoint records) byte for byte. *)
+let ns_attack_golden =
+  String.concat ""
+    [
+      "counterexample:\n";
+      "  trace = <running.a.i, send.a.i.(aenc.(pk.i).(msg1.(nonce.0).a)), ";
+      "recv.b.(aenc.(pk.b).(msg1.(nonce.0).a)), send.b.a.(aenc.(pk.a).(msg2.(nonce.0).(nonce.1))), ";
+      "recv.a.(aenc.(pk.a).(msg2.(nonce.0).(nonce.1))), send.a.i.(aenc.(pk.i).(msg3.(nonce.1))), ";
+      "recv.b.(aenc.(pk.b).(msg3.(nonce.1))), commit.b.a>\n";
+      "  trace violation: implementation performs commit.b.a\n";
+      "  state = (SKIP ||| (commit!b!a -> SKIP)) [|{|recv, send|}|] ";
+      "((((((INTRUDER_SPY_CELL(aenc.(pk.a).(msg1.(nonce.0).a), ";
+      "false) ||| (INTRUDER_SPY_CELL(aenc.(pk.a).(msg1.(nonce.0).b), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.a).(msg1.(nonce.0).i), ";
+      "false))) ||| ((INTRUDER_SPY_CELL(aenc.(pk.a).(msg1.(nonce.1).a), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.a).(msg1.(nonce.1).b), ";
+      "false)) ||| (INTRUDER_SPY_CELL(aenc.(pk.a).(msg1.(nonce.1).i), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.a).(msg1.(nonce.2).a), ";
+      "true)))) ||| (((INTRUDER_SPY_CELL(aenc.(pk.a).(msg1.(nonce.2).b), ";
+      "true) ||| INTRUDER_SPY_CELL(aenc.(pk.a).(msg1.(nonce.2).i), ";
+      "true)) ||| (INTRUDER_SPY_CELL(aenc.(pk.a).(msg2.(nonce.0).(nonce.0)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.a).(msg2.(nonce.0).(nonce.1)), ";
+      "true))) ||| ((INTRUDER_SPY_CELL(aenc.(pk.a).(msg2.(nonce.0).(nonce.2)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.a).(msg2.(nonce.1).(nonce.0)), ";
+      "false)) ||| (INTRUDER_SPY_CELL(aenc.(pk.a).(msg2.(nonce.1).(nonce.1)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.a).(msg2.(nonce.1).(nonce.2)), ";
+      "false))))) ||| ((((INTRUDER_SPY_CELL(aenc.(pk.a).(msg2.(nonce.2).(nonce.0)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.a).(msg2.(nonce.2).(nonce.1)), ";
+      "false)) ||| (INTRUDER_SPY_CELL(aenc.(pk.a).(msg2.(nonce.2).(nonce.2)), ";
+      "true) ||| INTRUDER_SPY_CELL(aenc.(pk.a).(msg3.(nonce.0)), ";
+      "false))) ||| ((INTRUDER_SPY_CELL(aenc.(pk.a).(msg3.(nonce.1)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.a).(msg3.(nonce.2)), ";
+      "true)) ||| (INTRUDER_SPY_CELL(aenc.(pk.b).(msg1.(nonce.0).a), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.b).(msg1.(nonce.0).b), ";
+      "false)))) ||| (((INTRUDER_SPY_CELL(aenc.(pk.b).(msg1.(nonce.0).i), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.b).(msg1.(nonce.1).a), ";
+      "false)) ||| (INTRUDER_SPY_CELL(aenc.(pk.b).(msg1.(nonce.1).b), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.b).(msg1.(nonce.1).i), ";
+      "false))) ||| ((INTRUDER_SPY_CELL(aenc.(pk.b).(msg1.(nonce.2).a), ";
+      "true) ||| INTRUDER_SPY_CELL(aenc.(pk.b).(msg1.(nonce.2).b), ";
+      "true)) ||| (INTRUDER_SPY_CELL(aenc.(pk.b).(msg1.(nonce.2).i), ";
+      "true) ||| INTRUDER_SPY_CELL(aenc.(pk.b).(msg2.(nonce.0).(nonce.0)), ";
+      "false)))))) ||| (((((INTRUDER_SPY_CELL(aenc.(pk.b).(msg2.(nonce.0).(nonce.1)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.b).(msg2.(nonce.0).(nonce.2)), ";
+      "false)) ||| (INTRUDER_SPY_CELL(aenc.(pk.b).(msg2.(nonce.1).(nonce.0)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.b).(msg2.(nonce.1).(nonce.1)), ";
+      "false))) ||| ((INTRUDER_SPY_CELL(aenc.(pk.b).(msg2.(nonce.1).(nonce.2)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.b).(msg2.(nonce.2).(nonce.0)), ";
+      "false)) ||| (INTRUDER_SPY_CELL(aenc.(pk.b).(msg2.(nonce.2).(nonce.1)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.b).(msg2.(nonce.2).(nonce.2)), ";
+      "true)))) ||| (((INTRUDER_SPY_CELL(aenc.(pk.b).(msg3.(nonce.0)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.b).(msg3.(nonce.1)), ";
+      "false)) ||| (INTRUDER_SPY_CELL(aenc.(pk.b).(msg3.(nonce.2)), ";
+      "true) ||| INTRUDER_SPY_CELL(aenc.(pk.i).(msg1.(nonce.0).a), ";
+      "true))) ||| ((INTRUDER_SPY_CELL(aenc.(pk.i).(msg1.(nonce.0).b), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.i).(msg1.(nonce.0).i), ";
+      "false)) ||| (INTRUDER_SPY_CELL(aenc.(pk.i).(msg1.(nonce.1).a), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.i).(msg1.(nonce.1).b), ";
+      "false))))) ||| ((((INTRUDER_SPY_CELL(aenc.(pk.i).(msg1.(nonce.1).i), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.i).(msg1.(nonce.2).a), ";
+      "true)) ||| (INTRUDER_SPY_CELL(aenc.(pk.i).(msg1.(nonce.2).b), ";
+      "true) ||| INTRUDER_SPY_CELL(aenc.(pk.i).(msg1.(nonce.2).i), ";
+      "true))) ||| ((INTRUDER_SPY_CELL(aenc.(pk.i).(msg2.(nonce.0).(nonce.0)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.i).(msg2.(nonce.0).(nonce.1)), ";
+      "false)) ||| (INTRUDER_SPY_CELL(aenc.(pk.i).(msg2.(nonce.0).(nonce.2)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.i).(msg2.(nonce.1).(nonce.0)), ";
+      "false)))) ||| (((INTRUDER_SPY_CELL(aenc.(pk.i).(msg2.(nonce.1).(nonce.1)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.i).(msg2.(nonce.1).(nonce.2)), ";
+      "false)) ||| (INTRUDER_SPY_CELL(aenc.(pk.i).(msg2.(nonce.2).(nonce.0)), ";
+      "false) ||| INTRUDER_SPY_CELL(aenc.(pk.i).(msg2.(nonce.2).(nonce.1)), ";
+      "false))) ||| ((INTRUDER_SPY_CELL(aenc.(pk.i).(msg2.(nonce.2).(nonce.2)), ";
+      "true) ||| INTRUDER_SPY_CELL(aenc.(pk.i).(msg3.(nonce.0)), ";
+      "false)) ||| (INTRUDER_SPY_CELL(aenc.(pk.i).(msg3.(nonce.1)), ";
+      "true) ||| INTRUDER_SPY_CELL(aenc.(pk.i).(msg3.(nonce.2)), ";
+      "true))))))) [|{|send|}|] INTRUDER_SPY_FORGE(true, true))";
+    ]
+
+let test_ns_attack_golden () =
+  match Security.Ns_protocol.check ~fixed:false () with
+  | Refine.Fails cex ->
+    Alcotest.(check string) "Lowe's attack, byte for byte" ns_attack_golden
+      (Format.asprintf "%a" Refine.pp_counterexample cex)
+  | Refine.Holds _ | Refine.Inconclusive _ ->
+    Alcotest.fail "expected Lowe's man-in-the-middle attack"
+
 let suite =
   ( "security",
     [
@@ -353,4 +441,6 @@ let suite =
         test_ns_budgeted;
       Alcotest.test_case "needham-schroeder attack without the fix" `Quick
         test_ns_attack_found;
+      Alcotest.test_case "needham-schroeder attack text is golden" `Quick
+        test_ns_attack_golden;
     ] )

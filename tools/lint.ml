@@ -213,6 +213,48 @@ let lint_writers path contents =
       scan 0)
     banned_writers
 
+(* Domain discipline: [lib/csp/fanout.ml] is where library work fans out
+   across domains — whole assertions, trace streams, corpus batches — and
+   [lib/serve/runner.ml] spawns the daemon's blocking stdin reader. A
+   [Domain.spawn] anywhere else under lib/ is a second, finer-grained
+   pool growing back inside one search, which measured no faster than one
+   domain on a 2-vCPU host (EXPERIMENTS.md, "Parallel scaling"); route
+   the work through [Csp.Fanout] instead. Textual, like the other
+   discipline lints. *)
+let spawns_domains path =
+  match Filename.basename path with
+  | "fanout.ml" | "runner.ml" -> true
+  | _ -> false
+
+(* Complain with [msg] at every whole-word occurrence of [name]. *)
+let scan_word path contents name msg =
+  let n = String.length contents in
+  let line_of pos =
+    let l = ref 1 in
+    String.iteri (fun j c -> if j < pos && c = '\n' then incr l) contents;
+    !l
+  in
+  let ln = String.length name in
+  let rec scan from =
+    if from < n then
+      match String.index_from_opt contents from name.[0] with
+      | None -> ()
+      | Some i ->
+        if
+          i + ln <= n
+          && String.sub contents i ln = name
+          && (i = 0 || not (is_ident_char contents.[i - 1]))
+          && (i + ln = n || not (is_ident_char contents.[i + ln]))
+        then complain path (line_of i) msg;
+        scan (i + 1)
+  in
+  scan 0
+
+let lint_domains path contents =
+  scan_word path contents "Domain.spawn"
+    "Domain.spawn outside lib/csp/fanout (fan whole units out through \
+     Csp.Fanout)"
+
 (* Library code must not kill the process or trip the always-on assertion
    machinery: raise [Invalid_argument]/a domain exception and let the CLI
    decide the exit code. [exit] is only flagged in call position (next
@@ -226,26 +268,9 @@ let lint_termination path contents =
     String.iteri (fun j c -> if j < pos && c = '\n' then incr l) contents;
     !l
   in
-  let scan_literal name msg =
-    let ln = String.length name in
-    let rec scan from =
-      if from < n then
-        match String.index_from_opt contents from name.[0] with
-        | None -> ()
-        | Some i ->
-          if
-            i + ln <= n
-            && String.sub contents i ln = name
-            && (i = 0 || not (is_ident_char contents.[i - 1]))
-            && (i + ln = n || not (is_ident_char contents.[i + ln]))
-          then complain path (line_of i) msg;
-          scan (i + 1)
-    in
-    scan 0
-  in
-  scan_literal "Stdlib.exit"
+  scan_word path contents "Stdlib.exit"
     "Stdlib.exit under lib/ (raise and let the CLI choose the exit code)";
-  scan_literal ("assert" ^ " false")
+  scan_word path contents ("assert" ^ " false")
     "assertion of false under lib/ (use invalid_arg with a message)";
   (* bare [exit] in call position *)
   let rec scan from =
@@ -373,6 +398,7 @@ let lint_file ~strict path =
         lint_writers path contents
       end;
       if not (under_cache path) then lint_digest path contents;
+      if not (spawns_domains path) then lint_domains path contents;
       if under_csp path && not (defines_identity path) then
         lint_poly_compare path contents
     end
