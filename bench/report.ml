@@ -8,7 +8,9 @@
    scaling k = 2..32, interleaved-ECU scaling n = 2..12) and the
    Needham-Schroeder authentication check — the checks whose before/after
    numbers EXPERIMENTS.md tracks — plus an ablate/reductions family that
-   re-runs NS under each single reduction pass. The trace-check rows are
+   re-runs NS under each single reduction pass, and cache/all-hits rows
+   that time the edit daemon's fully cached re-check against an uncached
+   cache/none twin ("ratio_vs_check"). The trace-check rows are
    re-run on 2 worker domains (rows suffixed /j2), whose "speedup_vs_j1"
    compares their wall time to the /j1 row; the non-search rows (the CSPm
    lint, the live-JSONL rerun) carry "ratio_vs_check" instead — their
@@ -321,6 +323,71 @@ let tracecheck_rows rows =
     [ 1; 2 ];
   Sys.remove corpus
 
+(* The edit daemon's steady state: a resubmitted script whose component
+   artifacts are all cached, against the same load and check with no
+   cache. Each leg is what a daemon job does (parse, elaborate, check);
+   the legs alternate, so host drift hits both alike, and each row reports
+   its median of five. *)
+let cache_rows rows =
+  List.iter
+    (fun n ->
+      let src = Bench_scripts.components n in
+      let run config =
+        Cspm.Check.run ~config (Cspm.Elaborate.load_string src)
+      in
+      let cache = Csp.Cache.create () in
+      let warm_config =
+        Csp.Check_config.with_cache cache Csp.Check_config.default
+      in
+      ignore (run warm_config);
+      Gc.compact ();
+      let legs =
+        List.init 5 (fun _ ->
+            let outcomes, none =
+              wall (fun () -> run Csp.Check_config.default)
+            in
+            let _, warm = wall (fun () -> run warm_config) in
+            outcomes, none, warm)
+      in
+      let median xs =
+        List.nth (List.sort Float.compare xs) (List.length xs / 2)
+      in
+      let none = median (List.map (fun (_, t, _) -> t) legs) in
+      let warm = median (List.map (fun (_, _, t) -> t) legs) in
+      let outcomes, _, _ = List.hd legs in
+      let verdict =
+        Printf.sprintf "%d/%d hold"
+          (List.length
+             (List.filter
+                (fun o -> Csp.Refine.holds o.Cspm.Check.result)
+                outcomes))
+          (List.length outcomes)
+      in
+      let row name wall_s comparison =
+        let row =
+          {
+            name;
+            wall_s;
+            search_wall_s = 0.;
+            impl_states = 0;
+            pairs = 0;
+            states_per_sec = 0.;
+            verdict;
+            comparison;
+            extras = [];
+          }
+        in
+        Format.printf "%-27s %9.2f ms  %s@." row.name (row.wall_s *. 1e3)
+          row.verdict;
+        rows := row :: !rows
+      in
+      row (Printf.sprintf "cache/none/n%d" n) none Standalone;
+      row
+        (Printf.sprintf "cache/all-hits/n%d" n)
+        warm
+        (Ratio_vs_check (if warm > 0. then none /. warm else 0.)))
+    [ 128; 512 ]
+
 let run_rows () =
   let rows = ref [] in
   let record name f =
@@ -472,6 +539,9 @@ let run_rows () =
       | None -> Format.printf "    span %-16s (absent)@." name)
     [ "lts.compile"; "normalise"; "search.product" ];
   rows := row :: !rows;
+  (* before the scale family: n12 leaves a multi-GB heap and intern table
+     behind, which would bill a millisecond-scale row for its upkeep *)
+  cache_rows rows;
   List.iter
     (fun k ->
       let defs, spec, impl = echo_system k in

@@ -154,6 +154,52 @@ let check_cache_warm_speedup () =
   Format.printf "cache: NS %.1f ms cold -> %.1f ms warm (%d hits)@."
     (cold *. 1e3) (warm *. 1e3) s.Csp.Cache.hits
 
+let check_cache_all_hits () =
+  (* the daemon's steady state: a resubmitted script whose every component
+     artifact is already cached. Each leg loads the script (parse and
+     elaborate) and checks it, as a daemon job does; the warm leg must
+     beat the cache-free one by a clear margin, or deriving keys costs
+     more than the compilation it saves. Legs alternate, so host drift
+     hits both alike, and are timed in process CPU time: this gate runs
+     beside the test suite, and a leg the scheduler parks must not count
+     the wait. *)
+  let src = Bench_scripts.components 128 in
+  let run config =
+    let loaded = Cspm.Elaborate.load_string src in
+    String.concat "\n"
+      (List.map
+         (fun o -> digest o.Cspm.Check.result)
+         (Cspm.Check.run ~config loaded))
+  in
+  let cache = Csp.Cache.create () in
+  let cached = Csp.Check_config.with_cache cache Csp.Check_config.default in
+  let expected = run cached in
+  let cold = Csp.Cache.stats cache in
+  let timed config =
+    let t0 = Sys.time () in
+    let d = run config in
+    let t = Sys.time () -. t0 in
+    if not (String.equal d expected) then
+      fail "all-hits smoke: a verdict diverged from the cold run";
+    t
+  in
+  let warm = ref infinity and uncached = ref infinity in
+  for _ = 1 to 3 do
+    uncached := Float.min !uncached (timed Csp.Check_config.default);
+    warm := Float.min !warm (timed cached)
+  done;
+  let s = Csp.Cache.stats cache in
+  if s.Csp.Cache.misses <> cold.Csp.Cache.misses then
+    fail "all-hits smoke: %d warm lookups missed"
+      (s.Csp.Cache.misses - cold.Csp.Cache.misses);
+  if !warm > 0.75 *. !uncached then
+    fail
+      "all-hits smoke: a warm re-check of 128 components took %.1f ms, \
+       over 0.75x the %.1f ms of an uncached one"
+      (!warm *. 1e3) (!uncached *. 1e3);
+  Format.printf "all-hits: 128 components %.1f ms warm vs %.1f ms uncached@."
+    (!warm *. 1e3) (!uncached *. 1e3)
+
 (* A small CSPm script with one passing, one failing, and (under a 1-pair
    budget elsewhere) potentially inconclusive assertion — enough to
    exercise every verdict arm of the JSON schema. *)
@@ -683,6 +729,10 @@ let check_daemon () =
     (List.length retries)
 
 let () =
+  (* first, while the heap and the intern table are small: the NS checks
+     below leave both large, which slows the load both legs share and
+     blurs the comparison *)
+  check_cache_all_hits ();
   check_fault_injection ();
   check_budgeted_engine ();
   check_reduction_speedup ();

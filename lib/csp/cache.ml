@@ -154,149 +154,103 @@ let rec proc_names acc p =
   | Proc.Inter_over (_, e, q) ->
     proc_names (expr_names acc e) q
 
-(* Per-node content digests, memoized on the hash-consed id. Two facts
-   make the memo sound: the digest below is computed from node content
-   only (tags, literals, and child digests — never ids), and [Proc.id]
-   guarantees a dead term's id is only ever reused by a structurally
-   identical resurrection, so a stale hit still names the same content.
-   The payoff is linearity in the term DAG: rendering a term as a string
-   re-renders a shared subterm once per path (the flat event-choice
-   specs the security properties build make that milliseconds per key),
-   while this walk visits each distinct node once, ever, per process. *)
-let node_digests : (int, string) Hashtbl.t = Hashtbl.create 4096
+(* Key material is serialised with [Marshal] and [No_sharing]: for pure
+   data (strings, ints, constructors, lists — no closures, floats or
+   physical identity) the bytes depend on the value alone, and distinct
+   values of one type never serialise alike. That makes it a canonical,
+   unambiguous rendering without a hand-written printer, and it is far
+   cheaper than formatting expressions and event sets as text. *)
+let canonical v = Marshal.to_string v [ Marshal.No_sharing ]
+
+(* A process node with its children replaced by their digests: exactly
+   what the node's own digest covers. *)
+type shallow =
+  | S_stop
+  | S_skip
+  | S_omega
+  | S_prefix of string * Proc.comm_item list * Digest.t
+  | S_ext of Digest.t * Digest.t
+  | S_int of Digest.t * Digest.t
+  | S_seq of Digest.t * Digest.t
+  | S_par of Digest.t * Eventset.t * Digest.t
+  | S_apar of Digest.t * Eventset.t * Eventset.t * Digest.t
+  | S_inter of Digest.t * Digest.t
+  | S_interrupt of Digest.t * Digest.t
+  | S_timeout of Digest.t * Digest.t
+  | S_hide of Digest.t * Eventset.t
+  | S_rename of Digest.t * (string * string) list
+  | S_if of Expr.t * Digest.t * Digest.t
+  | S_guard of Expr.t * Digest.t
+  | S_call of string * Expr.t list
+  | S_ext_over of string * Expr.t * Digest.t
+  | S_int_over of string * Expr.t * Digest.t
+  | S_inter_over of string * Expr.t * Digest.t
+  | S_run of Eventset.t
+  | S_chaos of Eventset.t
+
+(* Per-node content digests, memoized on the hash-consed term itself.
+   The digest is computed from node content only (constructors, literals
+   and child digests, never ids), and it is linear in the term DAG: each
+   distinct node is digested once, where rendering a term as text
+   re-renders a shared subterm once per path (the flat event-choice specs
+   the security properties build made that milliseconds per key). The
+   memo holds its terms alive, so a script elaborated again, such as the
+   next daemon job, gets the same physical terms back from hash-consing
+   and hits here instead of digesting every node afresh. *)
+module Node_tbl = Hashtbl.Make (struct
+  type t = Proc.t
+
+  let equal = Proc.equal
+  let hash = Proc.hash
+end)
+
+let node_digests : Digest.t Node_tbl.t = Node_tbl.create 4096
 let node_digests_mu = Mutex.create ()
 
 let digest_node root =
   let rec go p =
-    match Hashtbl.find_opt node_digests (Proc.id p) with
+    match Node_tbl.find_opt node_digests p with
     | Some d -> d
     | None ->
-      let buf = Buffer.create 128 in
-      let tag s = Buffer.add_string buf s in
-      let child q =
-        Buffer.add_char buf ';';
-        Buffer.add_string buf (go q)
+      let shallow =
+        match Proc.view p with
+        | Proc.Stop -> S_stop
+        | Proc.Skip -> S_skip
+        | Proc.Omega -> S_omega
+        | Proc.Prefix (c, items, k) -> S_prefix (c, items, go k)
+        | Proc.Ext (a, b) -> S_ext (go a, go b)
+        | Proc.Int (a, b) -> S_int (go a, go b)
+        | Proc.Seq (a, b) -> S_seq (go a, go b)
+        | Proc.Par (a, s, b) -> S_par (go a, s, go b)
+        | Proc.APar (a, sa, sb, b) -> S_apar (go a, sa, sb, go b)
+        | Proc.Inter (a, b) -> S_inter (go a, go b)
+        | Proc.Interrupt (a, b) -> S_interrupt (go a, go b)
+        | Proc.Timeout (a, b) -> S_timeout (go a, go b)
+        | Proc.Hide (q, s) -> S_hide (go q, s)
+        | Proc.Rename (q, map) -> S_rename (go q, map)
+        | Proc.If (e, a, b) -> S_if (e, go a, go b)
+        | Proc.Guard (e, q) -> S_guard (e, go q)
+        | Proc.Call (name, args) -> S_call (name, args)
+        | Proc.Ext_over (v, e, q) -> S_ext_over (v, e, go q)
+        | Proc.Int_over (v, e, q) -> S_int_over (v, e, go q)
+        | Proc.Inter_over (v, e, q) -> S_inter_over (v, e, go q)
+        | Proc.Run s -> S_run s
+        | Proc.Chaos s -> S_chaos s
       in
-      let str s =
-        Buffer.add_char buf ';';
-        Buffer.add_string buf s
-      in
-      let expr e = str (Expr.to_string e) in
-      let set s = str (Eventset.to_string s) in
-      let comm = function
-        | Proc.Out e ->
-          str "!";
-          expr e
-        | Proc.In (v, None) -> str ("?" ^ v)
-        | Proc.In (v, Some e) ->
-          str ("?" ^ v ^ ":");
-          expr e
-      in
-      (match Proc.view p with
-       | Proc.Stop -> tag "stop"
-       | Proc.Skip -> tag "skip"
-       | Proc.Omega -> tag "omega"
-       | Proc.Prefix (c, items, k) ->
-         tag "prefix";
-         str c;
-         List.iter comm items;
-         child k
-       | Proc.Ext (a, b) ->
-         tag "ext";
-         child a;
-         child b
-       | Proc.Int (a, b) ->
-         tag "int";
-         child a;
-         child b
-       | Proc.Seq (a, b) ->
-         tag "seq";
-         child a;
-         child b
-       | Proc.Inter (a, b) ->
-         tag "inter";
-         child a;
-         child b
-       | Proc.Interrupt (a, b) ->
-         tag "interrupt";
-         child a;
-         child b
-       | Proc.Timeout (a, b) ->
-         tag "timeout";
-         child a;
-         child b
-       | Proc.Par (a, s, b) ->
-         tag "par";
-         child a;
-         set s;
-         child b
-       | Proc.APar (a, sa, sb, b) ->
-         tag "apar";
-         child a;
-         set sa;
-         set sb;
-         child b
-       | Proc.Hide (q, s) ->
-         tag "hide";
-         child q;
-         set s
-       | Proc.Rename (q, map) ->
-         tag "rename";
-         child q;
-         List.iter (fun (f, t) -> str (f ^ "<-" ^ t)) map
-       | Proc.If (e, a, b) ->
-         tag "if";
-         expr e;
-         child a;
-         child b
-       | Proc.Guard (e, q) ->
-         tag "guard";
-         expr e;
-         child q
-       | Proc.Call (name, args) ->
-         tag "call";
-         str name;
-         List.iter expr args
-       | Proc.Ext_over (v, e, q) ->
-         tag "ext_over";
-         str v;
-         expr e;
-         child q
-       | Proc.Int_over (v, e, q) ->
-         tag "int_over";
-         str v;
-         expr e;
-         child q
-       | Proc.Inter_over (v, e, q) ->
-         tag "inter_over";
-         str v;
-         expr e;
-         child q
-       | Proc.Run s ->
-         tag "run";
-         set s
-       | Proc.Chaos s ->
-         tag "chaos";
-         set s);
-      let d = Digest.to_hex (Digest.string (Buffer.contents buf)) in
-      (* the memo only ever grows; a backstop reset bounds a pathological
-         daemon lifetime at the price of re-digesting afterwards *)
-      if Hashtbl.length node_digests > 1_000_000 then
-        Hashtbl.reset node_digests;
-      Hashtbl.replace node_digests (Proc.id p) d;
+      let d = Digest.string (canonical shallow) in
+      (* the memo only ever grows, and it pins its terms; a backstop
+         reset bounds a long daemon lifetime at the price of re-digesting
+         afterwards *)
+      if Node_tbl.length node_digests > 100_000 then
+        Node_tbl.reset node_digests;
+      Node_tbl.replace node_digests p d;
       d
   in
-  Mutex.lock node_digests_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock node_digests_mu)
-    (fun () -> go root)
+  Mutex.protect node_digests_mu (fun () -> go root)
 
-(* The transitive closure of definitions the term can reach, rendered
-   deterministically. Channel/datatype/nametype declarations are global
-   in a script and cheap to render, so they are folded into every digest
-   wholesale: editing a declaration invalidates everything (correct),
-   editing one handler body invalidates only its dependents. *)
-let add_reachable_defs buf defs roots =
+(* The transitive closure of definitions the term can reach, sorted by
+   name: editing one handler body invalidates only its dependents. *)
+let reachable_defs defs roots =
   let seen = Hashtbl.create 16 in
   let rec visit name =
     if not (Hashtbl.mem seen name) then begin
@@ -304,75 +258,72 @@ let add_reachable_defs buf defs roots =
       (match Defs.proc defs name with
        | Some (_, body) -> List.iter visit (proc_names [] body)
        | None -> ());
-      match List.assoc_opt name (Defs.funcs defs) with
+      match Defs.fenv defs name with
       | Some (_, body) -> List.iter visit (expr_names [] body)
       | None -> ()
     end
   in
   List.iter visit roots;
-  let names = Hashtbl.fold (fun n () acc -> n :: acc) seen [] in
-  List.iter
-    (fun name ->
-      (match Defs.proc defs name with
-       | Some (params, body) ->
-         Buffer.add_string buf
-           (Printf.sprintf "\x00proc %s(%s)=%s" name
-              (String.concat "," params)
-              (digest_node body))
-       | None -> ());
-      match List.assoc_opt name (Defs.funcs defs) with
-      | Some (params, body) ->
-        Buffer.add_string buf
-          (Printf.sprintf "\x00fun %s(%s)=%s" name
-             (String.concat "," params)
-             (Expr.to_string body))
-      | None -> ())
-    (List.sort String.compare names)
+  List.sort String.compare (Hashtbl.fold (fun n () acc -> n :: acc) seen [])
 
-let add_declarations buf defs =
-  Buffer.add_string buf
-    (Printf.sprintf "\x00domain_limit=%d" (Defs.domain_limit defs));
-  List.iter
-    (fun (c, tys) ->
-      Buffer.add_string buf
-        (Printf.sprintf "\x00channel %s:%s" c
-           (String.concat "." (List.map Ty.to_string tys))))
-    (List.sort compare (Defs.channels defs));
-  List.iter
-    (fun (name, ctors) ->
-      Buffer.add_string buf (Printf.sprintf "\x00datatype %s=" name);
-      List.iter
-        (fun (c, tys) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s(%s)|" c
-               (String.concat "," (List.map Ty.to_string tys))))
-        ctors)
-    (List.sort compare (Defs.datatypes defs));
-  List.iter
-    (fun (name, ty) ->
-      Buffer.add_string buf
-        (Printf.sprintf "\x00nametype %s=%s" name (Ty.to_string ty)))
-    (List.sort compare (Defs.nametypes defs))
+(* Channel/datatype/nametype declarations are global in a script, so they
+   are folded into every key wholesale: editing a declaration invalidates
+   everything (correct). Serialising them is linear in the script, so
+   their digest is taken once per state of an environment — [Defs.id] is
+   unique per environment and [Defs.generation] moves with every
+   declaration — rather than once per key, which made a job quadratic in
+   its size. The digest itself covers content only, so equal declarations
+   in distinct environments still key identically. *)
+let decl_digests : (int * int, Digest.t) Hashtbl.t = Hashtbl.create 16
+let decl_digests_mu = Mutex.create ()
+
+let declarations_digest defs =
+  let slot = Defs.id defs, Defs.generation defs in
+  Mutex.protect decl_digests_mu (fun () ->
+      match Hashtbl.find_opt decl_digests slot with
+      | Some d -> d
+      | None ->
+        let d =
+          Digest.string
+            (canonical
+               ( Defs.domain_limit defs,
+                 List.sort compare (Defs.channels defs),
+                 Defs.datatypes defs,
+                 Defs.nametypes defs ))
+        in
+        (* a job keys one environment and drops it, and ids are never
+           reused: the memo need only span the environments in use at
+           once, and a reset costs one re-serialisation each *)
+        if Hashtbl.length decl_digests > 64 then Hashtbl.reset decl_digests;
+        Hashtbl.replace decl_digests slot d;
+        d)
 
 let digest_term defs p =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "csp-cache-key/1";
-  add_declarations buf defs;
-  add_reachable_defs buf defs (proc_names [] p);
-  Buffer.add_string buf "\x00term=";
-  Buffer.add_string buf (digest_node p);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let def name =
+    ( name,
+      Option.map
+        (fun (params, body) -> params, digest_node body)
+        (Defs.proc defs name),
+      Defs.fenv defs name )
+  in
+  Digest.to_hex
+    (Digest.string
+       (canonical
+          ( "csp-cache-key/2",
+            declarations_digest defs,
+            List.map def (reachable_defs defs (proc_names [] p)),
+            digest_node p )))
 
 let script_digest source = Digest.to_hex (Digest.string source)
 
-let spec_key ~max_states defs p =
-  Printf.sprintf "norm-%d-%s" max_states (digest_term defs p)
+(* Keys are assembled by concatenation: [Printf] costs more than the
+   digest itself at the rate a re-check takes keys. *)
+let term_key kind ~max_states defs p =
+  String.concat "" [ kind; string_of_int max_states; "-"; digest_term defs p ]
 
-let impl_key ~max_states defs p =
-  Printf.sprintf "staged-%d-%s" max_states (digest_term defs p)
-
-let lts_key ~max_states defs p =
-  Printf.sprintf "lts-%d-%s" max_states (digest_term defs p)
+let spec_key = term_key "norm-"
+let impl_key = term_key "staged-"
+let lts_key = term_key "lts-"
 
 let model_tag = function
   | `Traces -> "T"
@@ -385,8 +336,18 @@ let model_tag = function
    the key. [impl] and [spec] are the component keys, which already carry
    the state budget. *)
 let reduced_key ~model ~pipeline ~spec ~impl =
-  Printf.sprintf "reduced-%s-%s-(%s)-(%s)" (model_tag model)
-    (Reduce.fingerprint pipeline) spec impl
+  String.concat ""
+    [
+      "reduced-";
+      model_tag model;
+      "-";
+      Reduce.fingerprint pipeline;
+      "-(";
+      spec;
+      ")-(";
+      impl;
+      ")";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)

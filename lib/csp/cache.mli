@@ -9,6 +9,12 @@
     normal-form alphabet). Editing one handler therefore invalidates only
     the components that can reach it; everything else is a digest hit.
 
+    Keying is linear in script size: the declarations are digested once
+    per environment state ({!Defs.id} and {!Defs.generation}), each
+    hash-consed node once (the memo keeps its terms alive, so a script
+    elaborated again finds them), and only the reachable definitions per
+    key.
+
     All digest/fingerprint construction for cached artifacts lives here —
     [tools/lint.ml] keeps [Digest] out of the rest of [lib/] so producers
     and consumers cannot drift apart.

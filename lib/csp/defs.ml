@@ -1,5 +1,6 @@
 type t = {
   id : int;
+  mutable generation : int;  (* bumped by every declaration *)
   domain_limit : int;
   channels : (string, Ty.t list) Hashtbl.t;
   mutable channel_order : string list;  (* reverse declaration order *)
@@ -12,15 +13,17 @@ type t = {
 exception Duplicate of string
 exception Unknown_channel of string
 
-let next_id = ref 0
+(* Atomic: environments are created and copied on concurrent domains,
+   and a duplicated id would alias two environments in every cache keyed
+   on it. *)
+let next_id = Atomic.make 1
 
-let fresh_id () =
-  incr next_id;
-  !next_id
+let fresh_id () = Atomic.fetch_and_add next_id 1
 
 let create ?(domain_limit = 100_000) () =
   {
     id = fresh_id ();
+    generation = 0;
     domain_limit;
     channels = Hashtbl.create 16;
     channel_order = [];
@@ -33,6 +36,7 @@ let create ?(domain_limit = 100_000) () =
 let copy t =
   {
     id = fresh_id ();
+    generation = t.generation;
     domain_limit = t.domain_limit;
     channels = Hashtbl.copy t.channels;
     channel_order = t.channel_order;
@@ -47,17 +51,20 @@ let check_fresh tbl kind name =
 
 let declare_channel t name tys =
   check_fresh t.channels "channel" name;
+  t.generation <- t.generation + 1;
   Hashtbl.replace t.channels name tys;
   t.channel_order <- name :: t.channel_order
 
 let declare_datatype t name ctors =
   check_fresh t.types "type" name;
   List.iter (fun (c, _) -> check_fresh t.ctors "constructor" c) ctors;
+  t.generation <- t.generation + 1;
   Hashtbl.replace t.types name (Ty.Variants ctors);
   List.iter (fun (c, args) -> Hashtbl.replace t.ctors c (name, args)) ctors
 
 let declare_nametype t name ty =
   check_fresh t.types "type" name;
+  t.generation <- t.generation + 1;
   Hashtbl.replace t.types name (Ty.Alias ty)
 
 let define_proc t name params body =
@@ -69,6 +76,7 @@ let define_fun t name params body =
   Hashtbl.replace t.funcs name (params, body)
 
 let id t = t.id
+let generation t = t.generation
 
 let channel_type t name = Hashtbl.find_opt t.channels name
 

@@ -17,8 +17,15 @@ val create : ?domain_limit:int -> unit -> t
 val copy : t -> t
 
 val id : t -> int
-(** A unique identifier per environment (fresh on [create] and [copy]);
-    used to key transition caches. *)
+(** A unique identifier per environment (fresh on [create] and [copy],
+    also when called from concurrent domains); used to key transition
+    caches. *)
+
+val generation : t -> int
+(** How many declarations ([declare_channel], [declare_datatype],
+    [declare_nametype]) this environment has received, counting those
+    inherited by a [copy]. Together with {!id} it names one state of the
+    declarations: any later declaration changes the pair. *)
 
 val domain_limit : t -> int
 (** The domain cap this environment was created with (it affects every

@@ -28,7 +28,7 @@ let compile_budgeted ?(max_states = 1_000_000) ?stop_at ?(obs = Obs.silent)
   let c_states = Obs.counter obs "lts.states" in
   let c_transitions = Obs.counter obs "lts.transitions" in
   let step = Semantics.make_cached ~obs defs in
-  let index = Proc_tbl.create 1024 in
+  let index = Proc_tbl.create 64 in
   let states = ref [] in  (* reverse order *)
   let count = ref 0 in
   let queue = Queue.create () in

@@ -240,15 +240,15 @@ end)
    oracle the hash-consed one is tested against). *)
 let proc_interner = function
   | `Id ->
-    let tbl = Id_tbl.create 1024 in
+    let tbl = Id_tbl.create 64 in
     (Id_tbl.find_opt tbl : Proc.t -> int option), Id_tbl.replace tbl
   | `Structural ->
-    let tbl = Structural_tbl.create 1024 in
+    let tbl = Structural_tbl.create 64 in
     (Structural_tbl.find_opt tbl, Structural_tbl.replace tbl)
 
 let proc_source ?(interner = `Id) ~step term0 =
   let find_opt, replace = proc_interner interner in
-  let terms = ref (Array.make 1024 term0) in
+  let terms = ref (Array.make 64 term0) in
   let count = ref 0 in
   let intern_term term =
     match find_opt term with
@@ -335,11 +335,14 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
   let g_budget = Obs.gauge obs "search.budget_frac" in
   let g_impl_states = Obs.gauge obs "search.impl_states" in
   (* Product pairs (impl state, normal-form node), interned to dense ids;
-     per-id state and parent edge live in growable arrays. *)
-  let pair_ids = Pair_tbl.create 4096 in
-  let pair_impl = ref (Array.make 4096 0) in
-  let pair_node = ref (Array.make 4096 0) in
-  let parents = ref (Array.make 4096 None) in
+     per-id state and parent edge live in growable arrays. They start
+     small (under the minor heap's size limit for a direct allocation) and
+     double: most checks a daemon re-runs are tiny, and a large initial
+     block would go straight to the major heap on every one of them. *)
+  let pair_ids = Pair_tbl.create 64 in
+  let pair_impl = ref (Array.make 64 0) in
+  let pair_node = ref (Array.make 64 0) in
+  let parents = ref (Array.make 64 None) in
   let pair_count = ref 0 in
   let queue = Queue.create () in
   let peak_frontier = ref 0 in

@@ -287,8 +287,8 @@ let make_cached ?(obs = Obs.silent) defs =
   (* two tables: [memo] holds raw per-subterm transition lists shared by
      every recursive call; [sorted] holds the deduplicated, sorted
      top-level answers handed to callers *)
-  let memo = Proc_tbl.create 4096 in
-  let sorted = Proc_tbl.create 4096 in
+  let memo = Proc_tbl.create 64 in
+  let sorted = Proc_tbl.create 64 in
   let c_hits = Obs.counter obs "semantics.memo_hits" in
   let c_misses = Obs.counter obs "semantics.memo_misses" in
   fun proc ->

@@ -30,7 +30,7 @@ type klass =
   | Proc_def
   | Fun_def
 
-let rec contains_proc_construct defined (term : Ast.term) =
+let rec contains_proc_construct (term : Ast.term) =
   match term with
   | Ast.T_stop | Ast.T_skip | Ast.T_prefix _ | Ast.T_extchoice _
   | Ast.T_intchoice _ | Ast.T_seq _ | Ast.T_par _ | Ast.T_apar _
@@ -38,8 +38,7 @@ let rec contains_proc_construct defined (term : Ast.term) =
   | Ast.T_rename _ | Ast.T_guard _ | Ast.T_repl _ ->
     true
   | Ast.T_app (("RUN" | "CHAOS"), _) -> true
-  | Ast.T_if (_, a, b) ->
-    contains_proc_construct defined a || contains_proc_construct defined b
+  | Ast.T_if (_, a, b) -> contains_proc_construct a || contains_proc_construct b
   | Ast.T_num _ | Ast.T_bool _ | Ast.T_id _ | Ast.T_dot _ | Ast.T_app _
   | Ast.T_tuple _ | Ast.T_set _ | Ast.T_range _ | Ast.T_chanset _
   | Ast.T_neg _ | Ast.T_not _ | Ast.T_bin _ ->
@@ -56,13 +55,11 @@ let rec head_refs (term : Ast.term) =
   | _ -> []
 
 let classify (defs_list : (string * string list * Ast.term * Ast.pos) list) =
-  let names = List.map (fun (n, _, _, _) -> n) defs_list in
   let table = Hashtbl.create 16 in
   (* Seed with syntactically obvious processes. *)
   List.iter
     (fun (n, _, body, _) ->
-      if contains_proc_construct names body then
-        Hashtbl.replace table n Proc_def)
+      if contains_proc_construct body then Hashtbl.replace table n Proc_def)
     defs_list;
   (* Propagate through head references until stable. *)
   let changed = ref true in
@@ -362,8 +359,11 @@ let load (script : Ast.script) : t =
     script.Ast.decls;
   let def_items = List.rev !def_items in
   let klass = classify def_items in
-  let def_names = List.map (fun (n, _, _, _) -> n) def_items in
-  let klass_of n = if List.mem n def_names then Some (klass n) else None in
+  let def_names = Hashtbl.create (List.length def_items) in
+  List.iter (fun (n, _, _, _) -> Hashtbl.replace def_names n ()) def_items;
+  let klass_of n =
+    if Hashtbl.mem def_names n then Some (klass n) else None
+  in
   (* Second pass: register bodies. Functions first so process bodies can
      reference them during const-folding later; order among functions or
      among processes does not matter because resolution is by name at

@@ -111,6 +111,70 @@ let test_digest_reachability () =
   check_string "digests are content-addressed, not Defs-identity-addressed"
     (d defs1 "Top") (d defs1' "Top")
 
+(* The declarations' digest is memoised per environment state, so the
+   memo must never outlive a declaration: each kind of declaration added
+   after a key was taken changes the key of the same term in the same
+   environment. *)
+let test_declarations_invalidate_keys () =
+  let defs = Helpers.make_defs () in
+  Defs.define_proc defs "P" [] (Helpers.send "a" 0 Proc.stop);
+  let key () = Cache.digest_term defs (Proc.call ("P", [])) in
+  let steps =
+    [
+      ("declare_channel", fun () -> Defs.declare_channel defs "late" []);
+      ( "declare_datatype",
+        fun () -> Defs.declare_datatype defs "Late" [ "l1", []; "l2", [] ] );
+      ( "declare_nametype",
+        fun () -> Defs.declare_nametype defs "N" (Ty.Int_range (0, 3)) );
+    ]
+  in
+  ignore
+    (List.fold_left
+       (fun before (what, declare) ->
+         check_string "an unchanged environment keys stably" before (key ());
+         declare ();
+         let after = key () in
+         check_bool (what ^ " after a key was taken changes it") true
+           (not (String.equal before after));
+         after)
+       (key ()) steps)
+
+(* A copy is a distinct environment with the same content: it keys like
+   its source until either side gains a declaration the other lacks. Both
+   sides then sit one declaration past the copy, so a copy that shared its
+   source's id would alias their memo entries. *)
+let test_copy_keys_like_source () =
+  let defs = Helpers.make_defs () in
+  Defs.define_proc defs "P" [] (Helpers.send "a" 0 Proc.stop);
+  let term = Proc.call ("P", []) in
+  let key d = Cache.digest_term d term in
+  let original = key defs in
+  let copy = Defs.copy defs in
+  check_string "a copy keys like its source" original (key copy);
+  Defs.declare_channel copy "only_in_copy" [];
+  check_bool "extending the copy changes its key" true
+    (not (String.equal original (key copy)));
+  check_string "and leaves the source's alone" original (key defs);
+  Defs.declare_channel defs "only_in_source" [];
+  check_bool "extending the source changes its key" true
+    (not (String.equal original (key defs)));
+  check_bool "to one of its own, not the copy's" true
+    (not (String.equal (key copy) (key defs)))
+
+(* Definitions are keyed by reachability, not memoised with the
+   declarations: defining a name the term reaches changes its key, any
+   other name leaves it alone. *)
+let test_define_proc_keys_by_reachability () =
+  let defs = Helpers.make_defs () in
+  Defs.define_proc defs "P" [] (Proc.call ("Q", []));
+  let key () = Cache.digest_term defs (Proc.call ("P", [])) in
+  let before = key () in
+  Defs.define_proc defs "Unrelated" [] (Helpers.send "b" 1 Proc.stop);
+  check_string "defining an unreachable name keeps the key" before (key ());
+  Defs.define_proc defs "Q" [] (Helpers.send "a" 0 Proc.stop);
+  check_bool "defining a reachable name changes the key" true
+    (not (String.equal before (key ())))
+
 (* After an edit, re-checking the untouched component is pure hits and
    the edited component is a fresh miss — the incremental-re-checking
    contract, observed through the stats counters. *)
@@ -390,6 +454,12 @@ let suite =
       QCheck_alcotest.to_alcotest cached_equals_uncached;
       Alcotest.test_case "digests invalidate exactly the reachable edits"
         `Quick test_digest_reachability;
+      Alcotest.test_case "a declaration after a key was taken changes it"
+        `Quick test_declarations_invalidate_keys;
+      Alcotest.test_case "a copy keys like its source until either is extended"
+        `Quick test_copy_keys_like_source;
+      Alcotest.test_case "defining a reachable name changes the key" `Quick
+        test_define_proc_keys_by_reachability;
       Alcotest.test_case "an edit misses only the component that reaches it"
         `Quick test_edit_invalidates_only_affected;
       Alcotest.test_case "a warm re-check skips compile/normalise/reduce"

@@ -71,6 +71,19 @@ let test_domain_limit_respected () =
     Alcotest.fail "expected Domain_too_large"
   with Ty.Domain_too_large _ -> ()
 
+(* Environment ids key caches, so two environments must never share one —
+   not even when they are created on different domains at once. *)
+let test_ids_unique_across_domains () =
+  let per_domain = 1_000 in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            List.init per_domain (fun _ -> Defs.id (Defs.create ()))))
+  in
+  let ids = List.concat_map Domain.join domains in
+  check_int "every id distinct" (4 * per_domain)
+    (List.length (List.sort_uniq Int.compare ids))
+
 let suite =
   ( "defs",
     [
@@ -80,4 +93,6 @@ let suite =
       Alcotest.test_case "symbolic set enumeration" `Quick
         test_events_of_symbolic_sets;
       Alcotest.test_case "domain limits" `Quick test_domain_limit_respected;
+      Alcotest.test_case "ids are unique across concurrent domains" `Quick
+        test_ids_unique_across_domains;
     ] )
