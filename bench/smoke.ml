@@ -602,6 +602,40 @@ let check_trace_schemas () =
     "trace schemas: %d entries -> %d events, report stable — schema ok@."
     report.Serve.Trace_run.entries report.Serve.Trace_run.events
 
+let check_line_decode_allocation () =
+  (* The can-trace/1 decoder's budget, in words allocated per line:
+     allocation counts repeat exactly where timings drift by tens of
+     percent between runs on one host. Counting over at least 2M words
+     (several passes over the corpus) keeps a coarse-grained minor-word
+     counter from moving the per-line figure by more than a few
+     percent. *)
+  let path = Filename.temp_file "smoke_alloc" ".ndjson" in
+  ignore (Ota.Corpus.generate ~seed:9 ~streams:20 ~until_ms:200 ~path ());
+  let lines =
+    match
+      Serve.Trace_io.fold_lines ~path ~init:[] (fun acc ~line_no:_ raw ->
+          raw :: acc)
+    with
+    | Ok (lines, _) -> Array.of_list lines
+    | Error msg -> fail "decode allocation smoke: %s" msg
+  in
+  Sys.remove path;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  let decoded = ref 0 in
+  while Gc.minor_words () -. before < 2e6 do
+    Array.iter
+      (fun raw ->
+        ignore (Sys.opaque_identity (Serve.Trace_io.parse_line raw)))
+      lines;
+    decoded := !decoded + Array.length lines
+  done;
+  let per_line = (Gc.minor_words () -. before) /. float_of_int !decoded in
+  if per_line > 200. then
+    fail "decode allocation smoke: %.0f words per line (budget 200)" per_line;
+  Format.printf "line decode: %.0f words per can-trace/1 line over %d lines@."
+    per_line !decoded
+
 let check_daemon () =
   (* the supervised runner end to end: a passing job, a failing job, and
      a job whose first deadline is far below one poll interval — it must
@@ -745,5 +779,6 @@ let () =
   check_checkpoint_resume ();
   check_tracecheck_throughput ();
   check_trace_schemas ();
+  check_line_decode_allocation ();
   check_daemon ();
   print_endline "smoke: ok"

@@ -94,21 +94,14 @@ let string_of_direction = function
   | Fault kind -> "fault:" ^ kind
 
 let direction_of_string s =
-  let tagged prefix =
+  let rest prefix =
     let lp = String.length prefix in
-    if
-      String.length s >= lp && String.sub s 0 lp = prefix
-    then Some (String.sub s lp (String.length s - lp))
-    else None
+    String.sub s lp (String.length s - lp)
   in
   if s = "tx" then Ok Tx
-  else
-    match tagged "rx:" with
-    | Some receiver -> Ok (Rx receiver)
-    | None -> (
-      match tagged "fault:" with
-      | Some kind -> Ok (Fault kind)
-      | None -> Error (Printf.sprintf "unknown direction %S" s))
+  else if String.starts_with ~prefix:"rx:" s then Ok (Rx (rest "rx:"))
+  else if String.starts_with ~prefix:"fault:" s then Ok (Fault (rest "fault:"))
+  else Error (Printf.sprintf "unknown direction %S" s)
 
 let entry_to_json e =
   let open Obs.Json in
@@ -127,37 +120,51 @@ let entry_to_json e =
   in
   Obj fields
 
+type data_field =
+  | Bytes of int list
+  | Non_integer_byte
+  | Not_an_array
+
+let missing name = Error (Printf.sprintf "missing or ill-typed field %S" name)
+
+(* The one validation sequence: the order in which fields are checked
+   decides which reason a line with several faults reports. *)
+let entry_of_fields ~time ~node ~direction ~id ~extended ~data =
+  match time with
+  | None -> missing "t"
+  | Some time -> (
+    match node with
+    | None -> missing "n"
+    | Some node -> (
+      match direction with
+      | None -> missing "d"
+      | Some d -> (
+        match direction_of_string d with
+        | Error reason -> Error reason
+        | Ok direction -> (
+          match id with
+          | None -> missing "id"
+          | Some id -> (
+            match data with
+            | Not_an_array -> missing "data"
+            | Non_integer_byte -> Error "non-integer data byte"
+            | Bytes bytes -> (
+              if time < 0 then Error "negative timestamp"
+              else
+                match Frame.make ~extended ~id bytes with
+                | frame -> Ok { time; node; direction; frame }
+                | exception Frame.Invalid_frame reason -> Error reason))))))
+
 let entry_of_json json =
   let open Obs.Json in
-  let field name conv =
-    match Option.bind (member name json) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-  in
-  let ( let* ) = Result.bind in
-  let* time = field "t" to_int in
-  let* node = field "n" to_str in
-  let* dir_s = field "d" to_str in
-  let* direction = direction_of_string dir_s in
-  let* id = field "id" to_int in
-  let extended =
-    match member "ext" json with Some (Bool b) -> b | _ -> false
-  in
-  let* bytes =
-    match member "data" json with
-    | Some (List items) ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          match to_int item with
-          | Some b -> Ok (b :: acc)
-          | None -> Error "non-integer data byte")
-        (Ok []) items
-      |> Result.map List.rev
-    | _ -> Error "missing or ill-typed field \"data\""
-  in
-  if time < 0 then Error "negative timestamp"
-  else
-    match Frame.make ~extended ~id bytes with
-    | frame -> Ok { time; node; direction; frame }
-    | exception Frame.Invalid_frame reason -> Error reason
+  let field name conv = Option.bind (member name json) conv in
+  entry_of_fields ~time:(field "t" to_int) ~node:(field "n" to_str)
+    ~direction:(field "d" to_str) ~id:(field "id" to_int)
+    ~extended:(match member "ext" json with Some (Bool b) -> b | _ -> false)
+    ~data:
+      (match member "data" json with
+       | Some (List items) ->
+         let bytes = List.filter_map to_int items in
+         if List.compare_lengths bytes items = 0 then Bytes bytes
+         else Non_integer_byte
+       | _ -> Not_an_array)

@@ -63,4 +63,26 @@ val entry_to_json : entry -> Obs.Json.t
 
 val entry_of_json : Obs.Json.t -> (entry, string) result
 (** Validates shape and frame invariants (id range, dlc, byte range);
-    never raises. *)
+    never raises. The tree form of the codec: {!entry_of_fields} on the
+    object's members (first occurrence of a key wins). *)
+
+(** The ["data"] member as a decoder found it. *)
+type data_field =
+  | Bytes of int list  (** an array of integers, in order *)
+  | Non_integer_byte  (** an array holding something else *)
+  | Not_an_array  (** missing, or not an array *)
+
+val entry_of_fields :
+  time:int option ->
+  node:string option ->
+  direction:string option ->
+  id:int option ->
+  extended:bool ->
+  data:data_field ->
+  (entry, string) result
+(** The validation sequence every can-trace/1 decoder shares, so field
+    order and error reasons cannot drift apart: ["t"], ["n"], ["d"], the
+    direction's syntax, ["id"], ["data"], a negative time, then
+    {!Frame.make}. A [None] field was missing or ill-typed ([Obs.Json]'s
+    [to_int]/[to_str] gave [None]); [extended] is whether ["ext"] was
+    [true]. Never raises. *)

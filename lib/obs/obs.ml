@@ -69,170 +69,284 @@ module Json = struct
 
   exception Bad of int * string
 
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Bad (!pos, msg)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
+  (* The parser is a reader — the input and a position — plus top-level
+     functions over it, so a decoder can read the fields it wants straight
+     from the input while the grammar still lives only here. Every reading
+     function skips leading whitespace first; a syntax error raises [Bad]
+     at the offending byte, which [read] turns into the error string. *)
+  type reader = { src : string; mutable pos : int }
+
+  let fail r msg = raise (Bad (r.pos, msg))
+  let[@inline] at r c = r.pos < String.length r.src && r.src.[r.pos] = c
+
+  (* Every token is preceded by a whitespace skip, and compact NDJSON has
+     none: the inlined test is the whole cost of the common case. *)
+  let rec skip_more r =
+    r.pos <- r.pos + 1;
+    if r.pos < String.length r.src then
+      match r.src.[r.pos] with
+      | ' ' | '\t' | '\n' | '\r' -> skip_more r
       | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected '%c'" c)
-    in
-    let literal word v =
-      let l = String.length word in
-      if !pos + l <= n && String.sub s !pos l = word then begin
-        pos := !pos + l;
-        v
-      end
-      else fail (Printf.sprintf "expected %s" word)
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' ->
+
+  let[@inline] skip_ws r =
+    if r.pos < String.length r.src then
+      match r.src.[r.pos] with
+      | ' ' | '\t' | '\n' | '\r' -> skip_more r
+      | _ -> ()
+
+  let looking_at r c =
+    skip_ws r;
+    at r c
+
+  let expected r c = fail r (Printf.sprintf "expected '%c'" c)
+  let[@inline] expect r c = if at r c then r.pos <- r.pos + 1 else expected r c
+
+  let rec same_at s i word j =
+    j = String.length word || (s.[i + j] = word.[j] && same_at s i word (j + 1))
+
+  let literal r word v =
+    if r.pos + String.length word <= String.length r.src
+       && same_at r.src r.pos word 0
+    then begin
+      r.pos <- r.pos + String.length word;
+      v
+    end
+    else fail r (Printf.sprintf "expected %s" word)
+
+  (* The rest of a string holding an escape, from the first backslash on,
+     through a buffer that already has the plain prefix. *)
+  let read_escaped r buf =
+    let s = r.src and n = String.length r.src in
+    let advance () = r.pos <- r.pos + 1 in
+    let rec go () =
+      if r.pos >= n then fail r "unterminated string"
+      else
+        match s.[r.pos] with
+        | '"' -> advance ()
+        | '\\' ->
           advance ();
-          (match peek () with
-           | Some '"' -> Buffer.add_char buf '"'; advance ()
-           | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-           | Some '/' -> Buffer.add_char buf '/'; advance ()
-           | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-           | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-           | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-           | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-           | Some 't' -> Buffer.add_char buf '\t'; advance ()
-           | Some 'u' ->
-             advance ();
-             if !pos + 4 > n then fail "truncated \\u escape";
-             let hex = String.sub s !pos 4 in
-             (match int_of_string_opt ("0x" ^ hex) with
-              | None -> fail "bad \\u escape"
-              | Some code ->
-                pos := !pos + 4;
-                (* encode the BMP code point as UTF-8 *)
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf
-                    (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end)
-           | _ -> fail "bad escape");
+          (if r.pos >= n then fail r "bad escape"
+           else
+             match s.[r.pos] with
+             | '"' -> Buffer.add_char buf '"'; advance ()
+             | '\\' -> Buffer.add_char buf '\\'; advance ()
+             | '/' -> Buffer.add_char buf '/'; advance ()
+             | 'b' -> Buffer.add_char buf '\b'; advance ()
+             | 'f' -> Buffer.add_char buf '\012'; advance ()
+             | 'n' -> Buffer.add_char buf '\n'; advance ()
+             | 'r' -> Buffer.add_char buf '\r'; advance ()
+             | 't' -> Buffer.add_char buf '\t'; advance ()
+             | 'u' ->
+               advance ();
+               if r.pos + 4 > n then fail r "truncated \\u escape";
+               let hex = String.sub s r.pos 4 in
+               (match int_of_string_opt ("0x" ^ hex) with
+                | None -> fail r "bad \\u escape"
+                | Some code ->
+                  r.pos <- r.pos + 4;
+                  (* encode the BMP code point as UTF-8 *)
+                  if code < 0x80 then Buffer.add_char buf (Char.chr code)
+                  else if code < 0x800 then begin
+                    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+                    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                  end
+                  else begin
+                    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+                    Buffer.add_char buf
+                      (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                  end)
+             | _ -> fail r "bad escape");
           go ()
-        | Some c ->
+        | c ->
           Buffer.add_char buf c;
           advance ();
           go ()
-      in
-      go ();
-      Buffer.contents buf
     in
-    let parse_number () =
-      let start = !pos in
-      let num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> num_char c | None -> false) do
-        advance ()
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> fail "bad number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              fields ((k, v) :: acc)
-            | Some '}' ->
-              advance ();
-              List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (fields [])
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              items (v :: acc)
-            | Some ']' ->
-              advance ();
-              List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          List (items [])
-        end
-      | Some _ -> parse_number ()
-    in
+    go ();
+    Buffer.contents buf
+
+  let rec plain_end s i =
+    if i < String.length s && s.[i] <> '"' && s.[i] <> '\\' then
+      plain_end s (i + 1)
+    else i
+
+  (* A string without escapes is one [String.sub]. *)
+  let read_string r =
+    expect r '"';
+    let start = r.pos in
+    let stop = plain_end r.src start in
+    r.pos <- stop;
+    if stop >= String.length r.src then fail r "unterminated string"
+    else if r.src.[stop] = '"' then begin
+      r.pos <- stop + 1;
+      String.sub r.src start (stop - start)
+    end
+    else begin
+      let buf = Buffer.create 16 in
+      Buffer.add_substring buf r.src start (stop - start);
+      read_escaped r buf
+    end
+
+  let is_num_char = function
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+    | _ -> false
+
+  (* A number token is the maximal run of number characters; returns its
+     start and leaves the reader after it. *)
+  let scan_number r =
+    let start = r.pos in
+    while r.pos < String.length r.src && is_num_char r.src.[r.pos] do
+      r.pos <- r.pos + 1
+    done;
+    start
+
+  (* [-]d..d with 1 to 15 digits is exact as a float, so it is read
+     without one; [not_plain] marks every other token. *)
+  let not_plain = min_int
+
+  let rec digits s i stop acc =
+    if i = stop then acc
+    else
+      match s.[i] with
+      | '0' .. '9' as c -> digits s (i + 1) stop ((acc * 10) + Char.code c - 48)
+      | _ -> not_plain
+
+  let plain_int s start stop =
+    let neg = start < stop && s.[start] = '-' in
+    let first = if neg then start + 1 else start in
+    if stop - first < 1 || stop - first > 15 then not_plain
+    else
+      let v = digits s first stop 0 in
+      if neg && v <> not_plain then -v else v
+
+  (* Every other token is whatever [float_of_string_opt] makes of it. *)
+  let float_token r start =
+    match float_of_string_opt (String.sub r.src start (r.pos - start)) with
+    | Some f -> f
+    | None -> fail r "bad number"
+
+  let read_number r =
+    let start = scan_number r in
+    match plain_int r.src start r.pos with
+    | v when v = not_plain -> Num (float_token r start)
+    | 0 when r.src.[start] = '-' -> Num (-0.)
+    | v -> Num (float_of_int v)
+
+  (* Integral values print exactly up to 2^53 (see [add_num]); beyond it
+     [int_of_float] is not an integer conversion at all. *)
+  let int_of_float_opt f =
+    if Float.is_integer f && Float.abs f < 9007199254740992. then
+      Some (int_of_float f)
+    else None
+
+  let to_int v = match v with Num f -> int_of_float_opt f | _ -> None
+
+  let rec fields r f acc =
+    skip_ws r;
+    let k = read_string r in
+    skip_ws r;
+    expect r ':';
+    let acc = f r k acc in
+    skip_ws r;
+    if at r ',' then begin
+      r.pos <- r.pos + 1;
+      fields r f acc
+    end
+    else if at r '}' then begin
+      r.pos <- r.pos + 1;
+      acc
+    end
+    else fail r "expected ',' or '}'"
+
+  let fold_object r init f =
+    skip_ws r;
+    expect r '{';
+    skip_ws r;
+    if at r '}' then begin
+      r.pos <- r.pos + 1;
+      init
+    end
+    else fields r f init
+
+  let rec items r f acc =
+    let acc = f r acc in
+    skip_ws r;
+    if at r ',' then begin
+      r.pos <- r.pos + 1;
+      items r f acc
+    end
+    else if at r ']' then begin
+      r.pos <- r.pos + 1;
+      acc
+    end
+    else fail r "expected ',' or ']'"
+
+  let fold_array r init f =
+    skip_ws r;
+    expect r '[';
+    skip_ws r;
+    if at r ']' then begin
+      r.pos <- r.pos + 1;
+      init
+    end
+    else items r f init
+
+  let rec read_value r =
+    skip_ws r;
+    if r.pos >= String.length r.src then fail r "unexpected end of input"
+    else
+      match r.src.[r.pos] with
+      | '"' -> Str (read_string r)
+      | 't' -> literal r "true" (Bool true)
+      | 'f' -> literal r "false" (Bool false)
+      | 'n' -> literal r "null" Null
+      | '{' ->
+        let member r k acc = (k, read_value r) :: acc in
+        Obj (List.rev (fold_object r [] member))
+      | '[' ->
+        List (List.rev (fold_array r [] (fun r acc -> read_value r :: acc)))
+      | _ -> read_number r
+
+  let read_int r =
+    skip_ws r;
+    if r.pos >= String.length r.src then fail r "unexpected end of input"
+    else
+      match r.src.[r.pos] with
+      | '"' | 't' | 'f' | 'n' | '{' | '[' -> to_int (read_value r)
+      | _ -> (
+        let start = scan_number r in
+        match plain_int r.src start r.pos with
+        | v when v = not_plain -> int_of_float_opt (float_token r start)
+        | v -> Some v)
+
+  let read_str r =
+    if looking_at r '"' then Some (read_string r)
+    else begin
+      ignore (read_value r);
+      None
+    end
+
+  let read s f =
+    let r = { src = s; pos = 0 } in
     match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage";
+      let v = f r in
+      skip_ws r;
+      if r.pos <> String.length s then fail r "trailing garbage";
       v
     with
     | v -> Ok v
     | exception Bad (at, msg) -> Error (Printf.sprintf "%s at byte %d" msg at)
 
-  let member k v =
-    match v with Obj fields -> List.assoc_opt k fields | _ -> None
+  let parse s = read s read_value
+
+  let rec assoc k = function
+    | [] -> None
+    | (k', v) :: rest -> if String.equal k k' then Some v else assoc k rest
+
+  let member k v = match v with Obj fields -> assoc k fields | _ -> None
 
   let to_float v = match v with Num f -> Some f | _ -> None
-
-  let to_int v =
-    match v with
-    | Num f when Float.is_integer f -> Some (int_of_float f)
-    | _ -> None
 
   let to_str v = match v with Str s -> Some s | _ -> None
 end

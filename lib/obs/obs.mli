@@ -36,14 +36,61 @@ module Json : sig
 
   val parse : string -> (t, string) result
   (** Parse one JSON value (surrounding whitespace allowed); [Error]
-      carries a byte offset and reason. *)
+      carries a byte offset and reason. [parse s] is [read s read_value]. *)
 
   val member : string -> t -> t option
-  (** Field lookup on [Obj]; [None] on missing fields or non-objects. *)
+  (** Field lookup on [Obj]; [None] on missing fields or non-objects. A
+      repeated key's first occurrence wins. *)
 
   val to_float : t -> float option
+
   val to_int : t -> int option
+  (** [Some] only for an integral number below 2{^53} in magnitude: the
+      range {!to_string} prints exactly, and beyond which [int_of_float]
+      is not an integer conversion. *)
+
   val to_str : t -> string option
+
+  (** {2 Reading without a tree}
+
+      A decoder that wants a few fields of a known shape reads them
+      straight from the input with a {!reader}, building no [t] for
+      them, while the grammar and its error strings stay those of
+      {!parse}. Each function below skips whitespace, then reads exactly
+      one value (or peeks); a syntax error aborts the whole {!read} with
+      the error {!parse} would report for the same input. *)
+
+  type reader
+
+  val read : string -> (reader -> 'a) -> ('a, string) result
+  (** [read s f] runs [f] on a reader at the start of [s], then requires
+      that only whitespace remains. *)
+
+  val read_value : reader -> t
+  (** The next value as a tree. *)
+
+  val read_int : reader -> int option
+  (** The next value; [Some n] exactly when {!to_int} of it would be.
+      Digit runs of up to 15 digits are read as ints with no float in
+      between; every other number token goes through
+      [float_of_string_opt]. *)
+
+  val read_str : reader -> string option
+  (** The next value; [Some] when it is a string. *)
+
+  val looking_at : reader -> char -> bool
+  (** Whether the next non-whitespace byte is the given one. Consumes
+      only the whitespace. *)
+
+  val fold_object : reader -> 'a -> (reader -> string -> 'a -> 'a) -> 'a
+  (** Read an object, calling [f r key acc] once per member, in input
+      order, with the reader just before the member's value; [f] must
+      read that value (with any function above). Duplicate keys are all
+      passed on. A non-object is a syntax error. *)
+
+  val fold_array : reader -> 'a -> (reader -> 'a -> 'a) -> 'a
+  (** Read an array, calling [f] once per element; [f] must read the
+      element. A non-array is a syntax error. *)
 end
 
 type sink =

@@ -43,26 +43,109 @@ type line =
   | Entry of { stream : string; entry : Canbus.Trace_log.entry }
   | Malformed of { stream : string option; reason : string }
 
+(* The members a post-header line may carry, filled straight from the
+   input in one pass: no tree is built for an entry line. A bit of [seen]
+   marks a key's first occurrence; later duplicates are read and dropped,
+   so the first one wins, as with [Obs.Json.member]. *)
+type fields = {
+  mutable seen : int;
+  mutable stream : string option;
+  mutable meta : Obs.Json.t option;
+  mutable time : int option;
+  mutable node : string option;
+  mutable direction : string option;
+  mutable id : int option;
+  mutable extended : bool;
+  mutable data : Canbus.Trace_log.data_field;
+}
+
+let bit_of_key = function
+  | "s" -> 1
+  | "meta" -> 2
+  | "t" -> 4
+  | "n" -> 8
+  | "d" -> 16
+  | "id" -> 32
+  | "ext" -> 64
+  | "data" -> 128
+  | _ -> 0
+
+let read_data r =
+  let open Obs.Json in
+  if looking_at r '[' then begin
+    let integral = ref true in
+    let bytes =
+      fold_array r [] (fun r acc ->
+          match read_int r with
+          | Some b -> b :: acc
+          | None ->
+            integral := false;
+            acc)
+    in
+    if !integral then Canbus.Trace_log.Bytes (List.rev bytes)
+    else Canbus.Trace_log.Non_integer_byte
+  end
+  else begin
+    ignore (read_value r);
+    Canbus.Trace_log.Not_an_array
+  end
+
+let read_member r key f =
+  let open Obs.Json in
+  let bit = bit_of_key key in
+  if bit = 0 || f.seen land bit <> 0 then ignore (read_value r)
+  else begin
+    f.seen <- f.seen lor bit;
+    match bit with
+    | 1 -> f.stream <- read_str r
+    | 2 -> f.meta <- Some (read_value r)
+    | 4 -> f.time <- read_int r
+    | 8 -> f.node <- read_str r
+    | 16 -> f.direction <- read_str r
+    | 32 -> f.id <- read_int r
+    | 64 -> f.extended <- (match read_value r with Bool b -> b | _ -> false)
+    | _ -> f.data <- read_data r
+  end;
+  f
+
+let read_fields r =
+  let f =
+    {
+      seen = 0;
+      stream = None;
+      meta = None;
+      time = None;
+      node = None;
+      direction = None;
+      id = None;
+      extended = false;
+      data = Canbus.Trace_log.Not_an_array;
+    }
+  in
+  if Obs.Json.looking_at r '{' then Obs.Json.fold_object r f read_member
+  else begin
+    ignore (Obs.Json.read_value r);
+    f
+  end
+
 (* Classify one post-header line. Corrupt input comes back as
    [Malformed] — attributed to its stream when the ["s"] field is still
    recoverable — never as an exception: one truncated line must cost one
    stream, not the batch (the [Cache] corrupt-file-degrades-to-miss
    policy, applied to corpora). *)
 let parse_line raw =
-  let open Obs.Json in
-  match parse raw with
+  match Obs.Json.read raw read_fields with
   | Error msg -> Malformed { stream = None; reason = "not JSON: " ^ msg }
-  | Ok json -> (
-    let stream = Option.bind (member "s" json) to_str in
-    match stream with
-    | None -> Malformed { stream = None; reason = "line has no stream \"s\"" }
-    | Some stream -> (
-      match member "meta" json with
-      | Some meta -> Meta { stream; meta }
-      | None -> (
-        match Canbus.Trace_log.entry_of_json json with
-        | Ok entry -> Entry { stream; entry }
-        | Error reason -> Malformed { stream = Some stream; reason })))
+  | Ok { stream = None; _ } ->
+    Malformed { stream = None; reason = "line has no stream \"s\"" }
+  | Ok { stream = Some stream; meta = Some meta; _ } -> Meta { stream; meta }
+  | Ok ({ stream = Some stream; meta = None; _ } as f) -> (
+    match
+      Canbus.Trace_log.entry_of_fields ~time:f.time ~node:f.node
+        ~direction:f.direction ~id:f.id ~extended:f.extended ~data:f.data
+    with
+    | Ok entry -> Entry { stream; entry }
+    | Error reason -> Malformed { stream = Some stream; reason })
 
 (* {1 Writing} *)
 
@@ -104,7 +187,7 @@ let read_header ~path =
       | exception End_of_file -> Error "empty corpus (no header line)"
       | first -> header_of_line first)
 
-let fold ~path ~init f =
+let fold_lines ~path ~init f =
   with_in path (fun ic ->
       match input_line ic with
       | exception End_of_file -> Error "empty corpus (no header line)"
@@ -115,10 +198,10 @@ let fold ~path ~init f =
           let rec loop line_no acc =
             match input_line ic with
             | exception End_of_file -> Ok (acc, header)
-            | raw -> loop (line_no + 1) (f acc ~line_no (parse_line raw))
+            | raw -> loop (line_no + 1) (f acc ~line_no raw)
           in
           loop 2 init))
 
-let read ~path ~f =
-  Result.map snd
-    (fold ~path ~init:() (fun () ~line_no line -> f ~line_no line))
+let fold ~path ~init f =
+  fold_lines ~path ~init (fun acc ~line_no raw ->
+      f acc ~line_no (parse_line raw))

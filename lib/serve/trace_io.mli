@@ -43,7 +43,21 @@ type line =
       (** corrupt line; [stream] when the ["s"] field was recoverable *)
 
 val parse_line : string -> line
-(** Classify one post-header line. Total — never raises. *)
+(** Classify one post-header line. Total — never raises.
+
+    One pass of an {!Obs.Json.reader} decodes the line: an entry line's
+    fields go straight from the input into the {!Canbus.Trace_log.entry}
+    (no JSON tree), a [meta] value is kept as a tree, and unknown keys
+    are read and dropped. When a key repeats, its first occurrence wins,
+    as with {!Obs.Json.member}. Integers are exact below 2{^53} in
+    magnitude; anything beyond (an id of [1e300], a time of [1e19]) is
+    ill-typed. The classification, down to the [Malformed] reason, is
+    that of {!Obs.Json.parse} followed by
+    {!Canbus.Trace_log.entry_of_json}: a syntax error anywhere in the
+    line is ["not JSON: ..."] with the parser's byte offset, a line with
+    no string ["s"] (or no object at all) has no stream, a ["meta"] key
+    makes a {!Meta} line, and every other line is validated by
+    {!Canbus.Trace_log.entry_of_fields}. *)
 
 (** {1 Writing} *)
 
@@ -62,14 +76,19 @@ val write_entry : writer -> stream:string -> Canbus.Trace_log.entry -> unit
 val read_header : path:string -> (header, string) result
 (** Read and parse only the header line. *)
 
-val read :
-  path:string -> f:(line_no:int -> line -> unit) -> (header, string) result
-(** Stream the corpus through [f] (line numbers are 1-based file lines;
-    the first data line is 2). [Error] only for an unreadable file or a
-    missing/foreign header. *)
+val fold_lines :
+  path:string ->
+  init:'a ->
+  ('a -> line_no:int -> string -> 'a) ->
+  ('a * header, string) result
+(** Stream the corpus's raw post-header lines through the callback, one
+    at a time, each read only after the previous call returns (line
+    numbers are 1-based file lines; the first data line is 2). [Error]
+    only for an unreadable file or a missing/foreign header. *)
 
 val fold :
   path:string ->
   init:'a ->
   ('a -> line_no:int -> line -> 'a) ->
   ('a * header, string) result
+(** {!fold_lines} with each line classified by {!parse_line}. *)

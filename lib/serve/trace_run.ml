@@ -1,12 +1,14 @@
 (* Drive the streaming trace checker over an on-disk corpus.
 
-   The corpus is read once, in batches. Within a batch, JSON parsing and
-   frame-to-event mapping (the dominant cost — the cursor step itself is
-   one hashtable probe) fan out across domains; cursor advancement then
-   replays the batch sequentially in file order. Verdicts are therefore
-   byte-identical at any worker count, and memory stays constant per
-   stream: one cursor per (stream, requirement) plus a handful of
-   counters, never the corpus itself. *)
+   The corpus is read once, line by line through [Trace_io]. Each line is
+   parsed and its frame mapped to an event; cursor advancement then
+   replays lines sequentially in file order. With one worker a line is
+   parsed and replayed before the next is read, so no line outlives a
+   minor collection. With more, lines are gathered into batches whose
+   parsing fans out across domains before the batch is replayed. Verdicts
+   are therefore byte-identical at any worker count, and memory stays
+   constant per stream: one cursor per (stream, requirement) plus a
+   handful of counters, never the corpus itself. *)
 
 type rejection = {
   stream : string;
@@ -194,8 +196,12 @@ type totals = {
   mutable malformed : int;
 }
 
-let check_corpus ?(workers = 1) ?(obs = Obs.silent) ?(batch = 8192)
-    ?(sample_limit = 5) ~map ~requirements ~path () =
+(* Lines per parsing round when [workers > 1]: enough to amortise
+   spawning the domains. *)
+let fanout_batch = 8192
+
+let check_corpus ?(workers = 1) ?(obs = Obs.silent) ?(sample_limit = 5) ~map
+    ~requirements ~path () =
   Obs.span obs "tracecheck.corpus" (fun () ->
       let reqs = Array.of_list requirements in
       let nreq = Array.length reqs in
@@ -264,150 +270,136 @@ let check_corpus ?(workers = 1) ?(obs = Obs.silent) ?(batch = 8192)
               done)
           else totals.skipped <- totals.skipped + 1
       in
-      (* Parse the batch's lines across domains; replay in order. *)
-      let parse_batch lines n =
-        Csp.Fanout.init ~workers n (fun i -> parse_raw map lines.(i))
+      let batch = if workers > 1 then fanout_batch else 1 in
+      let lines = Array.make batch "" in
+      let pending = ref 0 and first_line = ref 2 in
+      let parse i = parse_raw map lines.(i) in
+      let replay () =
+        let parsed = Csp.Fanout.init ~workers !pending parse in
+        for i = 0 to !pending - 1 do
+          advance (!first_line + i) parsed.(i)
+        done;
+        pending := 0
       in
-      let run ic =
-        let lines = Array.make batch "" in
-        let rec loop line_no =
-          let n = ref 0 in
-          (try
-             while !n < batch do
-               lines.(!n) <- input_line ic;
-               incr n
-             done
-           with End_of_file -> ());
-          if !n > 0 then begin
-            let parsed = parse_batch lines !n in
-            Array.iteri (fun i p -> advance (line_no + i) p) parsed;
-            if !n = batch then loop (line_no + !n)
-          end
+      let take () ~line_no raw =
+        if !pending = 0 then first_line := line_no;
+        lines.(!pending) <- raw;
+        incr pending;
+        if !pending = batch then replay ()
+      in
+      match Trace_io.fold_lines ~path ~init:() take with
+      | Error _ as e -> e
+      | Ok ((), header) ->
+        if !pending > 0 then replay ();
+        let wall_s = Obs.now () -. t0 in
+        let streams = List.rev !order in
+        let accepted = Array.make nreq 0
+        and rejected = Array.make nreq 0
+        and corrupt = Array.make nreq 0
+        and samples = Array.make nreq [] in
+        let streams_accepted = ref 0 in
+        (* Attribution: each rejected/corrupt stream counts once
+           under every fault kind its meta declared ("none" when
+           the generator declared nothing) — so the report says
+           which injected faults the specs actually caught. *)
+        let by_fault : (string, int) Hashtbl.t =
+          Hashtbl.create 16
         in
-        loop 2
-      in
-      match open_in_bin path with
-      | exception Sys_error msg -> Error msg
-      | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            match input_line ic with
-            | exception End_of_file -> Error "empty corpus (no header line)"
-            | first -> (
-              match Trace_io.header_of_line first with
-              | Error _ as e -> e
-              | Ok header ->
-                run ic;
-                let wall_s = Obs.now () -. t0 in
-                let streams = List.rev !order in
-                let accepted = Array.make nreq 0
-                and rejected = Array.make nreq 0
-                and corrupt = Array.make nreq 0
-                and samples = Array.make nreq [] in
-                let streams_accepted = ref 0 in
-                (* Attribution: each rejected/corrupt stream counts once
-                   under every fault kind its meta declared ("none" when
-                   the generator declared nothing) — so the report says
-                   which injected faults the specs actually caught. *)
-                let by_fault : (string, int) Hashtbl.t =
-                  Hashtbl.create 16
-                in
-                let attribute stream =
-                  let kinds =
-                    match Hashtbl.find_opt metas stream with
-                    | Some (_ :: _ as ks) -> ks
-                    | Some [] | None -> [ "none" ]
-                  in
-                  List.iter
-                    (fun k ->
-                      Hashtbl.replace by_fault k
-                        (1
-                        + Option.value ~default:0
-                            (Hashtbl.find_opt by_fault k)))
-                    kinds
-                in
-                List.iter
-                  (fun stream ->
-                    let st = Hashtbl.find states stream in
-                    let clean = ref (st.corrupt_at = None) in
-                    for r = 0 to nreq - 1 do
-                      match st.corrupt_at with
-                      | Some _ -> corrupt.(r) <- corrupt.(r) + 1
-                      | None -> (
-                        match Csp.Tracecheck.verdict st.cursors.(r) with
-                        | Csp.Tracecheck.Accepted ->
-                          accepted.(r) <- accepted.(r) + 1
-                        | Csp.Tracecheck.Rejected
-                            { position; offending; expected } ->
-                          clean := false;
-                          rejected.(r) <- rejected.(r) + 1;
-                          if List.length samples.(r) < sample_limit then
-                            samples.(r) <-
-                              {
-                                stream;
-                                position;
-                                line = st.reject_line.(r);
-                                offending =
-                                  Csp.Event.label_to_string offending;
-                                expected =
-                                  List.map Csp.Event.label_to_string
-                                    expected;
-                              }
-                              :: samples.(r))
-                    done;
-                    if !clean then incr streams_accepted
-                    else attribute stream)
-                  streams;
-                let requirements =
-                  List.mapi
-                    (fun r (name, _) ->
+        let attribute stream =
+          let kinds =
+            match Hashtbl.find_opt metas stream with
+            | Some (_ :: _ as ks) -> ks
+            | Some [] | None -> [ "none" ]
+          in
+          List.iter
+            (fun k ->
+              Hashtbl.replace by_fault k
+                (1
+                + Option.value ~default:0
+                    (Hashtbl.find_opt by_fault k)))
+            kinds
+        in
+        List.iter
+          (fun stream ->
+            let st = Hashtbl.find states stream in
+            let clean = ref (st.corrupt_at = None) in
+            for r = 0 to nreq - 1 do
+              match st.corrupt_at with
+              | Some _ -> corrupt.(r) <- corrupt.(r) + 1
+              | None -> (
+                match Csp.Tracecheck.verdict st.cursors.(r) with
+                | Csp.Tracecheck.Accepted ->
+                  accepted.(r) <- accepted.(r) + 1
+                | Csp.Tracecheck.Rejected
+                    { position; offending; expected } ->
+                  clean := false;
+                  rejected.(r) <- rejected.(r) + 1;
+                  if List.length samples.(r) < sample_limit then
+                    samples.(r) <-
                       {
-                        name;
-                        accepted = accepted.(r);
-                        rejected = rejected.(r);
-                        corrupt = corrupt.(r);
-                        samples = List.rev samples.(r);
-                      })
-                    requirements
-                in
-                let events_per_sec =
-                  if wall_s > 0. then float_of_int totals.events /. wall_s
-                  else 0.
-                in
-                if not (Obs.is_silent obs) then begin
-                  Obs.add (Obs.counter obs "tracecheck.events") totals.events;
-                  Obs.add
-                    (Obs.counter obs "tracecheck.streams")
-                    (List.length streams);
-                  Obs.observe
-                    (Obs.histogram obs "tracecheck.events_per_sec"
-                       ~buckets:[| 1e3; 1e4; 1e5; 1e6; 1e7; 1e8 |])
-                    events_per_sec
-                end;
-                Ok
-                  {
-                    corpus = path;
-                    header;
-                    streams = List.length streams;
-                    streams_accepted = !streams_accepted;
-                    streams_rejected =
-                      List.length streams - !streams_accepted;
-                    entries = totals.entries;
-                    events = totals.events;
-                    skipped = totals.skipped;
-                    faults = totals.faults;
-                    malformed = totals.malformed;
-                    wall_s;
-                    events_per_sec;
-                    requirements;
-                    rejected_by_fault =
-                      List.sort
-                        (fun (a, _) (b, _) -> String.compare a b)
-                        (Hashtbl.fold
-                           (fun k n acc -> (k, n) :: acc)
-                           by_fault []);
-                  })))
+                        stream;
+                        position;
+                        line = st.reject_line.(r);
+                        offending =
+                          Csp.Event.label_to_string offending;
+                        expected =
+                          List.map Csp.Event.label_to_string
+                            expected;
+                      }
+                      :: samples.(r))
+            done;
+            if !clean then incr streams_accepted
+            else attribute stream)
+          streams;
+        let requirements =
+          List.mapi
+            (fun r (name, _) ->
+              {
+                name;
+                accepted = accepted.(r);
+                rejected = rejected.(r);
+                corrupt = corrupt.(r);
+                samples = List.rev samples.(r);
+              })
+            requirements
+        in
+        let events_per_sec =
+          if wall_s > 0. then float_of_int totals.events /. wall_s
+          else 0.
+        in
+        if not (Obs.is_silent obs) then begin
+          Obs.add (Obs.counter obs "tracecheck.events") totals.events;
+          Obs.add
+            (Obs.counter obs "tracecheck.streams")
+            (List.length streams);
+          Obs.observe
+            (Obs.histogram obs "tracecheck.events_per_sec"
+               ~buckets:[| 1e3; 1e4; 1e5; 1e6; 1e7; 1e8 |])
+            events_per_sec
+        end;
+        Ok
+          {
+            corpus = path;
+            header;
+            streams = List.length streams;
+            streams_accepted = !streams_accepted;
+            streams_rejected =
+              List.length streams - !streams_accepted;
+            entries = totals.entries;
+            events = totals.events;
+            skipped = totals.skipped;
+            faults = totals.faults;
+            malformed = totals.malformed;
+            wall_s;
+            events_per_sec;
+            requirements;
+            rejected_by_fault =
+              List.sort
+                (fun (a, _) (b, _) -> String.compare a b)
+                (Hashtbl.fold
+                   (fun k n acc -> (k, n) :: acc)
+                   by_fault []);
+          })
 
 (* Resolve a trace-check job's pieces: the event mapper from the CAN
    database (explicit source text, or the one embedded in the corpus

@@ -2,11 +2,13 @@
     per-(stream × requirement) {!Csp.Tracecheck} cursors and report
     per-requirement verdict counts as a ["trace-check/1"] document.
 
-    The corpus is read once in batches: JSON parsing and
-    frame-to-event mapping fan out across [workers] domains, cursor
-    advancement replays each batch sequentially in file order — so
-    verdicts are identical at any worker count, and memory is O(streams
-    × requirements), never O(corpus).
+    The corpus is read once, through {!Trace_io.fold_lines}. With one
+    worker each line is parsed, mapped and replayed before the next is
+    read. With [workers > 1], parsing and frame-to-event mapping of
+    fixed-size batches of lines fan out across that many domains, and
+    each batch is replayed sequentially in file order. Verdicts are
+    identical at any worker count, and memory is O(streams ×
+    requirements), never O(corpus).
 
     Corrupt lines follow the {!Trace_io} policy: a malformed line whose
     stream is recoverable poisons that stream (frozen cursors, reported
@@ -70,7 +72,6 @@ val pp_report : Format.formatter -> report -> unit
 val check_corpus :
   ?workers:int ->
   ?obs:Obs.t ->
-  ?batch:int ->
   ?sample_limit:int ->
   map:(Canbus.Trace_log.entry -> Csp.Event.label option) ->
   requirements:(string * Csp.Tracecheck.t) list ->

@@ -45,6 +45,35 @@ let test_json_roundtrip () =
       | _ -> Alcotest.fail "unexpected shape for member a");
      check_bool "member miss" true (Obs.Json.member "zzz" j = None)
    | Error msg -> Alcotest.fail ("parse failed: " ^ msg));
+  (* to_int is exact or None: nothing at or beyond 2^53 in magnitude *)
+  List.iter
+    (fun (f, want) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "to_int %h" f)
+        want
+        (Obs.Json.to_int (Obs.Json.Num f)))
+    [
+      (9007199254740991., Some 9007199254740991);
+      (-9007199254740991., Some (-9007199254740991));
+      (9007199254740992., None);
+      (-9007199254740992., None);
+      (1e19, None);
+      (-1e19, None);
+      (1e300, None);
+      (infinity, None);
+      (nan, None);
+      (-0., Some 0);
+    ];
+  (match
+     Obs.Json.parse {|{"max_states":1e19,"explored":10000000000000000000}|}
+   with
+   | Ok j ->
+     List.iter
+       (fun k ->
+         check_bool (k ^ " out of range") true
+           (Option.bind (Obs.Json.member k j) Obs.Json.to_int = None))
+       [ "max_states"; "explored" ]
+   | Error msg -> Alcotest.fail ("parse failed: " ^ msg));
   (* malformed inputs are Errors, not exceptions *)
   List.iter
     (fun bad ->

@@ -285,6 +285,195 @@ let test_parse_line () =
     Alcotest.(check int) "id" 257 entry.Canbus.Trace_log.frame.Canbus.Frame.id
   | _ -> Alcotest.fail "entry line not recognised"
 
+(* Integers from 2^53 up are not integers to the codec. The first three
+   lines used to decode with a 0 in place of the huge number; 2^53 is
+   the first value that 2^53 + 1 also parses to. *)
+let test_out_of_range_integers () =
+  List.iter
+    (fun (line, want) ->
+      match Serve.Trace_io.parse_line line with
+      | Serve.Trace_io.Malformed { stream = Some "s1"; reason } ->
+        Alcotest.(check string) line want reason
+      | _ -> Alcotest.failf "accepted %s" line)
+    [
+      ( {|{"s":"s1","t":104,"n":"VMG","d":"tx","id":1e300,"data":[1]}|},
+        {|missing or ill-typed field "id"|} );
+      ( {|{"s":"s1","t":1e19,"n":"VMG","d":"tx","id":257,"data":[1]}|},
+        {|missing or ill-typed field "t"|} );
+      ( {|{"s":"s1","t":104,"n":"VMG","d":"tx","id":257,"data":[1e19]}|},
+        "non-integer data byte" );
+      ( {|{"s":"s1","t":9007199254740992,"n":"VMG","d":"tx","id":1,"data":[]}|},
+        {|missing or ill-typed field "t"|} );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Differential mutation property: the reader-based parser and line    *)
+(* decoder against the tree-building reference                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Floats compare by bits, so -0 and 0 differ. *)
+let rec json_equal a b =
+  let open Obs.Json in
+  match a, b with
+  | Num x, Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | List xs, List ys ->
+    List.compare_lengths xs ys = 0 && List.for_all2 json_equal xs ys
+  | Obj xs, Obj ys ->
+    List.compare_lengths xs ys = 0
+    && List.for_all2
+         (fun (k, x) (k', y) -> String.equal k k' && json_equal x y)
+         xs ys
+  | _ -> a = b
+
+let line_equal a b =
+  match a, b with
+  | Serve.Trace_io.Meta { stream; meta }, Serve.Trace_io.Meta m ->
+    String.equal stream m.stream && json_equal meta m.meta
+  | _ -> a = b
+
+let show_line = function
+  | Serve.Trace_io.Meta { stream; meta } ->
+    Printf.sprintf "Meta %s %s" stream (Obs.Json.to_string meta)
+  | Serve.Trace_io.Entry { stream; entry } ->
+    Printf.sprintf "Entry %s %s" stream
+      (Obs.Json.to_string (Canbus.Trace_log.entry_to_json entry))
+  | Serve.Trace_io.Malformed { stream; reason } ->
+    Printf.sprintf "Malformed %s %S"
+      (Option.value ~default:"-" stream)
+      reason
+
+(* Reordered, duplicate and unknown keys, whitespace, escapes, numbers
+   in every spelling the grammar admits (and some it does not), and
+   lines that are not objects. *)
+let edge_lines =
+  [
+    {|{"s":"s1","t":10,"n":"VMG","d":"tx","id":257,"data":[1,2]}|};
+    {|{"data":[1],"id":257,"d":"rx:ECU","n":"VMG","t":10,"s":"s1"}|};
+    {|{"s":"s1","s":"s2","t":1,"t":"x","n":"A","d":"tx","id":1,"id":2,"data":[1],"data":"x"}|};
+    {|{"s":5,"s":"s1","t":1,"n":"A","d":"tx","id":1,"data":[]}|};
+    {|{"s":"s1","meta":null,"meta":{"a":1}}|};
+    {|{"s":"s1","x":[1,{"y":null}],"t":1,"n":"N","d":"fault:drop","id":3,"ext":true,"data":[],"z":"w"}|};
+    " { \"s\" : \"s1\" , \"t\" : 10 ,\t\"n\":\"VMG\",\"d\":\"tx\",\"id\":257,\"data\":[ 1 , 2 ] } \r";
+    {|{"s":"s1","t":1,"n":"V\"M\\G\/","d":"rx:é中","id":1,"data":[]}|};
+    {|{"s":"s1","t":1.5e2,"n":"V","d":"tx","id":2.57E2,"data":[1e0,2.0,+3,.5]}|};
+    {|{"s":"s1","t":-0,"n":"V","d":"tx","id":-0,"data":[-0,-00]}|};
+    {|{"s":"s1","t":1234567890123456,"n":"V","d":"tx","id":12345678901234567890,"data":[0000000000000001]}|};
+    {|{"s":"s1","t":9007199254740991,"n":"V","d":"tx","id":9007199254740993,"data":[]}|};
+    {|{"s":"s1","t":999999999999999,"n":"V","d":"tx","id":-999999999999999,"data":[]}|};
+    {|{"s":"s1","t":1e19,"n":"V","d":"tx","id":1e300,"data":[1e19]}|};
+    {|{"s":"s1","t":1,"n":"V","d":"tx","ext":1,"id":4096,"data":[256]}|};
+    {|{"s":"s1","t":1,"n":"V","d":"tx","ext":true,"ext":false,"id":536870911,"data":[1,2,3,4,5,6,7,8,9]}|};
+    {|{"s":"s1","t":-5,"n":"V","d":"sideways","id":-1,"data":[1]}|};
+    {|{"s":"s1","meta":{"drop":0.12,"babble":true,"flawed":false,"n":-0,"x":1e400}}|};
+    {|{"s":"s1","t":5.,"n":"V","d":"tx","id":1e,"data":[]}|};
+    {|{"s":"s1","t":--1,"n":"V","d":"tx","id":0x10,"data":[]}|};
+    {|{"s":"s1","meta":tru}|};
+    {|{"s":"s1","meta":nulll}|};
+    {|{"s":"\u12_4","t":"\u-123","n":"\u00"}|};
+    {|{"s":"s1","t":1,"n":"V","d":"tx","id":1,"data":[1,]}|};
+    {|{"s":"s1",}|};
+    {|{"s" "s1"}|};
+    {|[1,2]|};
+    {|"s"|};
+    "42";
+    "null";
+    "true";
+    "";
+    "   ";
+    {|{}|};
+    {|{"s":"s1"} x|};
+    {|[[[[{"s":[{"t":{}}]}]]]]|};
+  ]
+
+let corpus_lines =
+  lazy
+    (with_tmp (fun path ->
+         ignore
+           (Ota.Corpus.generate ~seed:3 ~streams:4 ~until_ms:100
+              ~flawed_rate:0.5 ~path ());
+         String.split_on_char '\n' (read_file path)
+         |> List.filter (fun l -> l <> "")))
+
+let pool = lazy (Array.of_list (Lazy.force corpus_lines @ edge_lines))
+
+(* Bytes a mutation writes: JSON's structural and number characters more
+   often than chance would pick them. *)
+let gen_byte =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map Char.chr (int_range 0 255));
+        ( 7,
+          oneofl
+            (List.of_seq (String.to_seq "{}[]\":,\\-+.eE0123456789 tfnu")) );
+      ])
+
+let mutate =
+  let open QCheck.Gen in
+  let at s = int_range 0 (String.length s) in
+  fun s ->
+    frequency
+      [
+        ( 3,
+          if s = "" then return s
+          else
+            let* i = int_range 0 (String.length s - 1) in
+            let* c = gen_byte in
+            return (String.mapi (fun j d -> if j = i then c else d) s) );
+        (2, map (fun i -> String.sub s 0 i) (at s));
+        ( 2,
+          let* i = at s in
+          let* c = gen_byte in
+          return
+            (String.sub s 0 i ^ String.make 1 c
+            ^ String.sub s i (String.length s - i)) );
+        ( 2,
+          if s = "" then return s
+          else
+            let* i = int_range 0 (String.length s - 1) in
+            let* len = int_range 1 (min 4 (String.length s - i)) in
+            return
+              (String.sub s 0 i
+              ^ String.sub s (i + len) (String.length s - i - len)) );
+        ( 1,
+          let* other = map (fun () -> Lazy.force pool) unit >>= oneofa in
+          let* i = at s in
+          let* j = at other in
+          return
+            (String.sub s 0 i ^ String.sub other j (String.length other - j))
+        );
+      ]
+
+let gen_mutated_line =
+  let open QCheck.Gen in
+  let* base = map (fun () -> Lazy.force pool) unit >>= oneofa in
+  let* rounds =
+    frequency [ (1, return 0); (5, return 1); (3, return 2); (1, return 3) ]
+  in
+  let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+  go rounds base
+
+let differential_test =
+  QCheck.Test.make ~count:100_000
+    ~name:"reader parser and line decoder match the reference under mutation"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutated_line)
+    (fun line ->
+      (match Obs.Json.parse line, Json_reference.parse line with
+       | Ok a, Ok b when json_equal a b -> ()
+       | Error a, Error b when String.equal a b -> ()
+       | got, want ->
+         let show = function
+           | Ok j -> "Ok " ^ Obs.Json.to_string j
+           | Error e -> "Error " ^ e
+         in
+         QCheck.Test.fail_reportf "parse: %s, reference: %s" (show got)
+           (show want));
+      let got = Serve.Trace_io.parse_line line in
+      let want = Json_reference.parse_line line in
+      line_equal got want
+      || QCheck.Test.fail_reportf "parse_line: %s, reference: %s"
+           (show_line got) (show_line want))
+
 (* A hand-built two-stream corpus with one recoverable and one
    unrecoverable corrupt line: the bad stream is poisoned, the good one
    still checked, nothing raises. *)
@@ -441,19 +630,65 @@ let test_corpus_workers_identical () =
     | Error msg -> Alcotest.failf "prepare: %s" msg
   in
   Alcotest.(check int) "two requirements" 2 (List.length requirements);
-  let doc w =
+  (* One worker streams line by line while more parse in batches: the
+     two loops must also agree on corrupt input. Splice in a truncated
+     entry, a garbage line, an ill-typed field, an out-of-range id, and
+     a stream that has only a meta line — plus an unauthorised update
+     report, whose rejection pins a corpus line number in the report. *)
+  let lines =
+    String.split_on_char '\n' (read_file path) |> List.filter (( <> ) "")
+  in
+  let truncated =
+    let e = List.nth lines 20 in
+    String.sub e 0 (String.length e / 2)
+  in
+  let corrupt =
+    [
+      (12, truncated);
+      (30, "utter garbage");
+      (45, {|{"s":"s00003","t":"soon","n":"VMG","d":"tx","id":257,"data":[]}|});
+      (60, {|{"s":"s00005","t":900,"n":"VMG","d":"tx","id":1e300,"data":[]}|});
+      (70, {|{"s":"ghost","meta":{"drop":0.5}}|});
+      (80, {|{"s":"s00007","t":9000,"n":"ECU","d":"tx","id":514,"data":[6]}|});
+    ]
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iteri
+        (fun k line ->
+          output_string oc line;
+          output_char oc '\n';
+          Option.iter
+            (fun bad ->
+              output_string oc bad;
+              output_char oc '\n')
+            (List.assoc_opt k corrupt))
+        lines);
+  let run w =
     match Serve.Trace_run.check_corpus ~workers:w ~map ~requirements ~path ()
     with
-    | Ok report ->
-      Obs.Json.to_string (Serve.Trace_run.json_of_report ~timing:false report)
+    | Ok report -> report
     | Error msg -> Alcotest.failf "check_corpus workers=%d: %s" w msg
   in
-  let base = doc 1 in
+  let doc report =
+    Obs.Json.to_string (Serve.Trace_run.json_of_report ~timing:false report)
+  in
+  let base = run 1 in
+  Alcotest.(check int) "malformed lines" 4 base.Serve.Trace_run.malformed;
+  Alcotest.(check int) "streams (the meta-only one is none)" 10
+    base.Serve.Trace_run.streams;
+  List.iter
+    (fun (q : Serve.Trace_run.requirement_report) ->
+      Alcotest.(check int) (q.name ^ " corrupt streams") 2 q.corrupt)
+    base.Serve.Trace_run.requirements;
+  (match base.Serve.Trace_run.requirements with
+   | { samples = [ { stream = "s00007"; line; _ } ]; _ } :: _ ->
+     Alcotest.(check int) "rejection line" 87 line
+   | _ -> Alcotest.fail "SPEC_AUTH did not reject the spliced update");
   List.iter
     (fun w ->
       Alcotest.(check string)
         (Printf.sprintf "workers=%d byte-identical report" w)
-        base (doc w))
+        (doc base) (doc (run w)))
     [ 2; 4 ]
 
 let suite =
@@ -475,6 +710,9 @@ let suite =
       test_corpus_deterministic;
     Alcotest.test_case "parse_line classifies corrupt lines" `Quick
       test_parse_line;
+    Alcotest.test_case "out-of-range integers are malformed" `Quick
+      test_out_of_range_integers;
+    QCheck_alcotest.to_alcotest differential_test;
     Alcotest.test_case "corrupt line poisons only its stream" `Quick
       test_corrupt_stream_contained;
     Alcotest.test_case "rejections attributed to declared faults" `Quick
