@@ -470,11 +470,8 @@ let ablations () =
           List.iter (fun p -> ignore (step p)) states;
           List.iter (fun p -> ignore (step p)) states);
       bench "normalise_run_spec" (fun () ->
-          let spec_lts =
-            Csp.Lts.compile defs
-              (Csp.Proc.run (Csp.Eventset.chans [ "send"; "recv" ]))
-          in
-          Csp.Normalise.normalise spec_lts);
+          Csp.Normalise.of_term defs
+            (Csp.Proc.run (Csp.Eventset.chans [ "send"; "recv" ])));
       (* interning ablation: O(1) hash-consed ids vs the deep structural
          hashing the ids replace, on a full product check *)
       bench "hashcons_id_interning" (fun () ->

@@ -118,50 +118,6 @@ let echo_system k =
   in
   defs, spec, impl
 
-let multi_ecu_system n =
-  let defs = Csp.Defs.create () in
-  let parts =
-    List.init n (fun i ->
-        let req = Printf.sprintf "req%d" i
-        and rsp = Printf.sprintf "rsp%d" i in
-        Csp.Defs.declare_channel defs req [ Csp.Ty.Int_range (0, 1) ];
-        Csp.Defs.declare_channel defs rsp [ Csp.Ty.Int_range (0, 1) ];
-        let ecu = Printf.sprintf "ECU%d" i in
-        Csp.Defs.define_proc defs ecu []
-          (Csp.Proc.prefix_items
-             ( req,
-               [ Csp.Proc.In ("x", None) ],
-               Csp.Proc.prefix rsp [ Csp.Expr.var "x" ]
-                 (Csp.Proc.call (ecu, [])) ));
-        let vmg = Printf.sprintf "VMG%d" i in
-        Csp.Defs.define_proc defs vmg []
-          (Csp.Proc.send req [ Csp.Value.Int 0 ]
-             (Csp.Proc.prefix_items
-                (rsp, [ Csp.Proc.In ("y", None) ], Csp.Proc.call (vmg, []))));
-        let spec_name = Printf.sprintf "SPEC%d" i in
-        ignore
-          (Security.Properties.request_response ~name:spec_name defs ~req
-             ~resp:rsp);
-        ( Csp.Proc.par
-            ( Csp.Proc.call (vmg, []),
-              Csp.Eventset.chans [ req; rsp ],
-              Csp.Proc.call (ecu, []) ),
-          Csp.Proc.call (spec_name, []) ))
-  in
-  let impl =
-    match parts with
-    | [] -> Csp.Proc.skip
-    | (p0, _) :: rest ->
-      List.fold_left (fun acc (p, _) -> Csp.Proc.inter (acc, p)) p0 rest
-  in
-  let spec =
-    match parts with
-    | [] -> Csp.Proc.skip
-    | (_, s0) :: rest ->
-      List.fold_left (fun acc (_, s) -> Csp.Proc.inter (acc, s)) s0 rest
-  in
-  defs, spec, impl
-
 (* The trace-containment engine rows. Two families: [tracecheck/stream]
    measures the raw engine on in-memory streams synthesized by walking
    the NS authentication spec's own normal form (pure cursor stepping —
@@ -230,19 +186,21 @@ let tracecheck_rows rows =
     | Ok c -> c
     | Error msg -> failwith msg
   in
-  let norm = Csp.Normalise.normalise (Csp.Lts.compile defs spec) in
+  let norm = Csp.Normalise.of_term defs spec in
+  let visible =
+    Array.init
+      (Csp.Normalise.num_nodes (Csp.Normalise.form norm))
+      (fun i ->
+        List.filter
+          (fun (l, _) -> match l with Csp.Event.Vis _ -> true | _ -> false)
+          (Csp.Normalise.afters norm i))
+  in
   let synth i len =
     let labels = ref [] in
     let node = ref (Csp.Normalise.initial norm) in
     (try
        for k = 0 to len - 1 do
-         let vis =
-           List.filter
-             (fun (l, _) ->
-               match l with Csp.Event.Vis _ -> true | _ -> false)
-             (Csp.Normalise.afters norm !node)
-         in
-         match vis with
+         match visible.(!node) with
          | [] -> raise Exit
          | choices ->
            let l, next = List.nth choices ((i + k) mod List.length choices) in
@@ -537,7 +495,7 @@ let run_rows () =
       match Hashtbl.find_opt spans name with
       | Some d -> Format.printf "    span %-16s %9.2f ms@." name (d *. 1e3)
       | None -> Format.printf "    span %-16s (absent)@." name)
-    [ "lts.compile"; "normalise"; "search.product" ];
+    [ "reduce.compile_staged"; "normalise"; "search.product" ];
   rows := row :: !rows;
   (* before the scale family: n12 leaves a multi-GB heap and intern table
      behind, which would bill a millisecond-scale row for its upkeep *)
@@ -552,15 +510,17 @@ let run_rows () =
     [ 2; 4; 8; 16; 32 ];
   List.iter
     (fun n ->
-      let defs, spec, impl = multi_ecu_system n in
+      let defs, spec, impl = Bench_scripts.multi_ecu_system n in
       ignore
         (record
            (Printf.sprintf "scale/ecus/n%d" n)
            (fun () -> Csp.Refine.traces_refines defs ~spec ~impl)))
     (* n8..n12 were out of reach for the raw engine (the monolithic
        compile re-combines the whole interleaving per state); the staged
-       pipeline makes them routine *)
-    [ 2; 3; 4; 5; 8; 10; 12 ];
+       pipeline makes them routine. n14 and n16 became reachable once the
+       specification was normalised on the fly: its full normal form has
+       3^n nodes, the search reaches 2^n + 1 of them *)
+    [ 2; 3; 4; 5; 8; 10; 12; 14; 16 ];
   tracecheck_rows rows;
   List.rev !rows
 

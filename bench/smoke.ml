@@ -42,6 +42,21 @@ let check_budgeted_engine () =
     fail "budget smoke: 1 ms unexpectedly completed the NS check"
   | Csp.Refine.Fails _ -> fail "budget smoke: fixed NS must not fail"
 
+let check_lazy_spec () =
+  (* the specification is normalised on the fly: of the n = 12 system's
+     531,442 normal-form nodes, the search reaches 4,097 and builds about
+     as many *)
+  let defs, spec, impl = Bench_scripts.multi_ecu_system 12 in
+  match Csp.Refine.traces_refines defs ~spec ~impl with
+  | Csp.Refine.Holds s when s.Csp.Refine.spec_nodes <= 4200 ->
+    Format.printf "lazy spec: n12 holds, %d spec nodes reached@."
+      s.Csp.Refine.spec_nodes
+  | Csp.Refine.Holds s ->
+    fail "lazy spec smoke: n12 reached %d spec nodes (at most 4200)"
+      s.Csp.Refine.spec_nodes
+  | Csp.Refine.Fails _ | Csp.Refine.Inconclusive _ ->
+    fail "lazy spec smoke: the n12 ecu system must hold"
+
 let check_reduction_speedup () =
   (* the default reduction pipeline must never make the stock NS check
      slower than the raw engine it replaces — the tentpole's one-line
@@ -406,7 +421,7 @@ let check_trace_stream () =
     (fun required ->
       if not (List.mem required !spans) then
         fail "trace smoke: no %S span in the stream" required)
-    [ "lts.compile"; "normalise"; "search.product" ];
+    [ "reduce.compile_staged"; "normalise"; "search.product" ];
   Format.printf "trace stream: %d lines, %d spans — parseable@." !lines
     (List.length !spans)
 
@@ -501,19 +516,21 @@ let check_tracecheck_throughput () =
   in
   (* synthesize valid streams by walking the spec's own normal form, so
      every verdict must come back Accepted *)
-  let norm = Csp.Normalise.normalise (Csp.Lts.compile defs spec) in
+  let norm = Csp.Normalise.of_term defs spec in
+  let visible =
+    Array.init
+      (Csp.Normalise.num_nodes (Csp.Normalise.form norm))
+      (fun i ->
+        List.filter
+          (fun (l, _) -> match l with Csp.Event.Vis _ -> true | _ -> false)
+          (Csp.Normalise.afters norm i))
+  in
   let stream i len =
     let labels = ref [] in
     let node = ref (Csp.Normalise.initial norm) in
     (try
        for k = 0 to len - 1 do
-         let vis =
-           List.filter
-             (fun (l, _) ->
-               match l with Csp.Event.Vis _ -> true | _ -> false)
-             (Csp.Normalise.afters norm !node)
-         in
-         match vis with
+         match visible.(!node) with
          | [] -> raise Exit
          | choices ->
            let l, next = List.nth choices ((i + k) mod List.length choices) in
@@ -769,6 +786,7 @@ let () =
   check_cache_all_hits ();
   check_fault_injection ();
   check_budgeted_engine ();
+  check_lazy_spec ();
   check_reduction_speedup ();
   check_cache_warm_speedup ();
   check_engine_agreement ();

@@ -12,13 +12,14 @@
 
    The store is mutex-guarded — the daemon shares one across jobs, and
    [Cspm.Check.run] schedules independent assertions onto concurrent
-   domains — and bounded by resident implementation states with LRU
-   eviction. Entries can optionally be spilled to a directory (one file
-   per digest, written through an injected atomic writer so the cache
-   directory never holds a torn artifact) and reloaded in a later
-   process; terms read back from disk lost their physical identity to
-   marshalling, so they are re-admitted through the hash-consing smart
-   constructors before use. *)
+   domains — and bounded by resident states with LRU eviction. A cached
+   normal form keeps growing as checks materialise it, so its weight is
+   read whenever the store does its accounting. Entries can optionally be
+   spilled to a directory (one file per digest, written through an
+   injected atomic writer so the cache directory never holds a torn
+   artifact) and reloaded in a later process; terms read back from disk
+   lost their physical identity to marshalling, so they are re-admitted
+   through the hash-consing smart constructors before use. *)
 
 type stats = {
   hits : int;
@@ -35,16 +36,18 @@ type persistence = {
 
 type value =
   | Lts_graph of Lts.t  (** a compiled implementation graph *)
-  | Norm_spec of Lts.t * Normalise.t
-      (** a compiled specification graph with its normal form *)
+  | Norm_spec of Normalise.t
+      (** a specification's normal form, as far as checks materialised it *)
   | Reduced of Lts.t * Reduce.pass_stat list
       (** an implementation graph after the graph passes of a pipeline *)
 
 type entry = {
   key : string;
   value : value;
-  weight : int;  (** resident implementation states of the entry *)
   mutable tick : int;  (** last-use stamp for LRU eviction *)
+  mutable spilled : int;
+      (** spec states the disk copy holds; a normal form is spilled again
+          only once it has grown *)
 }
 
 type t = {
@@ -53,7 +56,9 @@ type t = {
   max_resident_states : int;
   persist : persistence option;
   mutable clock : int;
-  mutable resident : int;
+  mutable graph_states : int;  (** resident states of the graph entries *)
+  norms : (string, Normalise.t) Hashtbl.t;
+      (** the cached normal forms, whose weight moves *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -71,7 +76,8 @@ let create ?(obs = Obs.silent) ?persist
     max_resident_states;
     persist;
     clock = 0;
-    resident = 0;
+    graph_states = 0;
+    norms = Hashtbl.create 16;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -81,6 +87,18 @@ let create ?(obs = Obs.silent) ?persist
     g_resident = Obs.gauge obs "serve.cache_resident_states";
   }
 
+let weight_of = function
+  | Lts_graph lts | Reduced (lts, _) -> Lts.num_states lts
+  | Norm_spec norm -> Normalise.num_states norm
+
+(* Called under the mutex. A normal form's weight moves while it is
+   cached, so it is read whenever the store does its accounting; graph
+   weights are fixed and kept as a running count. *)
+let resident t =
+  Hashtbl.fold
+    (fun _ norm acc -> acc + Normalise.num_states norm)
+    t.norms t.graph_states
+
 let stats t =
   Mutex.lock t.mu;
   let s =
@@ -88,7 +106,7 @@ let stats t =
       hits = t.hits;
       misses = t.misses;
       evictions = t.evictions;
-      resident_states = t.resident;
+      resident_states = resident t;
       resident_entries = Hashtbl.length t.table;
     }
   in
@@ -249,22 +267,26 @@ let digest_node root =
   Mutex.protect node_digests_mu (fun () -> go root)
 
 (* The transitive closure of definitions the term can reach, sorted by
-   name: editing one handler body invalidates only its dependents. *)
+   name, each with its process and function definition: editing one
+   handler body invalidates only its dependents. *)
 let reachable_defs defs roots =
   let seen = Hashtbl.create 16 in
   let rec visit name =
     if not (Hashtbl.mem seen name) then begin
-      Hashtbl.add seen name ();
-      (match Defs.proc defs name with
+      let proc = Defs.proc defs name and fn = Defs.fenv defs name in
+      Hashtbl.add seen name (proc, fn);
+      (match proc with
        | Some (_, body) -> List.iter visit (proc_names [] body)
        | None -> ());
-      match Defs.fenv defs name with
+      match fn with
       | Some (_, body) -> List.iter visit (expr_names [] body)
       | None -> ()
     end
   in
   List.iter visit roots;
-  List.sort String.compare (Hashtbl.fold (fun n () acc -> n :: acc) seen [])
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun n d acc -> (n, d) :: acc) seen [])
 
 (* Channel/datatype/nametype declarations are global in a script, so they
    are folded into every key wholesale: editing a declaration invalidates
@@ -287,7 +309,12 @@ let declarations_digest defs =
           Digest.string
             (canonical
                ( Defs.domain_limit defs,
-                 List.sort compare (Defs.channels defs),
+                 (* names are unique, so ordering by name gives the list
+                    a whole-pair comparison would, at a fraction of the
+                    cost: this runs once per job a daemon checks *)
+                 List.sort
+                   (fun (a, _) (b, _) -> String.compare a b)
+                   (Defs.channels defs),
                  Defs.datatypes defs,
                  Defs.nametypes defs ))
         in
@@ -298,21 +325,65 @@ let declarations_digest defs =
         Hashtbl.replace decl_digests slot d;
         d)
 
-let digest_term defs p =
-  let def name =
-    ( name,
-      Option.map
-        (fun (params, body) -> params, digest_node body)
-        (Defs.proc defs name),
-      Defs.fenv defs name )
+(* Digests already taken, by declarations digest and term. A daemon
+   re-check elaborates the same script again, and hash-consing hands it
+   back the same terms and definition bodies; a hit is confirmed by
+   resolving the reachable definitions afresh and comparing them with
+   the ones the digest was taken over, so only the serialisation and
+   hashing are skipped. *)
+type resolved =
+  (string * ((string list * Proc.t) option * (string list * Expr.t) option))
+  list
+
+let term_digests : (Digest.t * int, resolved * string) Hashtbl.t =
+  Hashtbl.create 256
+
+let term_digests_mu = Mutex.create ()
+
+let same_defs (a : resolved) (b : resolved) =
+  let same_def (n1, (p1, f1)) (n2, (p2, f2)) =
+    String.equal n1 n2
+    && Option.equal
+         (fun (ps1, b1) (ps2, b2) ->
+           List.equal String.equal ps1 ps2 && b1 == b2)
+         p1 p2
+    && Option.equal
+         (fun (ps1, e1) (ps2, e2) ->
+           List.equal String.equal ps1 ps2 && Expr.equal e1 e2)
+         f1 f2
   in
-  Digest.to_hex
-    (Digest.string
-       (canonical
-          ( "csp-cache-key/2",
-            declarations_digest defs,
-            List.map def (reachable_defs defs (proc_names [] p)),
-            digest_node p )))
+  List.equal same_def a b
+
+let digest_term defs p =
+  let decls = declarations_digest defs in
+  let reached = reachable_defs defs (proc_names [] p) in
+  let slot = decls, Proc.id p in
+  match
+    Mutex.protect term_digests_mu (fun () ->
+        Hashtbl.find_opt term_digests slot)
+  with
+  | Some (seen, d) when same_defs seen reached -> d
+  | Some _ | None ->
+    let def (name, (proc, fn)) =
+      ( name,
+        Option.map (fun (params, body) -> params, digest_node body) proc,
+        fn )
+    in
+    let d =
+      Digest.to_hex
+        (Digest.string
+           (canonical
+              ( "csp-cache-key/2",
+                decls,
+                List.map def reached,
+                digest_node p )))
+    in
+    Mutex.protect term_digests_mu (fun () ->
+        (* bounded like the node memo: a reset only costs re-digesting *)
+        if Hashtbl.length term_digests > 100_000 then
+          Hashtbl.reset term_digests;
+        Hashtbl.replace term_digests slot (reached, d));
+    d
 
 let script_digest source = Digest.to_hex (Digest.string source)
 
@@ -358,9 +429,10 @@ let reduced_key ~model ~pipeline ~spec ~impl =
    (physical equality) against live terms is always false and the search
    engine's interning would treat every cached state as fresh. Re-admit
    every node bottom-up through the smart constructors; sharing inside the
-   marshalled graph is preserved by memoizing on the dead ids (unique
-   within one marshalled value). *)
-let reintern_proc root =
+   marshalled value is preserved by memoizing on the dead ids (unique
+   within one marshalled value), so one reinterner serves every term of
+   a value. *)
+let reinterner () =
   let memo = Hashtbl.create 256 in
   let rec go p =
     match Hashtbl.find_opt memo (Proc.id p) with
@@ -394,22 +466,23 @@ let reintern_proc root =
       Hashtbl.replace memo (Proc.id p) q;
       q
   in
-  go root
+  go
+
+let reintern_proc root = reinterner () root
 
 let reintern_lts (lts : Lts.t) =
   {
     lts with
-    Lts.states = Array.map reintern_proc lts.Lts.states;
+    Lts.states = Array.map (reinterner ()) lts.Lts.states;
   }
 
 (* What goes to disk: the key (revalidated on load — a digest collision
    or a renamed file must read as a miss, not as a wrong graph) and the
-   graph(s). [Normalise.t] is not persisted: it is derived from the spec
-   graph deterministically and cheaply relative to compilation, so a disk
-   hit recomputes it. *)
+   artifact. A normal form goes as the snapshot of what is materialised,
+   never a closure; a disk hit resumes materialising where it stopped. *)
 type disk_value =
   | D_lts of Lts.t
-  | D_norm of Lts.t
+  | D_norm of Normalise.snapshot
   | D_reduced of Lts.t * Reduce.pass_stat list
 
 type disk_entry = {
@@ -423,7 +496,7 @@ type disk_entry = {
    ill-typed value that crashes the process. So the magic is followed by
    the payload's hex digest and a newline, checked before unmarshalling.
    A mismatch, like any read failure, is a miss. *)
-let disk_magic = "cspm-lts-cache/2:" ^ Sys.ocaml_version ^ "\n"
+let disk_magic = "cspm-lts-cache/3:" ^ Sys.ocaml_version ^ "\n"
 
 let payload_digest payload = Digest.to_hex (Digest.string payload) ^ "\n"
 let digest_len = String.length (payload_digest "")
@@ -432,14 +505,12 @@ let entry_path dir key = Filename.concat dir (key ^ ".ltsc")
 
 let to_disk_value = function
   | Lts_graph lts -> D_lts lts
-  | Norm_spec (lts, _) -> D_norm lts
+  | Norm_spec norm -> D_norm (Normalise.export norm)
   | Reduced (lts, stats) -> D_reduced (lts, stats)
 
 let of_disk_value = function
   | D_lts lts -> Lts_graph (reintern_lts lts)
-  | D_norm lts ->
-    let lts = reintern_lts lts in
-    Norm_spec (lts, Normalise.normalise lts)
+  | D_norm snap -> Norm_spec (Normalise.import ~term:(reinterner ()) snap)
   | D_reduced (lts, stats) -> Reduced (reintern_lts lts, stats)
 
 let persist_store t key value =
@@ -486,35 +557,50 @@ let persist_load t key =
 (* The bounded store                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let weight_of = function
-  | Lts_graph lts | Norm_spec (lts, _) | Reduced (lts, _) ->
-    Lts.num_states lts
-
 (* Called under the mutex. Evict least-recently-used entries until the
-   resident total fits; an entry heavier than the whole budget is evicted
-   as soon as anything else needs room, but never blocks admission — a
-   cache that refuses the one graph the workload needs would be useless. *)
+   resident total fits, and return what stays resident; an entry heavier
+   than the whole budget is evicted as soon as anything else needs room,
+   but never blocks admission — a cache that refuses the one graph the
+   workload needs would be useless. *)
 let evict_to_fit t incoming =
   let budget = max incoming t.max_resident_states in
-  while
-    t.resident + incoming > budget && Hashtbl.length t.table > 0
-  do
-    let victim =
-      Hashtbl.fold
-        (fun _ e acc ->
-          match acc with
-          | Some best when best.tick <= e.tick -> acc
-          | _ -> Some e)
-        t.table None
-    in
-    match victim with
-    | None -> ()
-    | Some e ->
-      Hashtbl.remove t.table e.key;
-      t.resident <- t.resident - e.weight;
-      t.evictions <- t.evictions + 1;
-      Obs.incr t.c_evictions
-  done
+  let rec go resident =
+    if resident + incoming <= budget then resident
+    else
+      match
+        Hashtbl.fold
+          (fun _ e acc ->
+            match acc with
+            | Some best when best.tick <= e.tick -> acc
+            | _ -> Some e)
+          t.table None
+      with
+      | None -> resident
+      | Some e ->
+        Hashtbl.remove t.table e.key;
+        (match e.value with
+         | Norm_spec _ -> Hashtbl.remove t.norms e.key
+         | Lts_graph _ | Reduced _ ->
+           t.graph_states <- t.graph_states - weight_of e.value);
+        t.evictions <- t.evictions + 1;
+        Obs.incr t.c_evictions;
+        go (resident - weight_of e.value)
+  in
+  go (resident t)
+
+(* Called under the mutex. *)
+let admit t key value ~spilled =
+  if not (Hashtbl.mem t.table key) then begin
+    let weight = weight_of value in
+    let resident = evict_to_fit t weight in
+    t.clock <- t.clock + 1;
+    Hashtbl.replace t.table key { key; value; tick = t.clock; spilled };
+    (match value with
+     | Norm_spec norm -> Hashtbl.replace t.norms key norm
+     | Lts_graph _ | Reduced _ ->
+       t.graph_states <- t.graph_states + weight_of value);
+    Obs.set t.g_resident (float_of_int (resident + weight))
+  end
 
 let note_hit t =
   t.hits <- t.hits + 1;
@@ -546,14 +632,7 @@ let find t key =
     | Some v ->
       Mutex.lock t.mu;
       note_hit t;
-      (if not (Hashtbl.mem t.table key) then begin
-         let weight = weight_of v in
-         evict_to_fit t weight;
-         t.clock <- t.clock + 1;
-         Hashtbl.replace t.table key { key; value = v; weight; tick = t.clock };
-         t.resident <- t.resident + weight;
-         Obs.set t.g_resident (float_of_int t.resident)
-       end);
+      admit t key v ~spilled:(weight_of v);
       Mutex.unlock t.mu;
       Some v
     | None ->
@@ -564,13 +643,29 @@ let find t key =
 
 let add t key value =
   Mutex.lock t.mu;
-  (if not (Hashtbl.mem t.table key) then begin
-     let weight = weight_of value in
-     evict_to_fit t weight;
-     t.clock <- t.clock + 1;
-     Hashtbl.replace t.table key { key; value; weight; tick = t.clock };
-     t.resident <- t.resident + weight;
-     Obs.set t.g_resident (float_of_int t.resident)
-   end);
+  admit t key value ~spilled:0;
   Mutex.unlock t.mu;
-  persist_store t key (to_disk_value value)
+  match value with
+  | Norm_spec _ -> ()  (* spilled by [spill] once a check has grown it *)
+  | Lts_graph _ | Reduced _ -> persist_store t key (to_disk_value value)
+
+let spill t key =
+  match t.persist with
+  | None -> ()
+  | Some _ -> (
+    Mutex.lock t.mu;
+    let grown =
+      match Hashtbl.find_opt t.table key with
+      | Some ({ value = Norm_spec norm; _ } as e) ->
+        let size = Normalise.num_states norm in
+        if size > e.spilled then begin
+          e.spilled <- size;
+          Some norm
+        end
+        else None
+      | Some _ | None -> None
+    in
+    Mutex.unlock t.mu;
+    match grown with
+    | Some norm -> persist_store t key (to_disk_value (Norm_spec norm))
+    | None -> ())

@@ -13,7 +13,9 @@
     per environment state ({!Defs.id} and {!Defs.generation}), each
     hash-consed node once (the memo keeps its terms alive, so a script
     elaborated again finds them), and only the reachable definitions per
-    key.
+    key. A term keyed before, in an environment with the same
+    declarations whose reachable definitions resolve to the same bodies,
+    gets its earlier digest back without re-serialising anything.
 
     All digest/fingerprint construction for cached artifacts lives here —
     [tools/lint.ml] keeps [Digest] out of the rest of [lib/] so producers
@@ -21,7 +23,7 @@
 
     The store is thread-safe (one mutex; the daemon shares a cache across
     jobs while assertions run on concurrent domains) and bounded by
-    resident implementation states with LRU eviction. An optional
+    resident states with LRU eviction. An optional
     persistence hook spills entries to a directory through an injected
     atomic writer (e.g. [Serve.Fsio]) and reloads them in later processes;
     marshalled terms are re-admitted through the hash-consing smart
@@ -33,7 +35,9 @@ type stats = {
   hits : int;
   misses : int;
   evictions : int;
-  resident_states : int;  (** summed [Lts.num_states] of live entries *)
+  resident_states : int;
+      (** summed states of live entries: graph states, and the states a
+          normal form has materialised so far *)
   resident_entries : int;
 }
 
@@ -47,8 +51,9 @@ type persistence = {
 
 type value =
   | Lts_graph of Lts.t  (** a compiled implementation graph *)
-  | Norm_spec of Lts.t * Normalise.t
-      (** a compiled specification graph with its normal form *)
+  | Norm_spec of Normalise.t
+      (** a specification's normal form, as far as checks materialised
+          it; it keeps growing while it is cached *)
   | Reduced of Lts.t * Reduce.pass_stat list
       (** an implementation graph after the graph passes of a pipeline *)
 
@@ -84,8 +89,7 @@ val script_digest : string -> string
 (** Digest of raw script source (daemon job identity, not LTS keying). *)
 
 val spec_key : max_states:int -> Defs.t -> Proc.t -> string
-(** Key of a specification compiled with [Lts.compile_budgeted] and
-    normalised ([Norm_spec]). *)
+(** Key of a specification's normal form ([Norm_spec]). *)
 
 val impl_key : max_states:int -> Defs.t -> Proc.t -> string
 (** Key of an implementation compiled with [Reduce.compile_staged]
@@ -93,7 +97,7 @@ val impl_key : max_states:int -> Defs.t -> Proc.t -> string
     compilation produce cosmetically different state terms. *)
 
 val lts_key : max_states:int -> Defs.t -> Proc.t -> string
-(** Key of a graph compiled with [Lts.compile_budgeted] ([Lts_graph]). *)
+(** Key of a graph compiled by the raw [Lts] compiler ([Lts_graph]). *)
 
 val reduced_key :
   model:[ `Traces | `Failures | `Fd ] ->
@@ -113,7 +117,14 @@ val find : t -> string -> value option
 
 val add : t -> string -> value -> unit
 (** Insert (first writer wins on a race; later identical inserts are
-    no-ops) and spill to the persistence directory if configured. *)
+    no-ops) and spill to the persistence directory if configured — except
+    a [Norm_spec], which {!spill} writes once a check has grown it. *)
+
+val spill : t -> string -> unit
+(** Write the cached normal form under the key to the persistence
+    directory if it has grown since it was last written (or loaded): the
+    materialised states and rows, never a closure. A no-op without
+    persistence or for other values. *)
 
 (** {1 Marshalling helpers} *)
 

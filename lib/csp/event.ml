@@ -51,6 +51,19 @@ let pp_label ppf = function
 
 let label_to_string l = Format.asprintf "%a" pp_label l
 
+(* Label-keyed tables: reduction passes, the normal form's per-node
+   edges and trace-check cursors all look labels up by content. *)
+module Label_tbl = Hashtbl.Make (struct
+  type t = label
+
+  let equal = equal_label
+
+  let hash = function
+    | Tau -> 0x6b1
+    | Tick -> 0x3a7
+    | Vis e -> hash e
+end)
+
 let is_visible = function
   | Vis _ -> true
   | Tau | Tick -> false

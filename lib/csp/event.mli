@@ -26,6 +26,9 @@ val compare_label : label -> label -> int
 val pp_label : Format.formatter -> label -> unit
 val label_to_string : label -> string
 
+module Label_tbl : Hashtbl.S with type key = label
+(** Hash tables keyed by label content ({!equal_label}). *)
+
 val is_visible : label -> bool
 (** [tau] and [tick] are not visible; [tick] is nevertheless recorded at the
     end of completed traces, as in the paper's {m \Sigma^{*\checkmark}}. *)

@@ -90,16 +90,7 @@ module Proc_tbl = Hashtbl.Make (struct
   let hash = Proc.hash
 end)
 
-module Label_tbl = Hashtbl.Make (struct
-  type t = Event.label
-
-  let equal = Event.equal_label
-
-  let hash = function
-    | Event.Tau -> 0x6b1
-    | Event.Tick -> 0x3a7
-    | Event.Vis e -> Event.hash e
-end)
+module Label_tbl = Event.Label_tbl
 
 (* Growable array: the state tables of combinator nodes. *)
 module Dyn = struct
@@ -150,13 +141,12 @@ type env = {
 }
 
 (* Charged once per interned component state; the wall clock and the
-   cancellation token ride the same 256-state cadence as the search
-   engine's budget polling. *)
+   cancellation token ride the search engine's budget-poll cadence. *)
 let charge env =
   env.budget <- env.budget - 1;
   if env.budget < 0 then raise (Stage_stop `States);
   env.ticks <- env.ticks + 1;
-  if env.ticks land 255 = 0 then begin
+  if Search.poll_due env.ticks then begin
     (match env.stop_at with
      | Some t when Obs.now () > t -> raise (Stage_stop `Deadline)
      | _ -> ());
@@ -536,8 +526,10 @@ let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
       let c_states = Obs.counter obs "reduce.staged_states" in
       (* BFS-materialize the root node's reachable graph. Dense ids are
          assigned in discovery order, so the rows pushed per dequeue line
-         up with them (FIFO: dequeue order = discovery order). *)
-      let dense : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+         up with them (FIFO: dequeue order = discovery order). The table
+         starts small: a 1024-bucket one went straight to the major heap
+         on every compile, however few states the term had. *)
+      let dense : (int, int) Hashtbl.t = Hashtbl.create 64 in
       let order = Dyn.create 0 in
       let rows : (Event.label * int) list Dyn.t = Dyn.create [] in
       let queue = Queue.create () in
@@ -620,22 +612,43 @@ let restrict_reachable (lts : Lts.t) =
 
 (* The labels the specification is insensitive to: visible labels with a
    self-loop at every normal-form node. Such a label can never move the
-   spec, cause a violation, or mask one. *)
+   spec, cause a violation, or mask one.
+
+   Exact, but lazy: the candidates start as the initial node's
+   self-loops, and the walk visits nodes in id order, forcing each one's
+   edges so that it reaches every node, until no candidate is left —
+   often at the first node, with nothing forced. A normal form whose
+   states outgrow the budget before the walk ends yields no label, which
+   hides nothing and is always sound (and does not depend on which nodes
+   were built before). *)
 let spec_free_labels norm =
-  let n = Normalise.num_nodes norm in
-  let counts = Label_tbl.create 32 in
-  for node = 0 to n - 1 do
-    List.iter
-      (fun (l, j) ->
-        match l with
-        | Event.Vis _ when j = node ->
-          Label_tbl.replace counts l
-            (1 + Option.value (Label_tbl.find_opt counts l) ~default:0)
-        | _ -> ())
-      (Normalise.afters norm node)
-  done;
-  let free = Label_tbl.create 32 in
-  Label_tbl.iter (fun l c -> if c = n then Label_tbl.replace free l ()) counts;
+  let form = Normalise.form norm in
+  let free = Label_tbl.create 8 in
+  (try
+     let init = Normalise.initial norm in
+     List.iter
+       (fun l ->
+         if Event.is_visible l then Label_tbl.replace free l ())
+       (Normalise.self_loops norm init);
+     let node = ref init in
+     while
+       Label_tbl.length free > 0 && !node < Normalise.num_nodes form
+     do
+       let i = !node in
+       if i <> init then
+         List.iter (Label_tbl.remove free)
+           (Label_tbl.fold
+              (fun l () acc ->
+                if Normalise.after norm i l = Some i then acc else l :: acc)
+              free []);
+       if Label_tbl.length free > 0 then begin
+         ignore (Normalise.afters norm i);
+         if Normalise.num_states form > Normalise.max_states norm then
+           raise (Normalise.State_limit (Normalise.max_states norm))
+       end;
+       incr node
+     done
+   with Normalise.State_limit _ -> Label_tbl.reset free);
   free
 
 (* Dead-event hiding (traces only): relabel spec-free events to tau. The

@@ -85,8 +85,8 @@ val compile_staged :
   Proc.t ->
   Lts.compile_result
 (** Compile the reachable graph of a ground term through the lazy
-    combinator tree. Produces the same reachable behaviour as
-    [Lts.compile_budgeted] (state terms may differ cosmetically where
+    combinator tree. Produces the same reachable behaviour as the raw
+    [Lts] compiler (state terms may differ cosmetically where
     named calls were unfolded during decomposition). [max_states]
     (default [1_000_000]) bounds the {e total} states interned across all
     tree nodes; exceeding it, passing [stop_at], or a true [cancel] poll
@@ -102,7 +102,7 @@ type pass_stat = {
 val apply :
   ?obs:Obs.t ->
   model:[ `Traces | `Failures | `Fd ] ->
-  norm:Normalise.t ->
+  norm:Normalise.session ->
   pipeline ->
   Lts.t ->
   Lts.t * pass_stat list
@@ -111,7 +111,14 @@ val apply :
     specification [norm]. Returns the reduced graph and one stat per pass
     run, in application order. *)
 
-val por_hooks : norm:Normalise.t -> Lts.t -> Search.por
+val spec_free_labels : Normalise.session -> unit Event.Label_tbl.t
+(** The visible labels the specification self-loops on at every
+    normal-form node — the labels the dead pass hides and POR may defer.
+    Exact, but it stops walking the normal form as soon as no candidate
+    is left, so it rarely forces much of it; if the states it does force
+    outgrow the session's budget, no label qualifies. *)
+
+val por_hooks : norm:Normalise.session -> Lts.t -> Search.por
 (** Build the ample-set hooks for a compiled implementation graph:
     transition grouping by independent interleaved component (derived from
     the state terms' [Inter] spines, looking through common [Hide]/[Rename]

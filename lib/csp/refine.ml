@@ -54,21 +54,12 @@ type model =
 
 let visible_trace = Search.visible_trace
 
-(* Partial specification compilation cannot support a verdict: report it
-   as inconclusive, attributing the exhausted budget. *)
-let spec_inconclusive progress =
-  let exhausted =
-    match progress.Lts.reason with `States -> States | `Deadline -> Deadline
-  in
+(* The specification's initial tau-closure alone outgrew the state
+   budget: no search can start. *)
+let spec_inconclusive () =
   Inconclusive
-    ( Search.make_stats ~impl_states:0 ~spec_nodes:progress.Lts.explored
-        ~pairs:0 (),
-      {
-        frontier = progress.Lts.frontier;
-        deepest = [];
-        exhausted;
-        checkpoint = None;
-      } )
+    ( Search.make_stats ~impl_states:0 ~spec_nodes:0 ~pairs:0 (),
+      { frontier = 1; deepest = []; exhausted = States; checkpoint = None } )
 
 (* The model a refusal mode decides under, for gating reduction passes.
    [`Full] (the determinism check) compares acceptance sets of the same
@@ -82,11 +73,12 @@ let model_of_refusal = function
 let pass_stat_triples =
   List.map (fun s -> s.Reduce.pass, s.Reduce.states_before, s.Reduce.states_after)
 
-(* Cache-fronted compilation. A hit returns the finished artifact without
-   opening any compile/normalise span — the warm path does no graph work
-   at all. Only [Complete] results are ever stored: a [Partial] graph
-   reflects the budgets of the run that produced it, not the content its
-   key names. *)
+(* Cache-fronted compilation. A hit returns the stored artifact without
+   opening any compile/normalise span. Only [Complete] graphs are ever
+   stored: a [Partial] graph reflects the budgets of the run that
+   produced it, not the content its key names. A normal form is stored
+   as soon as it exists and keeps growing in the cache: it is exact as
+   far as it goes, whatever budgets the checks that grew it ran under. *)
 
 (* Compile a term to an explicit graph via [Lts.compile_budgeted]. *)
 let cached_graph ~(config : Check_config.t) ?stop_at defs proc =
@@ -107,31 +99,39 @@ let cached_graph ~(config : Check_config.t) ?stop_at defs proc =
         | Lts.Partial _ -> ());
        r)
 
-(* Compile and normalise a specification. Returns the normal form plus the
-   key it is cached under (feeding the reduced-graph key), or the partial
-   progress if the spec ran out of budget. *)
-let cached_spec ~(config : Check_config.t) ?stop_at defs spec =
-  let obs = config.obs in
-  let compile () =
-    match
-      Lts.compile_budgeted ~max_states:config.max_states ?stop_at ~obs defs
-        spec
-    with
-    | Lts.Partial (_, progress) -> Error progress
-    | Lts.Complete lts -> Ok (lts, Normalise.normalise ~obs lts)
+let const_fold defs p =
+  Proc.const_fold ~tys:(Defs.ty_lookup defs) (Defs.fenv defs) p
+
+(* Nothing is compiled up front: the search materialises the nodes it
+   reaches. The key feeds the reduced-graph key. *)
+let cached_spec ~(config : Check_config.t) ~step defs spec =
+  let obs = config.obs and max_states = config.max_states in
+  let fresh () =
+    Normalise.create ~obs ~max_states ~step (const_fold defs spec)
   in
   match config.cache with
-  | None -> Result.map (fun (_, norm) -> norm, None) (compile ())
+  | None -> fresh (), None
   | Some cache ->
-    let key = Cache.spec_key ~max_states:config.max_states defs spec in
+    let key = Cache.spec_key ~max_states defs spec in
     (match Cache.find cache key with
-     | Some (Cache.Norm_spec (_, norm)) -> Ok (norm, Some key)
+     | Some (Cache.Norm_spec norm) ->
+       Normalise.session ~obs ~max_states ~step norm, Some key
      | Some _ | None ->
-       Result.map
-         (fun (lts, norm) ->
-           Cache.add cache key (Cache.Norm_spec (lts, norm));
-           norm, Some key)
-         (compile ()))
+       let session = fresh () in
+       Cache.add cache key (Cache.Norm_spec (Normalise.form session));
+       session, Some key)
+
+(* Run a check against the specification's normal form, then spill what
+   it materialised when the cache persists to disk. *)
+let with_spec ~(config : Check_config.t) ~step defs spec check =
+  match cached_spec ~config ~step defs spec with
+  | exception Normalise.State_limit _ -> spec_inconclusive ()
+  | norm, spec_cache_key ->
+    let result = check norm spec_cache_key in
+    (match config.cache, spec_cache_key with
+     | Some cache, Some key -> Cache.spill cache key
+     | _ -> ());
+    result
 
 let with_reduction_stats reductions = function
   | Holds stats -> Holds { stats with reductions }
@@ -141,20 +141,19 @@ let with_reduction_stats reductions = function
 let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
     ?resume_from defs ~spec ~impl =
   let obs = config.obs in
-  match cached_spec ~config ?stop_at defs spec with
-  | Error progress -> spec_inconclusive progress
-  | Ok (norm, spec_cache_key) ->
+  (* One transition function serves both sides of the check. It is
+     created on first use: a re-check whose artifacts are all cached
+     steps nothing. *)
+  let stepper = lazy (Semantics.make_cached ~obs defs) in
+  let step p = Lazy.force stepper p in
+  with_spec ~config ~step defs spec @@ fun norm spec_cache_key ->
     (* The unreduced engine: implementation states generated on the fly.
        Used when no pass applies, when the staged compile degrades, and to
        re-derive counterexamples found on a reduced graph. *)
     let raw_search ?resume_from () =
-      let fenv = Defs.fenv defs in
-      let tys = Defs.ty_lookup defs in
-      let impl0 = Proc.const_fold ~tys fenv impl in
       let source =
-        Search.proc_source ~interner:config.interner
-          ~step:(Semantics.make_cached ~obs defs)
-          impl0
+        Search.proc_source ~interner:config.interner ~step
+          (const_fold defs impl)
       in
       Search.product ~refusal:refusal_mode ~max_pairs ?stop_at ~obs
         ?progress:config.progress
@@ -291,9 +290,8 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
 let fd_check ~(config : Check_config.t) ~max_pairs ?stop_at ?resume_from defs
     ~spec ~impl =
   let obs = config.obs in
-  match cached_spec ~config ?stop_at defs spec with
-  | Error progress -> spec_inconclusive progress
-  | Ok (norm, spec_cache_key) ->
+  let step = Semantics.make_cached ~obs defs in
+  with_spec ~config ~step defs spec @@ fun norm spec_cache_key ->
     (match cached_graph ~config ?stop_at defs impl with
      | Lts.Partial (_, progress) ->
        (* Divergence detection needs the full tau graph of the
@@ -305,7 +303,7 @@ let fd_check ~(config : Check_config.t) ~max_pairs ?stop_at ?resume_from defs
        in
        Inconclusive
          ( Search.make_stats ~impl_states:progress.Lts.explored
-             ~spec_nodes:(Normalise.num_nodes norm) ~pairs:0 (),
+             ~spec_nodes:0 ~pairs:0 (),
            {
              frontier = progress.Lts.frontier;
              deepest = [];
@@ -418,11 +416,13 @@ let failures_refines ?config defs ~spec ~impl =
 let fd_refines ?config defs ~spec ~impl =
   check ?config ~model:Failures_divergences defs ~spec ~impl
 
-(* Resuming recompiles the specification (and, for FD, the implementation)
-   without a deadline — a checkpoint only exists if those compiles
-   completed, and they are deterministic — then hands the checkpoint to
-   the engine, which fast-forwards the replay and arms [config.deadline]
-   (or the checkpoint's unconsumed budget) at the crossing point. *)
+(* Resuming recompiles the implementation's graphs (FD, or a reduced
+   pipeline) without a deadline — a checkpoint only exists if those
+   compiles completed, and they are deterministic — then hands the
+   checkpoint to the engine, which fast-forwards the replay (the
+   specification's normal form grows along with it) and arms
+   [config.deadline] (or the checkpoint's unconsumed budget) at the
+   crossing point. *)
 let resume ?(config = Check_config.default) ?model ~checkpoint defs ~spec
     ~impl =
   let model = Option.value model ~default:Traces in

@@ -1,10 +1,12 @@
 (** Refinement checking, FDR-style.
 
     [check ~spec ~impl] decides [spec ⊑ impl] in the traces or
-    stable-failures model by (1) compiling and normalizing the
-    specification, then (2) exploring the product of the implementation's
-    states (generated on the fly) with the normal-form nodes, breadth-first,
-    so a reported counterexample has minimal length.
+    stable-failures model by exploring the product of the implementation's
+    states with the nodes of the specification's normal form,
+    breadth-first, so a reported counterexample has minimal length. Both
+    sides are generated as the search reaches them: the normal form
+    ({!Normalise}) materialises only the nodes the search follows a label
+    into, and a cached normal form keeps what earlier checks built.
 
     Every check is a thin configuration of the shared engine in {!Search};
     this module re-exports the engine's verdict types so existing callers
@@ -36,7 +38,8 @@ type counterexample = Search.counterexample = {
 
 type stats = Search.stats = {
   impl_states : int;  (** distinct implementation states visited *)
-  spec_nodes : int;  (** normal-form nodes of the specification *)
+  spec_nodes : int;
+      (** normal-form nodes of the specification this search reached *)
   pairs : int;  (** product pairs visited *)
   wall_s : float;  (** wall-clock time spent in the search *)
   states_per_sec : float;  (** search throughput *)
@@ -95,16 +98,19 @@ val check :
   result
 (** Default model is {!Traces}. All budgets, the interner, and the
     observability handle come from [config] (default
-    {!Check_config.default}): [config.max_states] bounds each [Lts]
-    compilation, [config.max_pairs] the product exploration (defaulting to
-    [max_states]), [config.deadline] is a wall-clock budget in seconds
+    {!Check_config.default}): [config.max_states] bounds each
+    implementation compilation and the specification nodes the search
+    reaches (a specification larger than that gets a verdict when the
+    part the search reaches fits), [config.max_pairs] the product
+    exploration (defaulting to [max_states]), [config.deadline] is a
+    wall-clock budget in seconds
     from the start of the call. Exhausting any budget returns
     {!Inconclusive} rather than raising. At least one state or pair is
     always explored before the deadline is consulted, so an
     {!Inconclusive} result always carries non-zero stats.
 
     [config.interner] is ignored by {!Failures_divergences}, which
-    precompiles both sides. The search runs on the calling domain and
+    precompiles the implementation. The search runs on the calling domain and
     ignores [config.workers], which only [Cspm.Check.run] reads.
     Verdicts, counterexample traces, and state/pair counts are the same
     under any [config.obs] sink or [config.progress] callback.
@@ -176,9 +182,9 @@ val failures_refines :
 
 val fd_refines :
   ?config:Check_config.t -> Defs.t -> spec:Proc.t -> impl:Proc.t -> result
-(** Failures-divergences refinement. Unlike the other checks, both sides
-    are fully compiled first (implementation divergence detection needs
-    the whole tau graph), so early counterexample exit does not avoid the
+(** Failures-divergences refinement. Unlike the other checks, the
+    implementation is fully compiled first (divergence detection needs
+    its whole tau graph), so early counterexample exit does not avoid the
     full state-space cost. *)
 
 val deadlock_free : ?config:Check_config.t -> Defs.t -> Proc.t -> result
@@ -193,6 +199,20 @@ val deterministic : ?config:Check_config.t -> Defs.t -> Proc.t -> result
     failures self-refinement (the specification side is normalized
     internally). A counterexample exhibits a trace after which [P] can
     both accept and refuse the same event. *)
+
+val cached_spec :
+  config:Check_config.t ->
+  step:(Proc.t -> (Event.label * Proc.t) list) ->
+  Defs.t ->
+  Proc.t ->
+  Normalise.session * string option
+(** A session on a specification's normal form, stepped by the caller's
+    transition function: the normal form cached under {!Cache.spec_key}
+    when [config.cache] holds one, else a fresh one (then cached). Only
+    the initial node is built up front. The cache key comes back when
+    there is a cache, for {!Cache.spill} once the caller is done.
+    @raise Normalise.State_limit when the initial tau-closure alone
+    exceeds [config.max_states]. *)
 
 val holds : result -> bool
 (** [true] only for {!Holds}; {!Inconclusive} is not a pass. *)

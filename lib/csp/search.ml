@@ -188,11 +188,16 @@ type progress = {
   budget_frac : float;
 }
 
-(* Deadline polling cadence: a clock read is a syscall, so the dequeue
-   loop consults the clock only once per this many explored pairs instead
-   of on every pair. Progress callbacks and live gauge updates ride the
-   same cadence. *)
-let deadline_poll_mask = 255
+(* Progress cadence: progress callbacks and live gauge updates fire once
+   per this many explored pairs. *)
+let progress_poll_mask = 255
+
+(* Budget polling cadence, shared with [Reduce.compile_staged]: a clock
+   read is a syscall, so a poller consults its budgets every 256 ticks,
+   and also at ticks 1, 2, 4, ..., 128 — a search or compile whose every
+   step is expensive then notices an expired deadline after a few steps,
+   not after hundreds. *)
+let poll_due n = n > 0 && (n land 255 = 0 || n land (n - 1) = 0)
 
 (* Internal: unwound to an [Inconclusive] verdict at the end of [product],
    where the current counters and frontier are in scope. *)
@@ -304,6 +309,8 @@ module Pair_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+module Int_tbl = Hashtbl.Make (Int)
+
 (* Heap watermark for the memory guard, in MiB. [Gc.quick_stat] reads
    counters without walking the heap, so polling it on the dequeue cadence
    costs about as much as the deadline's clock read. *)
@@ -336,25 +343,41 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
   let g_impl_states = Obs.gauge obs "search.impl_states" in
   (* Product pairs (impl state, normal-form node), interned to dense ids;
      per-id state and parent edge live in growable arrays. They start
-     small (under the minor heap's size limit for a direct allocation) and
-     double: most checks a daemon re-runs are tiny, and a large initial
-     block would go straight to the major heap on every one of them. *)
-  let pair_ids = Pair_tbl.create 64 in
-  let pair_impl = ref (Array.make 64 0) in
-  let pair_node = ref (Array.make 64 0) in
-  let parents = ref (Array.make 64 None) in
+     small and double: most checks a daemon re-runs visit a handful of
+     pairs, and a large initial block is allocated and cleared on every
+     one of them. *)
+  let pair_ids = Pair_tbl.create 8 in
+  let pair_impl = ref (Array.make 8 0) in
+  let pair_node = ref (Array.make 8 0) in
+  let parents = ref (Array.make 8 None) in
   let pair_count = ref 0 in
   let queue = Queue.create () in
   let peak_frontier = ref 0 in
   (* Rolling digest over every interned pair, in interning order — a
      portable fingerprint of search progress. *)
   let digest = ref 0 in
+  (* Spec nodes by order of first appearance in this search. A shared
+     normal form numbers its nodes in materialisation order, which
+     depends on every check that used it; the digest, the [spec_nodes]
+     stat and the spec's share of the state budget read this search's
+     own numbering, so they come out the same cold or warm. *)
+  let spec_order = Int_tbl.create 16 in
+  let max_spec_nodes = Normalise.max_states norm in
   let intern_pair parent ((impl_i, node) as pair) =
     if not (Pair_tbl.mem pair_ids pair) then begin
+      let spec_i =
+        match Int_tbl.find_opt spec_order node with
+        | Some k -> k
+        | None ->
+          let k = Int_tbl.length spec_order in
+          if k >= max_spec_nodes then raise (Out_of_budget States);
+          k
+      in
       if !pair_count >= max_pairs then raise (Out_of_budget Pairs);
+      Int_tbl.replace spec_order node spec_i;
       let id = !pair_count in
       incr pair_count;
-      digest := digest_mix (digest_mix !digest impl_i) node;
+      digest := digest_mix (digest_mix !digest impl_i) spec_i;
       if id >= Array.length !parents then begin
         let grow dummy a =
           let bigger = Array.make (2 * id) dummy in
@@ -454,12 +477,12 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
       pending_budget := None
     | _ -> ()
   in
-  (* All degradation triggers ride one cadence: every 256 commits the
-     engine polls the cancellation token, the heap watermark, and the
-     wall clock (each a function call, a counter read, and a syscall
-     respectively — nothing per-pair). *)
+  (* All degradation triggers ride one cadence ([poll_due]): the engine
+     polls the cancellation token, the heap watermark, and the wall clock
+     (each a function call, a counter read, and a syscall respectively —
+     nothing per-pair). *)
   let check_budgets () =
-    if !explored > 0 && !explored land deadline_poll_mask = 0 then begin
+    if poll_due !explored then begin
       (match cancel with
        | Some cancelled when cancelled () -> raise (Out_of_budget Interrupt)
        | _ -> ());
@@ -479,7 +502,7 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
   let tick () =
     if
       ticking && !ff = None && !explored > 0
-      && !explored land deadline_poll_mask = 0
+      && !explored land progress_poll_mask = 0
     then begin
       let frontier = Queue.length queue in
       let budget_frac = float_of_int !pair_count /. float_of_int max_pairs in
@@ -508,7 +531,7 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
     let wall_s = Obs.now () -. t0 in
     make_stats ~wall_s ~peak_frontier:!peak_frontier
       ~impl_states:(source.state_count ())
-      ~spec_nodes:(Normalise.num_nodes norm) ~pairs:!pair_count ()
+      ~spec_nodes:(Int_tbl.length spec_order) ~pairs:!pair_count ()
   in
   (* A stable state whose offers cover none of the node's acceptance sets
      is a refusal violation: [Some (offered, acceptances)]. *)
@@ -524,9 +547,7 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
       let accs =
         match refusal with
         | `Acceptances -> Normalise.acceptances norm node
-        | `Full ->
-          [ List.sort_uniq Event.compare_label
-              (List.map fst (Normalise.afters norm node)) ]
+        | `Full -> [ Normalise.labels norm node ]
         | `None -> []
       in
       let covered =
@@ -661,24 +682,9 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
         search ()
     end
   in
-  try
-    let result = Obs.span obs "search.product" search in
-    (* A terminal verdict while still fast-forwarding means the replay ran
-       out of states before the recorded position — the checkpoint cannot
-       belong to this search. Refuse rather than return the wrong model's
-       verdict. *)
-    (match !ff with
-     | Some cp ->
-       raise
-         (Resume_mismatch
-            (Printf.sprintf
-               "search exhausted after %d commits without reaching the \
-                recorded position (commit %d) — the checkpoint belongs to \
-                a different script or assertion"
-               !explored cp.explored))
-     | None -> ());
-    result
-  with Out_of_budget kind ->
+  (* Unwinding on an exhausted budget: the verdict carries the counters,
+     the frontier and a checkpoint at the last commit boundary. *)
+  let inconclusive kind =
     (* A [Pairs] exhaustion is raised on the pair that failed to intern;
        it is discovered-but-unexplored work, so it counts as frontier. *)
     let frontier =
@@ -703,3 +709,24 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
           exhausted = kind;
           checkpoint = (if !b_pairs >= 1 then Some cp else None);
         } )
+  in
+  try
+    let result = Obs.span obs "search.product" search in
+    (* A terminal verdict while still fast-forwarding means the replay ran
+       out of states before the recorded position — the checkpoint cannot
+       belong to this search. Refuse rather than return the wrong model's
+       verdict. *)
+    (match !ff with
+     | Some cp ->
+       raise
+         (Resume_mismatch
+            (Printf.sprintf
+               "search exhausted after %d commits without reaching the \
+                recorded position (commit %d) — the checkpoint belongs to \
+                a different script or assertion"
+               !explored cp.explored))
+     | None -> ());
+    result
+  with
+  | Out_of_budget kind -> inconclusive kind
+  | Normalise.State_limit _ -> inconclusive States

@@ -39,7 +39,8 @@ type counterexample = {
 
 type stats = {
   impl_states : int;  (** distinct implementation states visited *)
-  spec_nodes : int;  (** normal-form nodes of the specification *)
+  spec_nodes : int;
+      (** normal-form nodes of the specification this search reached *)
   pairs : int;  (** product pairs visited *)
   wall_s : float;  (** wall-clock time spent in the search *)
   states_per_sec : float;
@@ -201,6 +202,10 @@ val lts_source : ?check_divergence:bool -> Lts.t -> int source
 (** States are the nodes of a precompiled graph. [check_divergence]
     (default [true]) precomputes the tau-SCC divergence bitset. *)
 
+val poll_due : int -> bool
+(** The budget-poll cadence of {!product} and [Reduce.compile_staged]:
+    true at ticks 1, 2, 4, ..., 128 and at every multiple of 256. *)
+
 val visible_trace : Event.label list -> Event.label list
 (** Drop [Tau] labels (keeps [Tick]). *)
 
@@ -228,14 +233,22 @@ val product :
   ?resume_deadline:float ->
   ?por:por ->
   ?pipeline:string ->
-  norm:Normalise.t ->
+  norm:Normalise.session ->
   's source ->
   result
 (** Run the search. [stop_at] is an absolute wall-clock deadline (seconds,
-    on the {!Obs.now} clock), polled once every 256 dequeues (a clock read
-    is a syscall); an empty queue always yields the exact verdict even if
-    the deadline has passed, so an {!Inconclusive} result always carries
-    non-zero stats.
+    on the {!Obs.now} clock), polled on the {!poll_due} cadence (a clock
+    read is a syscall); an empty queue always yields the exact verdict
+    even if the deadline has passed, so an {!Inconclusive} result always
+    carries non-zero stats.
+
+    [norm] is the check's session on the specification's normal form,
+    which the search materialises as it goes. Spec nodes are numbered by
+    their first appearance in this search: the visited digest, the
+    [spec_nodes] stat, and the spec's budget — at most
+    [Normalise.max_states norm] distinct nodes, else [Inconclusive]
+    ([States]) — read that numbering, so they do not depend on what other
+    checks sharing the normal form materialised before.
 
     [cancel] is a cancellation token polled on the same cadence: once it
     returns [true] the search stops with [Inconclusive] ([Interrupt]) and
@@ -262,8 +275,7 @@ val product :
     With the silent handle every update is a single branch — the hot path
     allocates nothing.
 
-    [progress] is invoked at the deadline-poll cadence (once per 256
-    dequeues) with a {!progress} snapshot; searches smaller than one
+    [progress] is invoked once per 256 dequeues with a {!progress} snapshot; searches smaller than one
     cadence interval never fire it. The callback runs on the searching
     domain and must not mutate the search. Neither [obs] nor [progress]
     affects verdicts, counterexamples, or state/pair counts. *)

@@ -1,21 +1,12 @@
 (* Streaming trace containment over the specification's normal form.
 
-   [Normalise.after] is a linear scan of the node's edge list — fine for
-   the product search, which consults it once per explored pair, but a
-   trace checker consults it once per logged event. [compile] therefore
-   freezes the normal form into per-node hash tables keyed by label, so
-   a step is one hashtable probe regardless of branching factor. *)
+   A trace checker consults the normal form once per logged event, and
+   streams may run on concurrent domains. [compile] therefore forces the
+   whole normal form and freezes it into per-node hash tables keyed by
+   label, so a step is one lock-free hashtable probe regardless of
+   branching factor. *)
 
-module Label_tbl = Hashtbl.Make (struct
-  type t = Event.label
-
-  let equal = Event.equal_label
-
-  let hash = function
-    | Event.Tau -> 0
-    | Event.Tick -> 1
-    | Event.Vis e -> Event.hash e
-end)
+module Label_tbl = Event.Label_tbl
 
 type t = {
   edges : int Label_tbl.t array;  (* per node: label -> successor *)
@@ -31,8 +22,16 @@ let alphabet t =
   List.sort String.compare
     (Hashtbl.fold (fun c () acc -> c :: acc) t.chans [])
 
+(* The state budget a forced normal form ran out of. Forcing explores
+   every state, as the eager compiler did, so the count is the budget. *)
+let budget_error max_states =
+  Error
+    (Printf.sprintf
+       "specification graph exceeded its state budget (%d states explored)"
+       max_states)
+
 let of_norm ?alphabet:alpha norm =
-  let n = Normalise.num_nodes norm in
+  let n = Normalise.num_nodes (Normalise.form norm) in
   let edges = Array.init n (fun _ -> Label_tbl.create 4) in
   let expected = Array.make n [] in
   let terminal = Array.make n false in
@@ -56,45 +55,22 @@ let of_norm ?alphabet:alpha norm =
   done;
   { edges; expected; terminal; chans; initial = Normalise.initial norm }
 
-(* Cache-fronted compile, the [Refine.cached_spec] pattern: only
-   [Complete] results are stored, and a hit skips the compile/normalise
-   spans entirely. *)
+(* Through [Refine.cached_spec]: a cache hit resumes from whatever
+   earlier checks materialised, and what forcing adds is shared with
+   them (and spilled to disk when the cache persists). *)
 let compile ?(config = Check_config.default) ?alphabet defs spec =
-  let obs = config.Check_config.obs in
-  let budget_error (progress : Lts.progress) =
-    Error
-      (Printf.sprintf
-         "specification graph exceeded its %s budget (%d states explored)"
-         (match progress.Lts.reason with
-          | `States -> "state"
-          | `Deadline -> "deadline")
-         progress.Lts.explored)
-  in
-  let fresh () =
-    match
-      Lts.compile_budgeted ~max_states:config.Check_config.max_states ~obs
-        defs spec
-    with
-    | Lts.Partial (_, progress) -> budget_error progress
-    | Lts.Complete lts -> Ok (lts, Normalise.normalise ~obs lts)
-  in
-  let norm =
-    match config.Check_config.cache with
-    | None -> Result.map snd (fresh ())
-    | Some cache ->
-      let key =
-        Cache.spec_key ~max_states:config.Check_config.max_states defs spec
-      in
-      (match Cache.find cache key with
-       | Some (Cache.Norm_spec (_, norm)) -> Ok norm
-       | Some _ | None ->
-         Result.map
-           (fun (lts, norm) ->
-             Cache.add cache key (Cache.Norm_spec (lts, norm));
-             norm)
-           (fresh ()))
-  in
-  Result.map (fun norm -> of_norm ?alphabet norm) norm
+  let max_states = config.Check_config.max_states in
+  let step = Semantics.make_cached ~obs:config.Check_config.obs defs in
+  match Refine.cached_spec ~config ~step defs spec with
+  | exception Normalise.State_limit _ -> budget_error max_states
+  | norm, key -> (
+    match Normalise.force norm with
+    | exception Normalise.State_limit _ -> budget_error max_states
+    | () ->
+      (match config.Check_config.cache, key with
+       | Some cache, Some key -> Cache.spill cache key
+       | _ -> ());
+      Ok (of_norm ?alphabet norm))
 
 type verdict =
   | Accepted

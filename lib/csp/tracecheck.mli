@@ -27,10 +27,11 @@ val compile :
   Defs.t ->
   Proc.t ->
   (t, string) result
-(** Compile and normalise the specification ([config] supplies the state
-    budget, observability handle, and the optional {!Cache} — a warm
-    cache hit does no graph work). [Error] reports a specification that
-    exhausted its compile budget.
+(** Normalise the whole specification ([config] supplies the state
+    budget, observability handle, and the optional {!Cache}: a cached
+    normal form is shared with the refinement checks, and forcing it
+    builds only what they have not). [Error] reports a specification
+    whose states exceed the budget.
 
     [alphabet] is the set of channels the checker considers observable.
     Events on channels outside it are {e skipped}, not rejected — a

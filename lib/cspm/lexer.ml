@@ -78,6 +78,8 @@ let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '\''
 
 let is_digit c = c >= '0' && c <= '9'
 
+let is_space = function ' ' | '\t' | '\r' | '\n' -> true | _ -> false
+
 let tokens src =
   let n = String.length src in
   let line = ref 1 in
@@ -85,7 +87,8 @@ let tokens src =
   let i = ref 0 in
   let pos () = { Ast.line = !line; Ast.col = !col } in
   let fail msg = raise (Lex_error (msg, pos ())) in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
+  (* [peek k c]: the character [k] ahead is [c] *)
+  let peek k c = !i + k < n && Char.equal src.[!i + k] c in
   let advance () =
     (match src.[!i] with
      | '\n' ->
@@ -102,11 +105,11 @@ let tokens src =
   let rec skip_block_comment depth start_pos =
     if !i >= n then
       raise (Lex_error ("unterminated block comment", start_pos))
-    else if peek 0 = Some '{' && peek 1 = Some '-' then begin
+    else if peek 0 '{' && peek 1 '-' then begin
       advance_n 2;
       skip_block_comment (depth + 1) start_pos
     end
-    else if peek 0 = Some '-' && peek 1 = Some '}' then begin
+    else if peek 0 '-' && peek 1 '}' then begin
       advance_n 2;
       if depth > 1 then skip_block_comment (depth - 1) start_pos
     end
@@ -119,20 +122,24 @@ let tokens src =
   let emit tok p = acc := (tok, p) :: !acc in
   let rec loop () =
     if !i >= n then emit EOF (pos ())
+    else if is_space src.[!i] then begin
+      (* whitespace gets no position record *)
+      advance ();
+      loop ()
+    end
     else begin
       let c = src.[!i] in
       let p = pos () in
       (match c with
-       | ' ' | '\t' | '\r' | '\n' -> advance ()
-       | '-' when peek 1 = Some '-' ->
+       | '-' when peek 1 '-' ->
          (* line comment *)
          while !i < n && src.[!i] <> '\n' do
            advance ()
          done
-       | '{' when peek 1 = Some '-' ->
+       | '{' when peek 1 '-' ->
          advance_n 2;
          skip_block_comment 1 p
-       | '{' when peek 1 = Some '|' ->
+       | '{' when peek 1 '|' ->
          advance_n 2;
          emit LCHANSET p
        | '{' ->
@@ -141,95 +148,95 @@ let tokens src =
        | '}' ->
          advance ();
          emit RBRACE p
-       | '|' when peek 1 = Some '}' ->
+       | '|' when peek 1 '}' ->
          advance_n 2;
          emit RCHANSET p
-       | '|' when peek 1 = Some ']' ->
+       | '|' when peek 1 ']' ->
          advance_n 2;
          emit RINTERFACE p
-       | '|' when peek 1 = Some '~' && peek 2 = Some '|' ->
+       | '|' when peek 1 '~' && peek 2 '|' ->
          advance_n 3;
          emit INTCHOICE p
-       | '|' when peek 1 = Some '|' && peek 2 = Some '|' ->
+       | '|' when peek 1 '|' && peek 2 '|' ->
          advance_n 3;
          emit INTERLEAVE p
-       | '|' when peek 1 = Some '|' ->
+       | '|' when peek 1 '|' ->
          advance_n 2;
          emit PARBAR p
        | '|' ->
          advance ();
          emit PIPE p
-       | '[' when peek 1 = Some '|' ->
+       | '[' when peek 1 '|' ->
          advance_n 2;
          emit LINTERFACE p
-       | '[' when peek 1 = Some ']' ->
+       | '[' when peek 1 ']' ->
          advance_n 2;
          emit EXTCHOICE p
-       | '[' when peek 1 = Some '[' ->
+       | '[' when peek 1 '[' ->
          advance_n 2;
          emit LRENAME p
-       | '[' when peek 1 = Some 'T' && peek 2 = Some '=' ->
+       | '[' when peek 1 'T' && peek 2 '=' ->
          advance_n 3;
          emit REFINES_T p
-       | '[' when peek 1 = Some 'F' && peek 2 = Some 'D' && peek 3 = Some '='
+       | '[' when peek 1 'F' && peek 2 'D' && peek 3 '='
          ->
          advance_n 4;
          emit REFINES_FD p
-       | '[' when peek 1 = Some 'F' && peek 2 = Some '=' ->
+       | '[' when peek 1 'F' && peek 2 '=' ->
          advance_n 3;
          emit REFINES_F p
-       | '[' when peek 1 = Some '>' ->
+       | '[' when peek 1 '>' ->
          advance_n 2;
          emit SLIDE p
        | '[' ->
          advance ();
          emit LBRACKET p
-       | ']' when peek 1 = Some ']' ->
+       | ']' when peek 1 ']' ->
          advance_n 2;
          emit RRENAME p
        | ']' ->
          advance ();
          emit RBRACKET p
-       | ':' when peek 1 = Some '[' ->
+       | ':' when peek 1 '[' ->
          advance_n 2;
          emit COLON_LBRACKET p
        | ':' ->
          advance ();
          emit COLON p
-       | '-' when peek 1 = Some '>' ->
+       | '-' when peek 1 '>' ->
          advance_n 2;
          emit ARROW p
        | '-' ->
          advance ();
          emit MINUS p
-       | '<' when peek 1 = Some '-' ->
+       | '<' when peek 1 '-' ->
          advance_n 2;
          emit LARROW p
-       | '<' when peek 1 = Some '=' ->
+       | '<' when peek 1 '=' ->
          advance_n 2;
          emit LE p
        | '<' ->
          advance ();
          emit LT p
-       | '>' when peek 1 = Some '=' ->
+       | '>' when peek 1 '=' ->
          advance_n 2;
          emit GE p
        | '>' ->
          advance ();
          emit GT p
-       | '=' when peek 1 = Some '=' ->
+       | '=' when peek 1 '=' ->
          advance_n 2;
          emit EQEQ p
        | '=' ->
          advance ();
          emit EQUALS p
-       | '!' when peek 1 = Some '=' ->
+       | '!' when peek 1 '=' ->
          advance_n 2;
          emit NEQ p
        | '!' ->
          advance ();
          emit BANG p
-       | '.' when peek 1 = Some '.' ->
+       | '.' when peek 1 '.' ->
          advance_n 2;
          emit DOTDOT p
        | '.' ->
@@ -256,7 +263,7 @@ let tokens src =
        | '?' ->
          advance ();
          emit QUESTION p
-       | '/' when peek 1 = Some '\\' ->
+       | '/' when peek 1 '\\' ->
          advance_n 2;
          emit INTERRUPT_OP p
        | '\\' ->

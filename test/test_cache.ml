@@ -245,7 +245,8 @@ let test_warm_run_skips_pipeline_spans () =
   in
   let has names prefix = List.exists (fun n -> Helpers.contains n prefix) names in
   let cold = spans_of_run run in
-  check_bool "the cold run compiled" true (has cold "lts.compile");
+  check_bool "the cold run compiled" true
+    (has cold "reduce.compile_staged");
   check_bool "the cold run normalised" true (has cold "normalise");
   let warm = spans_of_run run in
   check_bool "the warm run searched" true (has warm "search.");
@@ -448,6 +449,231 @@ let test_concurrent_shared_cache () =
   check_bool "the cache retained the shared graphs" true
     (s.Cache.resident_entries > 0)
 
+(* ------------------------------------------------------------------ *)
+(* A lazily normalised spec, shared                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The ecu-scale shape: [n] request/response pairs interleaved, against
+   the interleaving of their specifications. The full normal form has
+   3^n nodes, of which one implementation reaches 2^n. The
+   implementations send different requests, so they reach different
+   parts of the normal form, and FAULTY's last ECU answers wrongly. *)
+let ecu_script n =
+  let b = Buffer.create 2048 in
+  let add fmt = Printf.bprintf b fmt in
+  for i = 0 to n - 1 do
+    add "channel req%d, rsp%d : {0..1}\n" i i;
+    add "SPEC%d = req%d?x -> rsp%d!x -> SPEC%d\n" i i i i;
+    add "ECU%d = req%d?x -> rsp%d!x -> ECU%d\n" i i i i;
+    add "BAD%d = req%d?x -> rsp%d!(1 - x) -> BAD%d\n" i i i i;
+    add "VMG%d(v) = req%d!v -> rsp%d?y -> VMG%d(v)\n" i i i i
+  done;
+  let join f = String.concat " ||| " (List.init n f) in
+  add "SPEC = %s\n" (join (Printf.sprintf "SPEC%d"));
+  let system name request ecu =
+    add "%s = %s\n" name
+      (join (fun i ->
+           Printf.sprintf "(VMG%d(%d) [| {| req%d, rsp%d |} |] %s%d)" i
+             (request i) i i (ecu i) i))
+  in
+  system "ZEROS" (fun _ -> 0) (fun _ -> "ECU");
+  system "ONES" (fun _ -> 1) (fun _ -> "ECU");
+  system "MIXED" (fun i -> i mod 2) (fun _ -> "ECU");
+  system "FAULTY" (fun i -> i mod 2) (fun i ->
+      if i = n - 1 then "BAD" else "ECU");
+  Buffer.contents b
+
+let ecu_defs () =
+  (Cspm.Elaborate.load_string (ecu_script 6)).Cspm.Elaborate.defs
+let ecu_spec = Proc.call ("SPEC", [])
+
+(* Everything a check reports that must not depend on what other checks
+   materialised: the counts, the counterexample, and the checkpoint. *)
+let render_exact = function
+  | Refine.Holds s ->
+    Printf.sprintf "holds impl=%d spec=%d pairs=%d" s.Refine.impl_states
+      s.Refine.spec_nodes s.Refine.pairs
+  | Refine.Fails cex ->
+    Format.asprintf "fails %a" Refine.pp_counterexample cex
+  | Refine.Inconclusive (s, hint) ->
+    Format.asprintf "inconclusive impl=%d spec=%d pairs=%d %a%s"
+      s.Refine.impl_states s.Refine.spec_nodes s.Refine.pairs
+      Refine.pp_resume_hint hint
+      (match hint.Refine.checkpoint with
+       | Some cp ->
+         Printf.sprintf " checkpoint %s explored=%d pairs=%d digest=%#x"
+           cp.Search.pipeline cp.Search.explored cp.Search.pairs
+           cp.Search.visited_digest
+       | None -> "")
+
+let check_ecu ?(config = Check_config.default) ?cache defs name =
+  let config =
+    match cache with
+    | Some c -> Check_config.with_cache c config
+    | None -> config
+  in
+  Refine.check ~config defs ~spec:ecu_spec ~impl:(Proc.call (name, []))
+
+let test_domains_share_one_spec () =
+  let impls = [ "ZEROS"; "ONES"; "MIXED"; "FAULTY" ] in
+  let expected =
+    let defs = ecu_defs () in
+    List.map (fun name -> render_exact (check_ecu defs name)) impls
+  in
+  check_bool "FAULTY fails" true
+    (Helpers.contains (List.nth expected 3) "fails");
+  for _round = 1 to 3 do
+    let cache = Cache.create () in
+    (* one check first, so the four racing ones share its normal form *)
+    ignore (check_ecu ~cache (ecu_defs ()) "ZEROS");
+    let domains =
+      List.map
+        (fun name ->
+          Domain.spawn (fun () ->
+              render_exact (check_ecu ~cache (ecu_defs ()) name)))
+        impls
+    in
+    List.iter2
+      (fun want d ->
+        check_string "a racing render equals its sequential uncached one"
+          want (Domain.join d))
+      expected domains
+  done
+
+let test_warm_equals_cold () =
+  let cut reductions =
+    Check_config.(default |> with_reductions reductions |> with_max_pairs 20)
+  in
+  List.iter
+    (fun (name, config) ->
+      let defs = ecu_defs () in
+      let uncached = check_ecu ~config defs name in
+      let cold = check_ecu ~config ~cache:(Cache.create ()) defs name in
+      (* ONES materialises part of the same normal form first, so the
+         nodes this check reaches carry other ids than in a cold run *)
+      let cache = Cache.create () in
+      ignore (check_ecu ~cache defs "ONES");
+      let warm = check_ecu ~config ~cache defs name in
+      check_string "cold equals uncached" (render_exact uncached)
+        (render_exact cold);
+      check_string "warm equals cold" (render_exact cold) (render_exact warm);
+      (* a checkpoint taken cold resumes against the warm normal form *)
+      match cold with
+      | Refine.Inconclusive (_, { Refine.checkpoint = Some checkpoint; _ }) ->
+        let config = Check_config.with_max_pairs 1_000_000 config in
+        let resumed =
+          Refine.resume ~config:(Check_config.with_cache cache config)
+            ~checkpoint defs ~spec:ecu_spec ~impl:(Proc.call (name, []))
+        in
+        check_string "the cold checkpoint resumes warm"
+          (render_exact (check_ecu ~config defs name))
+          (render_exact resumed)
+      | _ -> ())
+    [
+      "MIXED", Check_config.default;
+      "FAULTY", Check_config.default;
+      "MIXED", cut [];
+      "MIXED", cut Reduce.default_pipeline;
+    ]
+
+let test_spec_budget () =
+  let defs = ecu_defs () in
+  let budget n =
+    Check_config.(default |> with_max_states n |> with_max_pairs 1_000_000)
+  in
+  (match check_ecu ~config:(budget 10) defs "ZEROS" with
+   | Refine.Inconclusive (s, hint) ->
+     check_bool "the spec's share of the budget ran out" true
+       (hint.Refine.exhausted = Refine.States);
+     check_int "at the budget" 10 s.Refine.spec_nodes
+   | other ->
+     Alcotest.failf "expected a state budget: %s" (render_exact other));
+  (* 3^6 nodes in all, but only 65 reached: a verdict *)
+  (match check_ecu ~config:(budget 100) defs "ZEROS" with
+   | Refine.Holds s -> check_int "the reached nodes" 65 s.Refine.spec_nodes
+   | other ->
+     Alcotest.failf "a spec bigger than the budget can still hold: %s"
+       (render_exact other));
+  (* an unbounded tau chain: the first closure alone is over budget *)
+  let loaded =
+    Cspm.Elaborate.load_string
+      "channel a : {0..1}\nDRIFT(n) = STOP |~| DRIFT(n + 1)\n"
+  in
+  let defs = loaded.Cspm.Elaborate.defs in
+  let drift = Proc.call ("DRIFT", [ Expr.int 0 ]) in
+  List.iter
+    (fun (what, result) ->
+      match result with
+      | Refine.Inconclusive (_, hint) ->
+        check_bool (what ^ ": a state budget") true
+          (hint.Refine.exhausted = Refine.States)
+      | other -> Alcotest.failf "%s: %s" what (render_exact other))
+    [
+      ( "traces",
+        Refine.check ~config:(budget 50) defs ~spec:drift ~impl:Proc.stop );
+      ( "cached failures",
+        Refine.check
+          ~config:(Check_config.with_cache (Cache.create ()) (budget 50))
+          ~model:Refine.Failures defs ~spec:drift ~impl:Proc.stop );
+      "determinism", Refine.deterministic ~config:(budget 50) defs drift;
+    ];
+  check_bool "trace checking reports the budget" true
+    (Result.is_error (Tracecheck.compile ~config:(budget 50) defs drift))
+
+let test_normal_form_weight_moves () =
+  let cache = Cache.create () in
+  let defs = ecu_defs () in
+  ignore (check_ecu ~cache defs "ZEROS");
+  let resident () = (Cache.stats cache).Cache.resident_states in
+  let before = resident () in
+  let key =
+    Cache.spec_key ~max_states:Check_config.default.Check_config.max_states
+      defs ecu_spec
+  in
+  match Cache.find cache key with
+  | Some (Cache.Norm_spec norm) ->
+    let reached = Normalise.num_states norm in
+    Normalise.force
+      (Normalise.session ~step:(Semantics.make_cached defs) norm);
+    check_int "the cached normal form's growth is resident"
+      (before + Normalise.num_states norm - reached)
+      (resident ())
+  | Some _ | None -> Alcotest.fail "the spec's normal form is not cached"
+
+let test_normal_form_spills_what_was_built () =
+  let dir = temp_dir () in
+  let persist =
+    {
+      Cache.dir;
+      write = (fun ~path text -> Serve.Fsio.atomic_write ~path text);
+    }
+  in
+  let defs = ecu_defs () in
+  let key =
+    Cache.spec_key ~max_states:Check_config.default.Check_config.max_states
+      defs ecu_spec
+  in
+  let cold =
+    render_exact (check_ecu ~cache:(Cache.create ~persist ()) defs "ZEROS")
+  in
+  let spilled cache =
+    match Cache.find cache key with
+    | Some (Cache.Norm_spec norm) -> Normalise.num_states norm
+    | Some _ | None -> Alcotest.fail "no normal form in the spill directory"
+  in
+  check_int "the spill holds the states the search built" 65
+    (spilled (Cache.create ~persist ()));
+  (* a restarted cache resumes from the spill, and what MIXED adds to it
+     is spilled again *)
+  let restarted = Cache.create ~persist () in
+  check_string "a warm check from disk reports what the cold one did" cold
+    (render_exact (check_ecu ~cache:restarted defs "ZEROS"));
+  ignore (check_ecu ~cache:restarted defs "MIXED");
+  check_bool "the grown normal form was spilled again" true
+    (spilled (Cache.create ~persist ()) > 65);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
 let suite =
   ( "cache",
     [
@@ -472,6 +698,16 @@ let suite =
         `Quick test_lru_eviction;
       Alcotest.test_case "reinterning restores hash-consing identity" `Quick
         test_reintern_restores_identity;
+      Alcotest.test_case "domains share one lazily normalised spec" `Quick
+        test_domains_share_one_spec;
+      Alcotest.test_case "warm checks report what cold ones do" `Quick
+        test_warm_equals_cold;
+      Alcotest.test_case "the spec's budget counts reached nodes" `Quick
+        test_spec_budget;
+      Alcotest.test_case "a cached normal form weighs what it holds now"
+        `Quick test_normal_form_weight_moves;
+      Alcotest.test_case "a normal form spills what the checks built" `Quick
+        test_normal_form_spills_what_was_built;
       Alcotest.test_case "concurrent domains share one cache coherently"
         `Quick test_concurrent_shared_cache;
     ] )

@@ -324,6 +324,38 @@ let test_ns_budgeted () =
   | Refine.Holds _ -> Alcotest.fail "1 ms should not complete the NS check"
   | Refine.Fails _ -> Alcotest.fail "the fixed protocol must not fail"
 
+(* The staged compile and the raw fallback it hands over to both poll
+   their budgets early (ticks 1, 2, 4, ...), not only every 256 steps: an
+   NS check whose deadline expires in either stage stops within a few
+   expensive steps of it, instead of running the whole raw search (about
+   two seconds) past a 20 ms deadline. *)
+let test_ns_deadlines () =
+  List.iter
+    (fun ms ->
+      let t0 = Obs.now () in
+      match
+        Security.Ns_protocol.check
+          ~config:
+            Csp.Check_config.(
+              Security.Ns_protocol.default_config
+              |> with_deadline (float_of_int ms /. 1000.))
+          ~fixed:true ()
+      with
+      | Refine.Inconclusive (_, hint) ->
+        check_bool
+          (Printf.sprintf "%d ms: the deadline ran out" ms)
+          true
+          (hint.Refine.exhausted = Refine.Deadline);
+        let overshoot = Obs.now () -. t0 -. (float_of_int ms /. 1000.) in
+        check_bool
+          (Printf.sprintf "%d ms: stopped within a second of it (%.3f s over)"
+             ms overshoot)
+          true (overshoot < 1.0)
+      | Refine.Holds _ ->
+        Alcotest.failf "a %d ms deadline let the NS check complete" ms
+      | Refine.Fails _ -> Alcotest.fail "the fixed protocol must not fail")
+    [ 1; 20; 40 ]
+
 let test_ns_attack_found () =
   (* sanity: without the fix and without a deadline, Lowe's attack appears *)
   match Security.Ns_protocol.check ~fixed:false () with
@@ -439,6 +471,8 @@ let suite =
         test_never_and_precedes;
       Alcotest.test_case "needham-schroeder under a 1ms budget" `Quick
         test_ns_budgeted;
+      Alcotest.test_case "needham-schroeder deadlines are honoured" `Quick
+        test_ns_deadlines;
       Alcotest.test_case "needham-schroeder attack without the fix" `Quick
         test_ns_attack_found;
       Alcotest.test_case "needham-schroeder attack text is golden" `Quick

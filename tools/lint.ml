@@ -255,6 +255,26 @@ let lint_domains path contents =
     "Domain.spawn outside lib/csp/fanout (fan whole units out through \
      Csp.Fanout)"
 
+(* Compile discipline: a specification is normalised on the fly through
+   [Normalise], and only [Refine.cached_graph] still compiles a whole
+   graph up front (FD implementations, deadlock and divergence freedom).
+   An eager [Lts.compile]/[Lts.compile_budgeted] anywhere else under lib/
+   would quietly bring back the specification compile wall. Textual, like
+   the other discipline lints. *)
+let compiles_eagerly path =
+  match Filename.basename path with
+  | "lts.ml" | "refine.ml" -> true
+  | _ -> false
+
+let lint_eager_compile path contents =
+  List.iter
+    (fun name ->
+      scan_word path contents name
+        (name
+       ^ " outside lib/csp/lts and Refine.cached_graph (normalise \
+          specifications on the fly through Csp.Normalise)"))
+    [ "Lts.compile"; "Lts.compile_budgeted" ]
+
 (* Library code must not kill the process or trip the always-on assertion
    machinery: raise [Invalid_argument]/a domain exception and let the CLI
    decide the exit code. [exit] is only flagged in call position (next
@@ -399,6 +419,7 @@ let lint_file ~strict path =
       end;
       if not (under_cache path) then lint_digest path contents;
       if not (spawns_domains path) then lint_domains path contents;
+      if not (compiles_eagerly path) then lint_eager_compile path contents;
       if under_csp path && not (defines_identity path) then
         lint_poly_compare path contents
     end
