@@ -370,6 +370,13 @@ let run_rows () =
     record "ns/authentication-fixed" (fun () ->
         Security.Ns_protocol.check ~fixed:true ())
   in
+  (* Lowe's attack on the broken protocol: a [Fails] under the default
+     reductions, whose counterexample is re-derived on the unreduced
+     graph the check compiled. Its cost beside the fixed row's [Holds] is
+     what the fails-cost smoke gate bounds. *)
+  ignore
+    (record "ns/authentication-broken" (fun () ->
+         Security.Ns_protocol.check ~fixed:false ()));
   (* Reduction ablation: the stock NS check under no reductions, each
      single pass, and the full default pipeline — the walk EXPERIMENTS.md
      steps through. The "none" row is the seed engine's number. *)

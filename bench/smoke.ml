@@ -85,6 +85,36 @@ let check_reduction_speedup () =
   Format.printf "reductions: NS %.0f ms raw -> %.0f ms reduced@."
     (raw *. 1e3) (reduced *. 1e3)
 
+let check_fails_cost () =
+  (* a [Fails] pays for its counterexample with one more search over the
+     graph the check already compiled, so Lowe's attack on the broken
+     protocol must cost at most twice the fixed protocol's [Holds] —
+     both under the default reductions. Legs alternate and are timed in
+     process CPU time, the min of three each, as in the all-hits gate. *)
+  let timed ~fixed =
+    let t0 = Sys.time () in
+    (match Security.Ns_protocol.check ~fixed () with
+     | Csp.Refine.Holds _ when fixed -> ()
+     | Csp.Refine.Fails _ when not fixed -> ()
+     | r ->
+       fail "fails-cost smoke: NS fixed:%b came back %a" fixed
+         Csp.Refine.pp_result r);
+    Sys.time () -. t0
+  in
+  let holds = ref infinity and fails = ref infinity in
+  for _ = 1 to 3 do
+    holds := Float.min !holds (timed ~fixed:true);
+    fails := Float.min !fails (timed ~fixed:false)
+  done;
+  if !fails > 2. *. !holds then
+    fail
+      "fails-cost smoke: the broken NS check took %.0f ms, over 2x the \
+       %.0f ms of the fixed one"
+      (!fails *. 1e3) (!holds *. 1e3);
+  Format.printf "fails cost: NS %.0f ms fixed (holds) vs %.0f ms broken \
+                 (fails), %.2fx@."
+    (!holds *. 1e3) (!fails *. 1e3) (!fails /. !holds)
+
 let digest result =
   match result with
   | Csp.Refine.Holds s ->
@@ -788,6 +818,7 @@ let () =
   check_budgeted_engine ();
   check_lazy_spec ();
   check_reduction_speedup ();
+  check_fails_cost ();
   check_cache_warm_speedup ();
   check_engine_agreement ();
   check_json_output ();

@@ -570,9 +570,9 @@ let reductions_arg =
            interleavings, applied during the search; traces checks \
            only). Passes that do not apply to an assertion's model are \
            skipped. Verdicts and counterexample traces are identical \
-           under every setting — counterexamples are re-derived by the \
-           raw engine — only speed and the reported reduction stats \
-           change. A checkpoint can only be resumed under the \
+           under every setting — counterexamples are re-derived on the \
+           unreduced graph, which is the raw engine's — only speed and \
+           the reported reduction stats change. A checkpoint can only be resumed under the \
            $(b,--reductions) setting it was taken with.")
 
 let output_arg =

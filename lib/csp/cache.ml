@@ -495,8 +495,11 @@ type disk_entry = {
    [Marshal.from_string] trusts its input, and a flipped bit can build an
    ill-typed value that crashes the process. So the magic is followed by
    the payload's hex digest and a newline, checked before unmarshalling.
-   A mismatch, like any read failure, is a miss. *)
-let disk_magic = "cspm-lts-cache/3:" ^ Sys.ocaml_version ^ "\n"
+   A mismatch, like any read failure, is a miss. The version moves
+   whenever what a stored graph means moves, even if its type does not:
+   /4 staged graphs carry call states and the raw stepper's row order,
+   which counterexamples are re-derived from, so /3 files must miss. *)
+let disk_magic = "cspm-lts-cache/4:" ^ Sys.ocaml_version ^ "\n"
 
 let payload_digest payload = Digest.to_hex (Digest.string payload) ^ "\n"
 let digest_len = String.length (payload_digest "")

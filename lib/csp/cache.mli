@@ -93,8 +93,9 @@ val spec_key : max_states:int -> Defs.t -> Proc.t -> string
 
 val impl_key : max_states:int -> Defs.t -> Proc.t -> string
 (** Key of an implementation compiled with [Reduce.compile_staged]
-    ([Lts_graph]). Distinct namespace from {!lts_key}: staged and raw
-    compilation produce cosmetically different state terms. *)
+    ([Lts_graph]). Distinct namespace from {!lts_key}: the two compilers
+    give the same graph up to state numbering, and numbering is what
+    reduced graphs and checkpoints are keyed by. *)
 
 val lts_key : max_states:int -> Defs.t -> Proc.t -> string
 (** Key of a graph compiled by the raw [Lts] compiler ([Lts_graph]). *)

@@ -50,8 +50,9 @@ type t = {
       (** the staged reduction pipeline ({!Reduce.default_pipeline} by
           default); [Reduce.effective] filters it per model, so
           inapplicable passes are skipped rather than misapplied. Use
-          [with_reductions []] for the raw engine. Counterexamples are
-          re-derived by the raw engine either way, so verdicts and traces
+          [with_reductions []] for the raw engine. A reduced [Fails] is
+          re-derived on the unreduced staged graph, which is the raw
+          engine's graph up to state numbering, so verdicts and traces
           never depend on this field — only speed does. *)
   cache : Cache.t option;
       (** content-addressed store of compiled/normalised/reduced LTSs

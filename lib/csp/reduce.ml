@@ -18,9 +18,10 @@
       [Search.product] during the search itself.
 
    Soundness notes are kept with each pass; the passes are gated per
-   model by [effective], and reduced counterexamples are re-derived by
-   the raw engine in [Refine], so every user-visible verdict and trace is
-   identical to the unreduced engine's. *)
+   model by [effective]. The staged graph is the raw engine's graph up to
+   numbering, and [Refine] re-derives reduced counterexamples on it, so
+   every user-visible verdict and trace is identical to the unreduced
+   engine's. *)
 
 type pass = Dead_events | Tau_compress | Bisim | Por
 type pipeline = pass list
@@ -111,11 +112,12 @@ module Dyn = struct
   let set t i x = t.data.(i) <- x
 end
 
-(* Sort a materialized row by (label, target) and deduplicate — the
-   invariant of [Semantics.transitions] / [Lts.t]. Inside the combinator
-   tree rows stay raw: they are deterministic and duplicate-free by
-   construction, and only the root graph's rows are ever handed to
-   consumers that rely on the sorted shape. *)
+(* Sort a row by (label, target) and deduplicate — the label order
+   [Lts.t] consumers rely on (taus first). The graph passes keep their
+   output rows in this shape; [compile_staged] sorts the root graph's
+   rows by target term instead, as [Semantics.transitions] does. Inside
+   the combinator tree rows stay raw: they are deterministic and
+   duplicate-free by construction. *)
 let sort_edges edges =
   List.sort_uniq
     (fun (l1, (j1 : int)) (l2, j2) ->
@@ -157,7 +159,11 @@ let charge env =
 
 (* A combinator node: a lazily explored integer state space. [c_step] is
    memoized per state; [c_term] rebuilds the process term a state denotes
-   (for the materialized graph, counterexamples and POR grouping).
+   (for the materialized graph, counterexamples and POR grouping);
+   [c_reserve] sets aside a fresh id in the node's id space that the node
+   itself never reaches, for a named call's own state ([call_comp]);
+   [c_body] is the state the initial one steps as — itself, unless the
+   initial state is such a call state.
 
    Each transition carries the structural hash of its event (0 for tau
    and tick), computed once when the edge first appears at a leaf and
@@ -168,9 +174,21 @@ let charge env =
    events carry structured packets. *)
 type comp = {
   c_initial : int;
+  c_body : int;
   c_step : int -> (Event.label * int * int) list;
   c_term : int -> Proc.t;
+  c_reserve : unit -> int;
 }
+
+(* Reserved ids are negative, counting down from -2 (-1 is a component
+   of the Omega pair), so reserving one grows no state table: the node
+   never steps or names them itself — [call_comp] answers for them. *)
+let reserver env =
+  let next = ref (-1) in
+  fun () ->
+    charge env;
+    decr next;
+    !next
 
 let label_hash = function
   | Event.Vis e -> Event.hash e
@@ -211,7 +229,13 @@ let leaf_comp env term0 =
       Dyn.set memo i (Some ts);
       ts
   in
-  { c_initial; c_step; c_term = (fun i -> Dyn.get terms i) }
+  {
+    c_initial;
+    c_body = c_initial;
+    c_step;
+    c_term = (fun i -> Dyn.get terms i);
+    c_reserve = reserver env;
+  }
 
 (* Typed hash tables for the two hot keys of parallel composition. The
    polymorphic versions funnel every probe through [caml_compare] /
@@ -308,7 +332,7 @@ let par_comp env ~sync ~allowed_left ~allowed_right ~mk left right =
     | None ->
       let il, ir = Dyn.get pairs i in
       let ts =
-        if il < 0 then [] (* Omega *)
+        if il = -1 then [] (* Omega *)
         else begin
           let lt = left.c_step il and rt = right.c_step ir in
           let acc = ref [] in
@@ -378,9 +402,9 @@ let par_comp env ~sync ~allowed_left ~allowed_right ~mk left right =
   in
   let c_term i =
     let il, ir = Dyn.get pairs i in
-    if il < 0 then Proc.omega else mk (left.c_term il) (right.c_term ir)
+    if il = -1 then Proc.omega else mk (left.c_term il) (right.c_term ir)
   in
-  { c_initial; c_step; c_term }
+  { c_initial; c_body = c_initial; c_step; c_term; c_reserve = reserver env }
 
 (* Hiding and renaming relabel the inner node's transitions in place —
    they share the inner state space (no new states to charge). A tick
@@ -409,7 +433,7 @@ let hide_comp set inner =
     let t = inner.c_term i in
     if Proc.equal t Proc.omega then t else Proc.hide (t, set)
   in
-  { c_initial = inner.c_initial; c_step; c_term }
+  { inner with c_step; c_term }
 
 let rename_comp mapping inner =
   let memo : (int, (Event.label * int * int) list) Hashtbl.t =
@@ -439,7 +463,22 @@ let rename_comp mapping inner =
     let t = inner.c_term i in
     if Proc.equal t Proc.omega then t else Proc.rename (t, mapping)
   in
-  { c_initial = inner.c_initial; c_step; c_term }
+  { inner with c_step; c_term }
+
+(* A named call unfolded into a composition keeps a state of its own, as
+   the raw stepper does: until a component first moves, the term is the
+   call itself, not its body. The call state steps as the body's initial
+   state and nothing ever re-enters it, so it takes an id reserved in the
+   body's space and shares the body's initial row — no row is copied or
+   renumbered, and no state table grows. *)
+let call_comp call inner =
+  let r = inner.c_reserve () in
+  {
+    inner with
+    c_initial = r;
+    c_step = (fun i -> inner.c_step (if i = r then inner.c_initial else i));
+    c_term = (fun i -> if i = r then call else inner.c_term i);
+  }
 
 (* Resolve a named call to its (folded) body so the decomposition can see
    through definitions like SYS = A [|..|] B. Any evaluation problem means
@@ -501,9 +540,56 @@ let rec build env depth term =
   | Proc.Rename (p, mapping) -> rename_comp mapping (build env depth p)
   | Proc.Call (f, args) when depth < 64 -> (
     match unfold_call env f args with
-    | Some body when is_composition body -> build env (depth + 1) body
+    | Some body when is_composition body ->
+      call_comp term (build env (depth + 1) body)
     | Some _ | None -> leaf_comp env term)
   | _ -> leaf_comp env term
+
+(* A state is its term, as in the raw compiler, but two tree states can
+   denote one term: hiding a term twice under one set is hiding it once,
+   and likewise for renaming. Such twins are rare, so they are merged
+   after the fact: the first-discovered state of each term stands for all
+   of them, and a second breadth-first pass over the representatives'
+   rows renumbers what they reach — exactly the numbering a compile that
+   merged on discovery would give. Without twins the graph is returned
+   as it is. *)
+let merge_equal_terms states rows =
+  let n = Array.length states in
+  let first = Proc_tbl.create n in
+  let rep =
+    Array.mapi
+      (fun i t ->
+        match Proc_tbl.find_opt first t with
+        | Some j -> j
+        | None ->
+          Proc_tbl.add first t i;
+          i)
+      states
+  in
+  if Proc_tbl.length first = n then states, rows
+  else begin
+    let map = Array.make n (-1) in
+    let order = Dyn.create 0 in
+    let queue = Queue.create () in
+    let admit i =
+      let r = rep.(i) in
+      if map.(r) < 0 then begin
+        map.(r) <- order.Dyn.len;
+        Dyn.push order r;
+        Queue.add r queue
+      end;
+      map.(r)
+    in
+    let (_ : int) = admit 0 in
+    let merged = Dyn.create [] in
+    while not (Queue.is_empty queue) do
+      let r = Queue.take queue in
+      Dyn.push merged (List.map (fun (l, j) -> l, admit j) rows.(r))
+    done;
+    let m = order.Dyn.len in
+    ( Array.init m (fun k -> states.(Dyn.get order k)),
+      Array.init m (Dyn.get merged) )
+  end
 
 let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
     ?(obs = Obs.silent) defs root =
@@ -546,7 +632,9 @@ let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
             Queue.add ci queue;
             di
         in
-        let (_ : int) = admit comp.c_initial in
+        (* A root that is a named composition's call starts at the body's
+           initial state; [with_root_call] restores the call state. *)
+        let (_ : int) = admit comp.c_body in
         while not (Queue.is_empty queue) do
           let ci = Queue.take queue in
           let ts = comp.c_step ci in
@@ -557,13 +645,21 @@ let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
       with
       | comp ->
         let n = order.Dyn.len in
-        let states =
-          Array.init n (fun di -> comp.c_term (Dyn.get order di))
+        let states, rows =
+          merge_equal_terms
+            (Array.init n (fun di -> comp.c_term (Dyn.get order di)))
+            (Array.init n (Dyn.get rows))
         in
-        let transitions =
-          Array.init n (fun di -> sort_edges (Dyn.get rows di))
+        (* Rows in the raw stepper's order — by label, then by target
+           term — so a search over this graph meets successors in the
+           order the raw engine does. Sorting after admission keeps the
+           discovery-order numbering. *)
+        let by_label_then_term (l1, j1) (l2, j2) =
+          let c = Event.compare_label l1 l2 in
+          if c <> 0 then c else Proc.compare states.(j1) states.(j2)
         in
-        Obs.add c_states n;
+        let transitions = Array.map (List.sort_uniq by_label_then_term) rows in
+        Obs.add c_states (Array.length states);
         Lts.Complete { Lts.initial = 0; states; transitions }
       | exception Stage_stop reason ->
         let progress =
@@ -572,6 +668,31 @@ let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
         Lts.Partial
           ( { Lts.initial = 0; states = [| root |]; transitions = [| [] |] },
             progress ))
+
+(* The raw graph's initial state is the root term itself. When the root
+   is a named composition's call, [compile_staged]'s state 0 is the body's
+   initial state instead, and the call state steps as it and is never
+   re-entered. If something re-enters state 0, the raw graph holds both,
+   and the call state is numbered last, sharing state 0's row; otherwise
+   the call state takes state 0's place under the call's term. Only the
+   counterexample search needs this graph; the passes reduce the one
+   without the call state, and copying every compiled graph's arrays to
+   add the state slowed down checks that hold. *)
+let with_root_call defs root (lts : Lts.t) =
+  let root = Proc.const_fold ~tys:(Defs.ty_lookup defs) (Defs.fenv defs) root in
+  let states = lts.Lts.states and transitions = lts.Lts.transitions in
+  if Proc.equal states.(0) root then lts
+  else if Array.exists (List.exists (fun (_, j) -> j = 0)) transitions then
+    {
+      Lts.initial = Array.length states;
+      states = Array.append states [| root |];
+      transitions = Array.append transitions [| transitions.(0) |];
+    }
+  else begin
+    let states = Array.copy states in
+    states.(0) <- root;
+    { lts with Lts.states }
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Graph passes                                                        *)

@@ -25,8 +25,10 @@
       reduction applied on the fly by [Search.product].
 
     Every pass preserves verdicts for the model it is enabled under (see
-    {!effective}); counterexamples of reduced searches are re-derived by
-    the raw engine so they stay byte-identical to [--reductions none]. *)
+    {!effective}). The staged graph is the raw engine's graph up to state
+    numbering, so [Refine] re-derives the counterexample of a reduced
+    search by searching it unreduced, and the counterexample stays
+    byte-identical to [--reductions none]. *)
 
 (** One reduction pass. String names (for [--reductions], fingerprints and
     stats): ["dead"], ["tau"], ["bisim"], ["por"]. *)
@@ -85,13 +87,27 @@ val compile_staged :
   Proc.t ->
   Lts.compile_result
 (** Compile the reachable graph of a ground term through the lazy
-    combinator tree. Produces the same reachable behaviour as the raw
-    [Lts] compiler (state terms may differ cosmetically where
-    named calls were unfolded during decomposition). [max_states]
-    (default [1_000_000]) bounds the {e total} states interned across all
-    tree nodes; exceeding it, passing [stop_at], or a true [cancel] poll
-    returns [Partial] — callers fall back to the raw path. [obs] records
-    a [reduce.compile_staged] span and a state counter. *)
+    combinator tree, numbering states in discovery order from state 0.
+    Up to that numbering it is the raw [Lts] compiler's graph, with the
+    same state terms and every row in the raw stepper's order (by label,
+    then by target term), except at the root: a named call unfolded into
+    a composition keeps a state of its own under the call's term until a
+    component of its body moves, but when the term's root is such a call
+    the graph starts at the body's initial state, which is what the
+    passes reduce. {!with_root_call} restores the root's call state.
+    [max_states] (default [1_000_000]) bounds the {e total} states
+    interned across all tree nodes; exceeding it, passing [stop_at], or a
+    true [cancel] poll returns [Partial] — callers fall back to the raw
+    path. [obs] records a [reduce.compile_staged] span and a state
+    counter. *)
+
+val with_root_call : Defs.t -> Proc.t -> Lts.t -> Lts.t
+(** [with_root_call defs root g], for [g] the complete result of
+    [compile_staged defs root], is the raw [Lts] compiler's graph up to
+    state numbering. When the root is a named composition's call, its
+    call state steps as state 0 and nothing enters it: it replaces state
+    0 if nothing re-enters state 0, and is otherwise added as the last
+    state, sharing state 0's row. Otherwise [g] itself. *)
 
 type pass_stat = {
   pass : string;

@@ -148,8 +148,7 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
   let step p = Lazy.force stepper p in
   with_spec ~config ~step defs spec @@ fun norm spec_cache_key ->
     (* The unreduced engine: implementation states generated on the fly.
-       Used when no pass applies, when the staged compile degrades, and to
-       re-derive counterexamples found on a reduced graph. *)
+       Used when no pass applies and when the staged compile degrades. *)
     let raw_search ?resume_from () =
       let source =
         Search.proc_source ~interner:config.interner ~step
@@ -206,37 +205,41 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
             | Some _ | None -> None)
          | None -> None
        in
+       (* The unreduced staged graph: the cache's [staged-] entry, else a
+          fresh compile. Forced by a reduced-graph miss, and otherwise
+          only by a [Fails] that needs it. *)
+       let compiled =
+         lazy
+           (let staged () =
+              match resume_from with
+              | Some _ ->
+                (* A checkpoint recorded against this pipeline implies the
+                   staged compile completed; rebuild it deterministically,
+                   with no deadline or cancellation mid-compile. *)
+                Reduce.compile_staged ~max_states:config.max_states ~obs
+                  defs impl
+              | None ->
+                Reduce.compile_staged ~max_states:config.max_states
+                  ?stop_at ?cancel:config.cancel ~obs defs impl
+            in
+            match cache_keys with
+            | Some (cache, impl_key, _) ->
+              (match Cache.find cache impl_key with
+               | Some (Cache.Lts_graph g) -> Lts.Complete g
+               | Some _ | None ->
+                 let r = staged () in
+                 (match r with
+                  | Lts.Complete g ->
+                    Cache.add cache impl_key (Cache.Lts_graph g)
+                  | Lts.Partial _ -> ());
+                 r)
+            | None -> staged ())
+       in
        let reduction =
          match reduced_hit with
          | Some _ -> reduced_hit
          | None ->
-           let staged () =
-             match resume_from with
-             | Some _ ->
-               (* A checkpoint recorded against this pipeline implies the
-                  staged compile completed; rebuild it deterministically,
-                  with no deadline or cancellation mid-compile. *)
-               Reduce.compile_staged ~max_states:config.max_states ~obs
-                 defs impl
-             | None ->
-               Reduce.compile_staged ~max_states:config.max_states ?stop_at
-                 ?cancel:config.cancel ~obs defs impl
-           in
-           let compiled =
-             match cache_keys with
-             | Some (cache, impl_key, _) ->
-               (match Cache.find cache impl_key with
-                | Some (Cache.Lts_graph g) -> Lts.Complete g
-                | Some _ | None ->
-                  let r = staged () in
-                  (match r with
-                   | Lts.Complete g ->
-                     Cache.add cache impl_key (Cache.Lts_graph g)
-                   | Lts.Partial _ -> ());
-                  r)
-             | None -> staged ()
-           in
-           (match compiled with
+           (match Lazy.force compiled with
             | Lts.Partial _ -> None
             | Lts.Complete impl_lts ->
               let reduced, pass_stats =
@@ -274,13 +277,27 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
            | Fails _ ->
              (* Counterexample canonicalisation: the reduced graph proves
                 a violation exists, but its trace and state term reflect
-                the reduced shape. Re-derive with the raw engine so the
-                reported counterexample is byte-identical to
-                [--reductions none]; if the raw run cannot reach a
+                the reduced shape. The unreduced staged graph is the raw
+                engine's graph up to state numbering — same terms, rows
+                in the same order — so a search over it reports the
+                counterexample of [--reductions none] byte for byte. If
+                that graph is out of reach, or the search reaches no
                 verdict within the budgets, keep the reduced one. *)
-             (match raw_search () with
-              | Fails _ as raw -> raw
-              | Holds _ | Inconclusive _ -> result)
+             (match Lazy.force compiled with
+              | Lts.Partial _ -> result
+              | Lts.Complete impl_lts ->
+                let source =
+                  Search.lts_source ~check_divergence:false
+                    (Reduce.with_root_call defs impl impl_lts)
+                in
+                (match
+                   Search.product ~refusal:refusal_mode ~max_pairs ?stop_at
+                     ~obs ?progress:config.progress ?cancel:config.cancel
+                     ?memory_limit_mb:config.memory_limit_mb
+                     ?resume_deadline:config.deadline ~norm source
+                 with
+                 | Fails _ as raw -> raw
+                 | Holds _ | Inconclusive _ -> result))
            | Holds _ | Inconclusive _ ->
              with_reduction_stats (pass_stat_triples pass_stats) result)))
 
@@ -329,8 +346,8 @@ let fd_check ~(config : Check_config.t) ~max_pairs ?stop_at ?resume_from defs
         | pipeline ->
           (* FD reduced graphs are keyed like the staged path's, except
              the implementation component comes from [cached_graph]'s
-             namespace ([lts_key]) — state terms differ between the raw
-             and staged compilers, so the namespaces must not mix. *)
+             namespace ([lts_key]): the raw and staged compilers number
+             states differently, so the namespaces must not mix. *)
           let reduced_cache_key =
             match config.cache, spec_cache_key with
             | Some _, Some spec_key ->

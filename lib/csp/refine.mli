@@ -129,14 +129,18 @@ val check :
     {!Reduce}): when any pass applies to the model, the implementation is
     compiled through the staged combinator tree, reduced, and the product
     is searched over the reduced graph (with ample-set POR applied during
-    the search when enabled). Verdicts are preserved by construction, and
-    counterexamples are re-derived by the raw engine, so results are
-    byte-identical to [with_reductions []] — [stats.reductions] and the
-    wall clock are the only observable differences. If the staged compile
-    runs out of budget the check falls back to the raw engine (which can
-    still find an early counterexample without the full graph). The
-    determinism check and the graph-based freedom checks always run
-    raw. *)
+    the search when enabled). Verdicts are preserved by construction. A
+    [Fails] found on the reduced graph is re-derived by a second product
+    search over the unreduced staged graph — the one this check compiled,
+    else the cache's [staged-] entry, else a fresh staged compile — which
+    is the raw engine's graph up to state numbering, so results are
+    byte-identical to [with_reductions []]; if that search reaches no
+    verdict within the budgets, the reduced counterexample stands.
+    [stats.reductions] and the wall clock are the only observable
+    differences. If the staged compile runs out of budget the check falls
+    back to the raw engine (which can still find an early counterexample
+    without the full graph). The determinism check and the graph-based
+    freedom checks always run raw. *)
 
 val resume :
   ?config:Check_config.t ->

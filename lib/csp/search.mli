@@ -50,7 +50,8 @@ type stats = {
   reductions : (string * int * int) list;
       (** per reduction pass: name, implementation states before, states
           after. Empty for the raw (unreduced) engine and for [Fails]
-          paths, whose counterexamples are re-derived unreduced. *)
+          paths, whose counterexamples are re-derived on the unreduced
+          staged graph. *)
 }
 
 type budget_kind =

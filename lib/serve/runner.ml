@@ -389,11 +389,21 @@ let run_trace_job t (job : Protocol.job) ~corpus ~specs ~dbc =
              ~report:(Trace_run.json_of_report report) ());
         note_done t))
 
+(* An exception that escapes a job fails that job alone: its reason is
+   the exception's text, its retry checkpoint is stale state, and the
+   daemon goes on serving the queue. *)
 let run_job t (job : Protocol.job) =
-  match job.Protocol.kind with
-  | Protocol.Check -> run_check_job t job
-  | Protocol.Trace_check { corpus; specs; dbc } ->
-    run_trace_job t job ~corpus ~specs ~dbc
+  try
+    match job.Protocol.kind with
+    | Protocol.Check -> run_check_job t job
+    | Protocol.Trace_check { corpus; specs; dbc } ->
+      run_trace_job t job ~corpus ~specs ~dbc
+  with e ->
+    remove_checkpoint t.cfg job;
+    t.cfg.emit
+      (Protocol.failed ~v:job.Protocol.version ~id:job.Protocol.id ~attempts:1
+         ~reason:(Printexc.to_string e) ());
+    note_failed t
 
 let fail_queued t reason =
   Queue.iter

@@ -38,7 +38,17 @@ let sorted_initials defs p = Semantics.initials defs p
 (* Random ground processes over the standard environment.              *)
 (* ------------------------------------------------------------------ *)
 
-let gen_proc : Proc.t QCheck.Gen.t =
+let gen_eventset : Eventset.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun c -> Eventset.chan c) (oneofl [ "a"; "b"; "c" ]);
+      return (Eventset.chans [ "a"; "b" ]);
+      return Eventset.empty;
+      map (fun n -> Eventset.events [ ev "a" n ]) (int_range 0 2);
+    ]
+
+let gen_proc_upto max_size : Proc.t QCheck.Gen.t =
   let open QCheck.Gen in
   let chan_gen = oneofl [ "a", 2; "b", 2; "c", 1 ] in
   let leaf =
@@ -51,16 +61,7 @@ let gen_proc : Proc.t QCheck.Gen.t =
           chan_gen;
       ]
   in
-  let set_gen =
-    oneof
-      [
-        map (fun c -> Eventset.chan c) (oneofl [ "a"; "b"; "c" ]);
-        return (Eventset.chans [ "a"; "b" ]);
-        return Eventset.empty;
-        map (fun n -> Eventset.events [ ev "a" n ]) (int_range 0 2);
-      ]
-  in
-  sized_size (int_range 0 8) @@ fix (fun self n ->
+  sized_size (int_range 0 max_size) @@ fix (fun self n ->
       if n <= 0 then leaf
       else
         frequency
@@ -82,11 +83,80 @@ let gen_proc : Proc.t QCheck.Gen.t =
             2,
             map3
               (fun p s q -> Proc.par (p, s, q))
-              (self (n / 2)) set_gen (self (n / 2));
+              (self (n / 2)) gen_eventset (self (n / 2));
             1, map2 (fun p q -> Proc.inter (p, q)) (self (n / 2)) (self (n / 2));
-            1, map2 (fun p s -> Proc.hide (p, s)) (self (n - 1)) set_gen;
+            1, map2 (fun p s -> Proc.hide (p, s)) (self (n - 1)) gen_eventset;
           ])
 
 (* Sizes are capped at 8 in [gen_proc]: trace-set computations are
    exponential in term size by nature. *)
+let gen_proc = gen_proc_upto 8
 let arb_proc = QCheck.make ~print:Proc.to_string gen_proc
+
+(* ------------------------------------------------------------------ *)
+(* Random definition sets: named compositions and calls to them.       *)
+(* ------------------------------------------------------------------ *)
+
+(* One to three parameterless names [N0], [N1], ... whose bodies are
+   [|||], [[| |]] or [\] compositions of [gen_proc] terms and of calls to
+   earlier names (so no recursion is unguarded), and a root that composes
+   calls to them beside terms over the same channels. The raw stepper
+   keeps a call in its state term until that component first moves, so
+   such roots reach states where some calls stay unstepped while their
+   siblings move. A body's right operand is always a term, so nesting
+   grows the state space by a factor per name, not by a power. *)
+type def_set = { procs : (string * Proc.t) list; root : Proc.t }
+
+let def_set_defs ds =
+  let defs = make_defs () in
+  List.iter (fun (name, body) -> Defs.define_proc defs name [] body) ds.procs;
+  defs
+
+let print_def_set ds =
+  String.concat "\n"
+    (List.map
+       (fun (name, body) -> name ^ " = " ^ Proc.to_string body)
+       ds.procs
+    @ [ "root = " ^ Proc.to_string ds.root ])
+
+let gen_def_set : def_set QCheck.Gen.t =
+  let open QCheck.Gen in
+  let term = gen_proc_upto 3 in
+  let compose left right =
+    frequency
+      [
+        2, map2 (fun p q -> Proc.inter (p, q)) left right;
+        3, map3 (fun p s q -> Proc.par (p, s, q)) left gen_eventset right;
+        1, map2 (fun p s -> Proc.hide (p, s)) left gen_eventset;
+      ]
+  in
+  let call names = map (fun n -> Proc.call (n, [])) (oneofl names) in
+  int_range 1 3 >>= fun count ->
+  let rec bodies k acc =
+    if k = count then return (List.rev acc)
+    else
+      let earlier = List.map fst acc in
+      let operand =
+        if earlier = [] then term
+        else frequency [ 2, term; 1, call earlier ]
+      in
+      compose operand term >>= fun body ->
+      bodies (k + 1) ((Printf.sprintf "N%d" k, body) :: acc)
+  in
+  bodies 0 [] >>= fun procs ->
+  let names = List.map fst procs in
+  let operand = frequency [ 2, call names; 1, term ] in
+  frequency
+    [
+      4, map3 (fun c s q -> Proc.par (c, s, q)) (call names) gen_eventset operand;
+      2, map2 (fun c q -> Proc.inter (c, q)) (call names) operand;
+      1,
+      map2
+        (fun r s -> Proc.hide (r, s))
+        (map3 (fun q s c -> Proc.par (q, s, c)) term gen_eventset (call names))
+        gen_eventset;
+      1, call names;
+    ]
+  >|= fun root -> { procs; root }
+
+let arb_def_set = QCheck.make ~print:print_def_set gen_def_set

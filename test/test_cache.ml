@@ -365,6 +365,100 @@ let test_flipped_entries_are_misses () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir
 
+(* A file written under an older format version is a miss, even when its
+   payload and digest are intact: a /3 staged graph lacks the call states
+   and the row order that counterexamples are re-derived from. *)
+let test_old_format_is_a_miss () =
+  let dir = temp_dir () in
+  let write ~path text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  in
+  let persist = { Cache.dir; write } in
+  let defs = Helpers.make_defs () in
+  let impl = Helpers.send "a" 0 (Helpers.send "a" 1 Proc.stop) in
+  let spec = Helpers.send "a" 0 Proc.stop in
+  ignore
+    (Refine.check
+       ~config:Check_config.(default |> with_cache (Cache.create ~persist ()))
+       defs ~spec ~impl);
+  let current = "cspm-lts-cache/4:" and old = "cspm-lts-cache/3:" in
+  let entries =
+    List.filter
+      (fun f -> Filename.check_suffix f ".ltsc")
+      (Array.to_list (Sys.readdir dir))
+  in
+  check_bool "entries were spilled" true (entries <> []);
+  List.iter
+    (fun file ->
+      let path = Filename.concat dir file in
+      let key = Filename.chop_suffix file ".ltsc" in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      check_bool (file ^ " carries the current magic") true
+        (String.starts_with ~prefix:current text);
+      check_bool (file ^ " is a hit as written") true
+        (Cache.find (Cache.create ~persist ()) key <> None);
+      let n = String.length current in
+      write ~path (old ^ String.sub text n (String.length text - n));
+      check_bool (file ^ " under the /3 magic is a miss") true
+        (Cache.find (Cache.create ~persist ()) key = None))
+    entries;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+(* The fixture's text, from the test directory or the repository root. *)
+let read_fixture name =
+  let path =
+    List.find Sys.file_exists
+      [ Filename.concat "fixtures" name;
+        Filename.concat "test" (Filename.concat "fixtures" name) ]
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
+(* The layout golden: a canonical rendering of the staged graph that
+   [staged-] entries hold, for a named composition under a named
+   composition, with its root call state restored as a counterexample
+   search sees it — state terms in order, then rows as label/target pairs.
+   Counterexamples are re-derived from stored staged graphs, so when this
+   digest changes, what every spilled staged graph means has changed:
+   bump [Cache.disk_magic] so old [.ltsc] files read as misses, then
+   re-pin. (Hash-consing ids make raw [Marshal] bytes depend on
+   construction order, so the rendering is digested, not the value.) *)
+let staged_layout_digest = "f19c74aa768ce620752ef337db90514e"
+
+let test_staged_layout_golden () =
+  let loaded = Cspm.Elaborate.load_string (read_fixture "call_state.csp") in
+  let defs = loaded.Cspm.Elaborate.defs in
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun name ->
+      let root = Proc.call (name, []) in
+      let lts =
+        match Reduce.compile_staged defs root with
+        | Lts.Complete lts -> Reduce.with_root_call defs root lts
+        | Lts.Partial _ -> Alcotest.failf "staged compile of %s was partial" name
+      in
+      check_string "the root is the call itself" name
+        (Proc.to_string (Lts.state_term lts lts.Lts.initial));
+      Printf.bprintf buf "%s initial %d\n" name lts.Lts.initial;
+      Array.iteri
+        (fun i t -> Printf.bprintf buf "%d %s\n" i (Proc.to_string t))
+        lts.Lts.states;
+      Array.iteri
+        (fun i row ->
+          Printf.bprintf buf "%d:" i;
+          List.iter
+            (fun (l, j) ->
+              Printf.bprintf buf " %s>%d" (Event.label_to_string l) j)
+            row;
+          Buffer.add_char buf '\n')
+        lts.Lts.transitions)
+    [ "SYSTEM"; "PICK"; "CYCLE" ];
+  let rendering = Buffer.contents buf in
+  check_string
+    (Printf.sprintf "staged layout digest of:\n%s" rendering)
+    staged_layout_digest
+    (Digest.to_hex (Digest.string rendering))
+
 (* ------------------------------------------------------------------ *)
 (* LRU bounding                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -710,4 +804,8 @@ let suite =
         test_normal_form_spills_what_was_built;
       Alcotest.test_case "concurrent domains share one cache coherently"
         `Quick test_concurrent_shared_cache;
+      Alcotest.test_case "an entry of an older format version is a miss"
+        `Quick test_old_format_is_a_miss;
+      Alcotest.test_case "the staged graph layout is golden" `Quick
+        test_staged_layout_golden;
     ] )

@@ -105,6 +105,73 @@ let staged_compile_agrees =
           (String.concat " " expected)
           (String.concat " " got))
 
+(* The staged graph is the raw compiler's graph up to state numbering:
+   the same initial term, a bijection of states by term, and every row
+   equal in order under it. Counterexamples of reduced checks are
+   re-derived on this graph, so row order decides which of two
+   same-depth violations is reported, and the state terms are what the
+   counterexample prints. *)
+let isomorphic ~what defs p =
+  let raw =
+    match Lts.compile_budgeted ~max_states:20_000 defs p with
+    | Lts.Complete lts -> lts
+    | Lts.Partial _ -> QCheck.assume_fail ()
+  in
+  let staged =
+    match Reduce.compile_staged ~max_states:200_000 defs p with
+    | Lts.Complete lts -> Reduce.with_root_call defs p lts
+    | Lts.Partial _ ->
+      QCheck.Test.fail_reportf "%s: the staged compile was partial" what
+  in
+  let n = Lts.num_states raw in
+  let index = Hashtbl.create n in
+  Array.iteri
+    (fun i t -> Hashtbl.replace index (Proc.id t) i)
+    staged.Lts.states;
+  let to_staged i =
+    match Hashtbl.find_opt index (Proc.id (Lts.state_term raw i)) with
+    | Some j -> j
+    | None ->
+      QCheck.Test.fail_reportf "%s: raw state %s has no staged twin" what
+        (Proc.to_string (Lts.state_term raw i))
+  in
+  let row ?(target = Fun.id) lts i =
+    String.concat " "
+      (List.map
+         (fun (l, j) -> Format.asprintf "%a->%d" Event.pp_label l (target j))
+         (Lts.transitions_of lts i))
+  in
+  if Lts.num_states staged <> n then
+    QCheck.Test.fail_reportf "%s: %d raw states, %d staged" what n
+      (Lts.num_states staged);
+  if to_staged raw.Lts.initial <> staged.Lts.initial then
+    QCheck.Test.fail_reportf "%s: initial states differ: raw %s, staged %s"
+      what
+      (Proc.to_string (Lts.state_term raw raw.Lts.initial))
+      (Proc.to_string (Lts.state_term staged staged.Lts.initial));
+  for i = 0 to n - 1 do
+    let mapped = row ~target:to_staged raw i in
+    let j = to_staged i in
+    if not (String.equal mapped (row staged j)) then
+      QCheck.Test.fail_reportf "%s: rows of %s differ:@.raw:    %s@.staged: %s"
+        what
+        (Proc.to_string (Lts.state_term raw i))
+        mapped (row staged j)
+  done;
+  true
+
+let staged_is_raw_graph =
+  QCheck.Test.make ~count:400
+    ~name:"random terms: staged graph = raw graph"
+    Helpers.arb_proc (fun p ->
+      isomorphic ~what:(Proc.to_string p) (Helpers.make_defs ()) p)
+
+let staged_is_raw_graph_with_calls =
+  QCheck.Test.make ~count:1000
+    ~name:"named calls: staged graph = raw graph"
+    Helpers.arb_def_set (fun ds ->
+      isomorphic ~what:"def set" (Helpers.def_set_defs ds) ds.Helpers.root)
+
 (* ------------------------------------------------------------------ *)
 (* Each pass earns its keep                                            *)
 (* ------------------------------------------------------------------ *)
@@ -248,6 +315,47 @@ let reduced_equals_raw =
             all_subsets)
         [ Refine.Traces; Refine.Failures; Refine.Failures_divergences ])
 
+(* A same-label tie (two tau successors, say) decides which of two
+   violations at one depth a breadth-first search meets first, and such
+   ties show up in about one failing check in a hundred: the default
+   pipeline is held to the raw engine on many pairs, traces and
+   failures, with named compositions and without. *)
+let default_fails_like_raw ~count ~name arb defs_and_terms =
+  QCheck.Test.make ~count ~name arb (fun x ->
+      let defs, spec, impl = defs_and_terms x in
+      List.for_all
+        (fun model ->
+          let check reductions =
+            render
+              (Refine.check
+                 ~config:
+                   Check_config.(
+                     default |> with_max_states 50_000
+                     |> with_reductions reductions)
+                 ~model defs ~spec ~impl)
+          in
+          let expected = check [] in
+          let got = check Reduce.default_pipeline in
+          String.equal expected got
+          || QCheck.Test.fail_reportf
+               "default reductions diverged from none:@.raw: %s@.got: \
+                %s@.spec=%s@.impl=%s"
+               expected got (Proc.to_string spec) (Proc.to_string impl))
+        [ Refine.Traces; Refine.Failures ])
+
+let default_fails_like_raw_terms =
+  default_fails_like_raw ~count:1000
+    ~name:"random terms: reduced Fails = raw Fails"
+    (QCheck.pair Helpers.arb_proc Helpers.arb_proc)
+    (fun (spec, impl) -> Helpers.make_defs (), spec, impl)
+
+let default_fails_like_raw_calls =
+  default_fails_like_raw ~count:1000
+    ~name:"named calls: reduced Fails = raw Fails"
+    (QCheck.pair (QCheck.make ~print:Proc.to_string (Helpers.gen_proc_upto 4))
+       Helpers.arb_def_set)
+    (fun (spec, ds) -> Helpers.def_set_defs ds, spec, ds.Helpers.root)
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoints record their pipeline                                   *)
 (* ------------------------------------------------------------------ *)
@@ -299,6 +407,8 @@ let suite =
       Alcotest.test_case "--reductions parsing and rendering" `Quick
         test_pipeline_strings;
       QCheck_alcotest.to_alcotest staged_compile_agrees;
+      QCheck_alcotest.to_alcotest staged_is_raw_graph;
+      QCheck_alcotest.to_alcotest staged_is_raw_graph_with_calls;
       Alcotest.test_case "dead events + tau compression collapse" `Quick
         test_dead_and_tau_collapse;
       Alcotest.test_case "bisimulation quotienting merges equivalent states"
@@ -306,6 +416,8 @@ let suite =
       Alcotest.test_case "ample sets prune independent interleavings" `Quick
         test_por_prunes_interleavings;
       QCheck_alcotest.to_alcotest reduced_equals_raw;
+      QCheck_alcotest.to_alcotest default_fails_like_raw_terms;
+      QCheck_alcotest.to_alcotest default_fails_like_raw_calls;
       Alcotest.test_case "checkpoints record and enforce their pipeline"
         `Quick test_checkpoint_pipeline_mismatch;
     ] )

@@ -586,6 +586,61 @@ let test_serve_loop_end_to_end () =
       check_int "the submitted job completed" 1 (req "done" drained);
       check_int "nothing failed" 0 (req "failed" drained))
 
+(* A job whose check raises (here unguarded recursion, met while
+   stepping) fails alone, with the exception's text as its reason; the
+   job queued behind it still runs, and the drain counts both. *)
+let test_crashing_job_fails_alone () =
+  let unguarded =
+    "channel a : {0..3}\n\
+     P = P [] a!1 -> P\n\
+     Q = a?x -> Q\n\
+     SYS = P [| {| a |} |] Q\n\
+     assert SYS :[deadlock free]\n"
+  in
+  let requests =
+    List.map
+      (fun (id, script) ->
+        Printf.sprintf {|{"op":"submit","id":%S,"script":%s}|} id
+          (Obs.Json.to_string (Obs.Json.Str script)))
+      [ "bad", unguarded; "ok", trivial_script ]
+    @ [ {|{"op":"drain"}|} ]
+  in
+  let events = ref [] in
+  let cfg =
+    {
+      (Serve.Runner.default_config ~emit:(fun j -> events := j :: !events)) with
+      Serve.Runner.sleep = (fun _ -> ());
+    }
+  in
+  let t = Serve.Runner.create cfg in
+  List.iter
+    (fun line ->
+      match Serve.Protocol.request_of_line line with
+      | Ok (r, v) -> Serve.Runner.request ~v t r
+      | Error reason -> Alcotest.failf "request rejected: %s" reason)
+    requests;
+  Serve.Runner.drain t;
+  let outcomes =
+    List.filter
+      (fun e ->
+        List.mem (event_name e) [ "failed"; "result"; "drained" ])
+      (List.rev !events)
+  in
+  Alcotest.(check (list string))
+    "the crashing job fails, the next one completes, the daemon drains"
+    [ "failed"; "result"; "drained" ]
+    (List.map event_name outcomes);
+  let failed = List.hd outcomes in
+  check_string "the failure is the crashing job's" "bad"
+    (Option.value (str "id" failed) ~default:"?");
+  check_bool "the reason names the exception" true
+    (Helpers.contains
+       (Option.value (str "reason" failed) ~default:"")
+       "Unguarded");
+  let drained = List.nth outcomes 2 in
+  check_int "one job done" 1 (req "done" drained);
+  check_int "one job failed" 1 (req "failed" drained)
+
 let suite =
   ( "serve",
     [
@@ -618,4 +673,6 @@ let suite =
         test_cancel_fails_queue;
       Alcotest.test_case "serve loop end to end over scripted input" `Quick
         test_serve_loop_end_to_end;
+      Alcotest.test_case "a job that raises fails alone" `Quick
+        test_crashing_job_fails_alone;
     ] )
