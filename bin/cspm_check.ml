@@ -31,7 +31,8 @@ let splice_diags diags doc =
 
 (* Exit codes: 0 all assertions hold, 1 at least one definite failure,
    2 load/usage error (including a stack overflow or out-of-memory while
-   loading or translating the model), 3 no failures but at least one
+   loading or translating the model, and a term an assertion cannot step,
+   reported at that assertion), 3 no failures but at least one
    inconclusive (budget exhausted — rerun with a larger
    --timeout/--max-states), 4 blocking lint diagnostics under
    --lint/--deny-warnings, 5 interrupted by SIGINT/SIGTERM — the partial
@@ -390,6 +391,10 @@ let run path max_states timeout jobs list_only dot format progress trace_out
       lint deny_warnings checkpoint_out resume_file memory_limit reductions
       output use_cache cache_dir
   with
+  | Cspm.Check.Check_error (pos, e) ->
+    Format.eprintf "%s:%a: %s@." path Cspm.Ast.pp_pos pos
+      (Cspm.Check.error_message e);
+    2
   | Stack_overflow ->
     Format.eprintf
       "%s: stack overflow — the model recurses too deeply; simplify the \
@@ -594,10 +599,12 @@ let cache_arg =
            that affects the graphs (declarations, reachable definitions, \
            state budget, reduction pipeline, refinement model). Within a \
            run, assertions sharing a specification or implementation \
-           compile it once. Verdicts, counterexamples, and \
-           per-assertion stats are byte-identical with or without the \
-           cache; with $(b,--format) $(b,json) the report gains a \
-           top-level $(b,cache) object with hit/miss/eviction counts.")
+           compile it once; assertions that hide different events of \
+           one system share its compile even without this flag. \
+           Verdicts, counterexamples, and per-assertion stats are \
+           byte-identical with or without the cache; with $(b,--format) \
+           $(b,json) the report gains a top-level $(b,cache) object with \
+           hit/miss/eviction counts.")
 
 let cache_dir_arg =
   Arg.(
@@ -621,7 +628,9 @@ let cmd =
       `P "1 — at least one assertion definitely fails.";
       `P
         "2 — the script could not be loaded (syntax or semantic error, \
-         stack overflow, or out of memory).";
+         stack overflow, or out of memory), or an assertion names a \
+         process the semantics cannot step (unguarded recursion, an \
+         ill-formed call), reported at that assertion's position.";
       `P
         "3 — no assertion fails, but at least one is inconclusive \
          because a state, pair, $(b,--timeout), or $(b,--memory-limit) \

@@ -58,8 +58,12 @@ type t = {
       (** content-addressed store of compiled/normalised/reduced LTSs
           ({!Cache}); when set, per-assertion spec/impl compilation is
           keyed by content digest and reused across assertions, runs,
-          and (in the daemon) jobs. Only complete compilation results
-          are cached, so verdicts never depend on this field either. *)
+          and (in the daemon) jobs. When this is [None],
+          [Cspm.Check.run] and [Cspm.Check.run_seq] still share the
+          compile of a system that two or more of a run's refinements
+          name, hidden or not: they then check the run against a silent
+          cache of their own that lives as long as the run. Only complete compilation results are
+          cached, so verdicts never depend on this field either. *)
 }
 
 val default : t

@@ -591,6 +591,22 @@ let merge_equal_terms states rows =
       Array.init m (Dyn.get merged) )
   end
 
+(* Merge the twins, then put rows in the raw stepper's order — by label,
+   then by target term — so a search over the graph meets successors in
+   the order the raw engine does. Sorting after admission keeps the
+   discovery-order numbering. *)
+let finish states rows =
+  let states, rows = merge_equal_terms states rows in
+  let by_label_then_term (l1, j1) (l2, j2) =
+    let c = Event.compare_label l1 l2 in
+    if c <> 0 then c else Proc.compare states.(j1) states.(j2)
+  in
+  {
+    Lts.initial = 0;
+    states;
+    transitions = Array.map (List.sort_uniq by_label_then_term) rows;
+  }
+
 let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
     ?(obs = Obs.silent) defs root =
   Obs.span obs "reduce.compile_staged" (fun () ->
@@ -645,22 +661,13 @@ let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
       with
       | comp ->
         let n = order.Dyn.len in
-        let states, rows =
-          merge_equal_terms
+        let g =
+          finish
             (Array.init n (fun di -> comp.c_term (Dyn.get order di)))
             (Array.init n (Dyn.get rows))
         in
-        (* Rows in the raw stepper's order — by label, then by target
-           term — so a search over this graph meets successors in the
-           order the raw engine does. Sorting after admission keeps the
-           discovery-order numbering. *)
-        let by_label_then_term (l1, j1) (l2, j2) =
-          let c = Event.compare_label l1 l2 in
-          if c <> 0 then c else Proc.compare states.(j1) states.(j2)
-        in
-        let transitions = Array.map (List.sort_uniq by_label_then_term) rows in
-        Obs.add c_states (Array.length states);
-        Lts.Complete { Lts.initial = 0; states; transitions }
+        Obs.add c_states (Lts.num_states g);
+        Lts.Complete g
       | exception Stage_stop reason ->
         let progress =
           { Lts.explored = !explored; frontier = Queue.length queue; reason }
@@ -693,6 +700,45 @@ let with_root_call defs root (lts : Lts.t) =
     states.(0) <- root;
     { lts with Lts.states }
   end
+
+(* The hidings at a term's root, peeled off: [P \ H1 \ ... \ Hn] is
+   [(P, [H1; ...; Hn])], innermost set first. *)
+let split_hiding root =
+  let rec go p sets =
+    match Proc.view p with
+    | Proc.Hide (q, set) -> go q (set :: sets)
+    | _ -> p, sets
+  in
+  go root []
+
+(* The staged graph of [P \ H1 \ ... \ Hn] from the staged graph of [P].
+   A hiding node shares its inner node's states ([hide_comp]), so the
+   hidden compile discovers the same states in the same order, relabels
+   each row in place and wraps each term; this does the same to the
+   compiled graph. Wrapping makes twins only of a body that reaches both
+   x and x \ H. The states of a composition node are all compositions
+   of one shape, which wrapping keeps apart, so such a body is a leaf:
+   its rows come from the semantics already in this graph's row order,
+   which is the order the hidden compile's merge walks them in. So
+   [finish] merges and numbers the twins exactly as [compile_staged]
+   does for the hidden term. *)
+let hide_staged sets (g : Lts.t) =
+  match sets with
+  | [] -> g
+  | _ ->
+    let hidden e = List.exists (fun set -> Eventset.mem set e) sets in
+    let wrap t =
+      if Proc.equal t Proc.omega then t
+      else List.fold_left (fun t set -> Proc.hide (t, set)) t sets
+    in
+    finish
+      (Array.map wrap g.Lts.states)
+      (Array.map
+         (List.map (fun ((l, j) as edge) ->
+              match l with
+              | Event.Vis e when hidden e -> Event.Tau, j
+              | Event.Vis _ | Event.Tau | Event.Tick -> edge))
+         g.Lts.transitions)
 
 (* ------------------------------------------------------------------ *)
 (* Graph passes                                                        *)

@@ -28,7 +28,12 @@
     {!effective}). The staged graph is the raw engine's graph up to state
     numbering, so [Refine] re-derives the counterexample of a reduced
     search by searching it unreduced, and the counterexample stays
-    byte-identical to [--reductions none]. *)
+    byte-identical to [--reductions none].
+
+    Hiding at the root of an implementation is applied to the compiled
+    graph ({!hide_staged}): [Refine] compiles (and caches) the hidden
+    body once, and derives the graph of each [body \ H] an assertion
+    names from it. *)
 
 (** One reduction pass. String names (for [--reductions], fingerprints and
     stats): ["dead"], ["tau"], ["bisim"], ["por"]. *)
@@ -108,6 +113,21 @@ val with_root_call : Defs.t -> Proc.t -> Lts.t -> Lts.t
     call state steps as state 0 and nothing enters it: it replaces state
     0 if nothing re-enters state 0, and is otherwise added as the last
     state, sharing state 0's row. Otherwise [g] itself. *)
+
+val split_hiding : Proc.t -> Proc.t * Eventset.t list
+(** [split_hiding (P \ H1 \ ... \ Hn)] is [(P, [H1; ...; Hn])], innermost
+    set first, for a [P] that is not itself a hiding; [(p, [])] for a term
+    [p] with no hiding at its root. *)
+
+val hide_staged : Eventset.t list -> Lts.t -> Lts.t
+(** Root hiding, applied to a compiled graph: [hide_staged sets g], for
+    [g] the complete result of [compile_staged defs p], is the complete
+    result of [compile_staged] on [p] hidden under [sets] in turn,
+    numbering included. Events in any of the sets become [tau], every
+    state term but [Omega] is wrapped in the hidings, the states that
+    wrapping makes equal are merged, and rows are sorted by label, then
+    by target term. So assertions that hide different events of one
+    system compile it once. [hide_staged [] g] is [g]. *)
 
 type pass_stat = {
   pass : string;

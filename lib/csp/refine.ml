@@ -179,61 +179,69 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
      | [], _ | _, None -> raw_search ?resume_from ()
      | pipeline, Some model ->
        let fp = Reduce.fingerprint pipeline in
-       (* Key the staged and reduced artifacts when a cache is configured.
-          The reduced key includes the spec key: the dead pass eliminates
-          events against the spec's normal-form alphabet, so the same
-          implementation reduced against a different spec is a different
-          artifact. *)
-       let cache_keys =
+       (* Key the reduced artifact when a cache is configured. The key
+          takes the whole implementation term, hiding included, and the
+          spec key: the dead pass eliminates events against the spec's
+          normal-form alphabet, so the same implementation reduced
+          against a different spec is a different artifact. *)
+       let reduced_cache =
          match config.cache, spec_cache_key with
          | Some cache, Some spec_key ->
-           let impl_key =
-             Cache.impl_key ~max_states:config.max_states defs impl
-           in
-           let reduced_key =
-             Cache.reduced_key ~model ~pipeline ~spec:spec_key
-               ~impl:impl_key
-           in
-           Some (cache, impl_key, reduced_key)
+           Some
+             ( cache,
+               Cache.reduced_key ~model ~pipeline ~spec:spec_key
+                 ~impl:(Cache.impl_key ~max_states:config.max_states defs impl)
+             )
          | _ -> None
        in
        let reduced_hit =
-         match cache_keys with
-         | Some (cache, _, reduced_key) ->
+         match reduced_cache with
+         | Some (cache, reduced_key) ->
            (match Cache.find cache reduced_key with
             | Some (Cache.Reduced (g, stats)) -> Some (g, stats)
             | Some _ | None -> None)
          | None -> None
        in
-       (* The unreduced staged graph: the cache's [staged-] entry, else a
-          fresh compile. Forced by a reduced-graph miss, and otherwise
-          only by a [Fails] that needs it. *)
+       (* The unreduced staged graph. Hiding at the root is applied to
+          the graph of what it hides, so that body is what is compiled,
+          or found in the cache's [staged-] entry keyed by the body:
+          assertions that hide different events of one system share its
+          compile. Forced by a reduced-graph miss, and otherwise only by
+          a [Fails] that needs it. *)
        let compiled =
          lazy
-           (let staged () =
+           (let body, hidden = Reduce.split_hiding impl in
+            let staged () =
               match resume_from with
               | Some _ ->
                 (* A checkpoint recorded against this pipeline implies the
                    staged compile completed; rebuild it deterministically,
                    with no deadline or cancellation mid-compile. *)
                 Reduce.compile_staged ~max_states:config.max_states ~obs
-                  defs impl
+                  defs body
               | None ->
                 Reduce.compile_staged ~max_states:config.max_states
-                  ?stop_at ?cancel:config.cancel ~obs defs impl
+                  ?stop_at ?cancel:config.cancel ~obs defs body
             in
-            match cache_keys with
-            | Some (cache, impl_key, _) ->
-              (match Cache.find cache impl_key with
-               | Some (Cache.Lts_graph g) -> Lts.Complete g
-               | Some _ | None ->
-                 let r = staged () in
-                 (match r with
-                  | Lts.Complete g ->
-                    Cache.add cache impl_key (Cache.Lts_graph g)
-                  | Lts.Partial _ -> ());
-                 r)
-            | None -> staged ())
+            let body_graph =
+              match config.cache with
+              | Some cache ->
+                let key =
+                  Cache.impl_key ~max_states:config.max_states defs body
+                in
+                (match Cache.find cache key with
+                 | Some (Cache.Lts_graph g) -> Lts.Complete g
+                 | Some _ | None ->
+                   let r = staged () in
+                   (match r with
+                    | Lts.Complete g -> Cache.add cache key (Cache.Lts_graph g)
+                    | Lts.Partial _ -> ());
+                   r)
+              | None -> staged ()
+            in
+            match body_graph with
+            | Lts.Complete g -> Lts.Complete (Reduce.hide_staged hidden g)
+            | Lts.Partial _ as r -> r)
        in
        let reduction =
          match reduced_hit with
@@ -245,8 +253,8 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
               let reduced, pass_stats =
                 Reduce.apply ~obs ~model ~norm pipeline impl_lts
               in
-              (match cache_keys with
-               | Some (cache, _, reduced_key) ->
+              (match reduced_cache with
+               | Some (cache, reduced_key) ->
                  Cache.add cache reduced_key
                    (Cache.Reduced (reduced, pass_stats))
                | None -> ());

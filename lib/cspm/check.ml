@@ -4,6 +4,35 @@ type outcome = {
   result : Csp.Refine.result;
 }
 
+exception Check_error of Ast.pos * exn
+
+(* The one rendering of a [Check_error], for the CLI and, through the
+   printer below, for the daemon's failure reasons, which name the
+   exception that failed the job. *)
+let error_message = function
+  | Csp.Semantics.Unguarded term -> "Unguarded recursion: " ^ term
+  | Csp.Semantics.Ill_formed msg -> "Ill-formed process: " ^ msg
+  | Csp.Expr.Eval_error msg -> "Evaluation error: " ^ msg
+  | Elaborate.Elab_error (msg, _) -> msg
+  | e -> Printexc.to_string e
+
+let () =
+  Printexc.register_printer (function
+    | Check_error (pos, e) ->
+      Some (Format.asprintf "%a: %s" Ast.pp_pos pos (error_message e))
+    | _ -> None)
+
+(* A script can load and still hold a term the semantics cannot step: an
+   unguarded recursion, a call with the wrong arity, an expression that
+   divides by zero, a name elaboration only resolves when the
+   assertion's terms are built. These surface while an assertion is
+   checked, so they are reported at it. *)
+let at pos f =
+  try f () with
+  | ( Csp.Semantics.Unguarded _ | Csp.Semantics.Ill_formed _
+    | Csp.Expr.Eval_error _ | Elaborate.Elab_error _ ) as e ->
+    raise (Check_error (pos, e))
+
 (* An assertion with its process terms elaborated up front. Elaboration
    mutates nothing but builds terms through the hash-consing constructors;
    doing it eagerly on the calling domain keeps the concurrent assertions
@@ -48,6 +77,50 @@ let run_prepared ?(config = Csp.Check_config.default) ?resume defs prepared =
 let run_assertion ?config (loaded : Elaborate.t) (a : Ast.assertion) =
   run_prepared ?config loaded.Elaborate.defs (prepare loaded a)
 
+(* Elaborating every assertion up front must not report a later
+   assertion's error before an earlier one has run: the error waits for
+   its turn. *)
+let prepare_at loaded (a, pos) =
+  match at pos (fun () -> prepare loaded a) with
+  | p -> Ok p
+  | exception (Check_error _ as e) -> Error e
+
+let run_at ~config ?resume defs pos = function
+  | Ok p -> at pos (fun () -> run_prepared ~config ?resume defs p)
+  | Error e -> raise e
+
+(* Whether two of the assertions from [from] on refine one system,
+   hidden or not: [Refine] compiles what an implementation's root hiding
+   hides, so assertions that name one [SYSTEM] under different hide sets
+   (or none) need only one compile of it. *)
+let share_a_body ?(from = 0) prepared =
+  let seen = Hashtbl.create 8 and shared = ref false in
+  for i = from to Array.length prepared - 1 do
+    match prepared.(i) with
+    | Ok (P_refines (_, _, impl)) ->
+      let body = Csp.Proc.id (fst (Csp.Reduce.split_hiding impl)) in
+      if Hashtbl.mem seen body then shared := true
+      else Hashtbl.add seen body ()
+    | Ok _ | Error _ -> ()
+  done;
+  !shared
+
+(* Assertions that share a body share its compile through a cache: the
+   caller's, or, when there is none, one of the run's own that lives as
+   long as the run, counts nothing into [config.obs] and keeps no more
+   states than one check may compile. Assertions that share nothing run
+   without one: keying them would only cost time, and every graph a run
+   cache holds stays resident while the assertions after it compile
+   theirs. *)
+let with_run_cache ?from prepared (config : Csp.Check_config.t) =
+  match config.Csp.Check_config.cache with
+  | None when share_a_body ?from prepared ->
+    Csp.Check_config.with_cache
+      (Csp.Cache.create
+         ~max_resident_states:config.Csp.Check_config.max_states ())
+      config
+  | Some _ | None -> config
+
 (* The per-assertion share of the remaining wall-clock budget. Recomputed
    before each assertion, so budget a fast assertion leaves unused rolls
    forward to the ones after it instead of being thrown away. An already
@@ -70,13 +143,13 @@ let sliced ~(config : Csp.Check_config.t) ~t0 ~n i =
 (* Without a deadline the assertions are independent, so up to
    [config.workers] of them run at once, each on its own domain. Results
    are reported in script order regardless of completion order. *)
-let run_concurrent ~(config : Csp.Check_config.t) (loaded : Elaborate.t) =
-  let assertions = Array.of_list loaded.Elaborate.assertions in
-  let prepared = Array.map (fun (a, _) -> prepare loaded a) assertions in
+let run_concurrent ~(config : Csp.Check_config.t) (loaded : Elaborate.t)
+    assertions prepared =
   let results =
     Csp.Fanout.init ~workers:config.Csp.Check_config.workers
       (Array.length assertions) (fun i ->
-        run_prepared ~config loaded.Elaborate.defs prepared.(i))
+        run_at ~config loaded.Elaborate.defs (snd assertions.(i))
+          prepared.(i))
   in
   List.mapi
     (fun i (assertion, pos) ->
@@ -87,10 +160,13 @@ let run_concurrent ~(config : Csp.Check_config.t) (loaded : Elaborate.t) =
    assertion's slice depends on how much wall-clock the previous ones
    actually used. *)
 let run ?(config = Csp.Check_config.default) (loaded : Elaborate.t) =
-  let n = List.length loaded.Elaborate.assertions in
+  let assertions = Array.of_list loaded.Elaborate.assertions in
+  let n = Array.length assertions in
+  let prepared = Array.map (prepare_at loaded) assertions in
+  let config = with_run_cache prepared config in
   match config.Csp.Check_config.deadline with
   | None when config.Csp.Check_config.workers > 1 && n > 1 ->
-    run_concurrent ~config loaded
+    run_concurrent ~config loaded assertions prepared
   | _ ->
     let t0 = Obs.now () in
     List.mapi
@@ -101,7 +177,7 @@ let run ?(config = Csp.Check_config.default) (loaded : Elaborate.t) =
           pos = Some pos;
           result =
             Obs.span config.Csp.Check_config.obs "check.assertion" (fun () ->
-                run_assertion ~config loaded assertion);
+                run_at ~config loaded.Elaborate.defs pos prepared.(i));
         })
       loaded.Elaborate.assertions
 
@@ -262,12 +338,13 @@ let run_seq ?(start = 0) ?resume_first ~(config : Csp.Check_config.t)
     (loaded : Elaborate.t) =
   let defs = loaded.Elaborate.defs in
   let assertions = Array.of_list loaded.Elaborate.assertions in
+  let n = Array.length assertions in
   (* Elaborate every assertion up front (cheap, hash-consed), so the loop
      below is purely compile-and-search — and with [config.cache] set,
      each assertion's spec/impl compilation is a content-addressed lookup
      before it is ever a compile. *)
-  let prepared = Array.map (fun (a, _) -> prepare loaded a) assertions in
-  let n = Array.length assertions in
+  let prepared = Array.map (prepare_at loaded) assertions in
+  let config = with_run_cache ~from:start prepared config in
   let t0 = Obs.now () in
   let rec go i acc =
     if i >= n then (List.rev acc, None)
@@ -277,7 +354,7 @@ let run_seq ?(start = 0) ?resume_first ~(config : Csp.Check_config.t)
       let resume = if i = start then resume_first else None in
       let result =
         Obs.span config.Csp.Check_config.obs "check.assertion" (fun () ->
-            run_prepared ~config ?resume defs prepared.(i))
+            run_at ~config ?resume defs pos prepared.(i))
       in
       let o = { assertion; pos = Some pos; result } in
       match result with

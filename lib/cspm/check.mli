@@ -8,6 +8,21 @@ type outcome = {
   result : Csp.Refine.result;
 }
 
+exception Check_error of Ast.pos * exn
+(** An assertion names a term the semantics cannot step: an unguarded
+    recursion ([Csp.Semantics.Unguarded]), an ill-formed call or prefix
+    ([Csp.Semantics.Ill_formed]), an expression that fails to evaluate
+    ([Csp.Expr.Eval_error], e.g. a division by zero), or a term
+    elaboration rejects ([Elaborate.Elab_error]). {!run} and {!run_seq}
+    raise it, carrying the position of the first assertion in script
+    order that ran into one and the exception itself.
+    [Printexc.to_string] renders it as the position followed by
+    {!error_message} of that exception. *)
+
+val error_message : exn -> string
+(** A one-line description of a {!Check_error}'s exception, e.g.
+    ["Unguarded recursion: P [] (a!1 -> P)"]. *)
+
 val run_assertion :
   ?config:Csp.Check_config.t ->
   Elaborate.t ->
@@ -51,7 +66,8 @@ val run_seq :
 
     A [config.deadline] is a rolling budget over the assertions actually
     run, recomputed per assertion exactly like {!run}'s sequential
-    deadline path. *)
+    deadline path. The assertions from [start] on share compiles as in
+    {!run}. *)
 
 val run : ?config:Csp.Check_config.t -> Elaborate.t -> outcome list
 (** Run every [assert], reporting outcomes in script order. A
@@ -65,6 +81,15 @@ val run : ?config:Csp.Check_config.t -> Elaborate.t -> outcome list
     accounting is inherently sequential; each product search itself
     always runs on one domain. Verdicts and counterexamples are identical
     to a sequential run either way.
+
+    Assertions that refine one system share its compile, whatever each
+    hides of it ([SYSTEM \ H]). With [config.cache] set they share it
+    through that cache. Without one, when two or more of the refinements
+    to run have one implementation once their root hiding is peeled
+    off, the run makes a fresh in-memory cache that lives as long as
+    the run, holds at most [config.max_states] resident states, emits no
+    [serve.cache_*] metrics and appears in no report. A run whose
+    assertions share no system keeps no cache of its own.
 
     [config.obs] records a [check.assertion] span per assertion (on the
     sequential path) on top of the engine's own spans and metrics. *)

@@ -460,6 +460,134 @@ let test_staged_layout_golden () =
     (Digest.to_hex (Digest.string rendering))
 
 (* ------------------------------------------------------------------ *)
+(* Hidden roots share one compile of what they hide                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Two requirements over one system, each hiding what it does not
+   mention: a run compiles SYSTEM once and derives both graphs from it,
+   with the caller's cache and with the one a run keeps for itself. *)
+let test_hidden_roots_compile_once () =
+  let loaded =
+    Cspm.Elaborate.load_string
+      {|channel req, upd, ack
+VMG = req -> upd -> VMG
+ECU = upd -> ack -> ECU
+SYSTEM = VMG [| {upd} |] ECU
+REQ = req -> REQ
+assert REQ [T= SYSTEM \ {upd, ack}
+ACK = upd -> ack -> STOP
+assert ACK [T= SYSTEM \ {req}
+|}
+  in
+  let compiles config =
+    let verdicts = ref [] in
+    let names =
+      spans_of_run (fun obs ->
+          verdicts :=
+            List.map
+              (fun o -> render o.Cspm.Check.result)
+              (Cspm.Check.run ~config:(Check_config.with_obs obs config) loaded))
+    in
+    ( !verdicts,
+      List.length
+        (List.filter (String.equal "reduce.compile_staged") names) )
+  in
+  let expect = [ "holds"; "fails" ] in
+  let verdict_kinds vs =
+    List.map (fun v -> List.hd (String.split_on_char ' ' v)) vs
+  in
+  List.iter
+    (fun (what, config) ->
+      let verdicts, n = compiles config in
+      Alcotest.(check (list string))
+        (what ^ ": verdicts") expect (verdict_kinds verdicts);
+      check_int (what ^ ": one compile of SYSTEM") 1 n)
+    [
+      "no cache configured", Check_config.default;
+      "a caller's cache", Check_config.(default |> with_cache (Cache.create ()));
+    ]
+
+(* A run keeps a cache of its own only for assertions that share a
+   system. Two refinements of different systems against one spec share
+   nothing a hidden body could: without a caller's cache each normalises
+   the spec itself, as a run without any cache does; with one, the second
+   finds the first's normal form. *)
+let test_unshared_runs_keep_no_cache () =
+  let loaded =
+    Cspm.Elaborate.load_string
+      {|channel a, b
+SPEC = a -> SPEC [] b -> SPEC
+P = a -> P
+Q = b -> Q
+assert SPEC [T= P
+assert SPEC [T= Q
+|}
+  in
+  let normalisations run =
+    List.length
+      (List.filter (String.equal "normalise") (spans_of_run run))
+  in
+  let config obs = function
+    | `None -> Check_config.(default |> with_obs obs)
+    | `Fresh ->
+      Check_config.(default |> with_obs obs |> with_cache (Cache.create ()))
+  in
+  List.iter
+    (fun (what, cache, want) ->
+      check_int (what ^ ": run") want
+        (normalisations (fun obs ->
+             ignore (Cspm.Check.run ~config:(config obs cache) loaded)));
+      check_int (what ^ ": run_seq") want
+        (normalisations (fun obs ->
+             ignore (Cspm.Check.run_seq ~config:(config obs cache) loaded))))
+    [ "no cache configured", `None, 2; "a caller's cache", `Fresh, 1 ]
+
+(* The fixture's passing assertions report what the build that compiled
+   every hidden term on its own reported. *)
+let test_hidden_system_stats () =
+  let loaded =
+    Cspm.Elaborate.load_string (read_fixture "hidden_system.csp")
+  in
+  let expected =
+    [
+      0, (2, 2, 2, 1, [ "dead", 18, 18; "tau", 18, 9; "bisim", 9, 2 ]);
+      2, (18, 2, 18, 4, [ "tau", 18, 18; "bisim", 18, 18 ]);
+      4, (2, 2, 2, 1, [ "dead", 18, 18; "tau", 18, 9; "bisim", 9, 2 ]);
+    ]
+  in
+  let render_stats (impl, spec, pairs, frontier, reductions) =
+    Printf.sprintf "impl %d spec %d pairs %d frontier %d [%s]" impl spec
+      pairs frontier
+      (String.concat "; "
+         (List.map
+            (fun (p, b, a) -> Printf.sprintf "%s %d>%d" p b a)
+            reductions))
+  in
+  List.iter
+    (fun config ->
+      let outcomes = Array.of_list (Cspm.Check.run ~config loaded) in
+      check_int "five assertions" 5 (Array.length outcomes);
+      List.iter
+        (fun (i, want) ->
+          match outcomes.(i).Cspm.Check.result with
+          | Refine.Holds s ->
+            check_string
+              (Printf.sprintf "assertion %d's stats" i)
+              (render_stats want)
+              (render_stats
+                 ( s.Refine.impl_states,
+                   s.Refine.spec_nodes,
+                   s.Refine.pairs,
+                   s.Refine.peak_frontier,
+                   s.Refine.reductions ))
+          | r -> Alcotest.failf "assertion %d: %s" i (render r))
+        expected)
+    [
+      Check_config.default;
+      Check_config.(default |> with_cache (Cache.create ()));
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* LRU bounding                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -808,4 +936,10 @@ let suite =
         `Quick test_old_format_is_a_miss;
       Alcotest.test_case "the staged graph layout is golden" `Quick
         test_staged_layout_golden;
+      Alcotest.test_case "hidden roots of one system compile it once" `Quick
+        test_hidden_roots_compile_once;
+      Alcotest.test_case "hidden roots report the stats they did" `Quick
+        test_hidden_system_stats;
+      Alcotest.test_case "runs that share no system keep no cache" `Quick
+        test_unshared_runs_keep_no_cache;
     ] )

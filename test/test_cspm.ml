@@ -252,6 +252,45 @@ let test_script_roundtrip () =
      = List.length loaded.Elaborate.assertions);
   check_bool "still checks" true (Check.all_pass (Check.run reloaded))
 
+(* A term the semantics cannot step is reported at the first assertion,
+   in script order, that ran into it: sequentially, on two domains, and
+   through the interruptible runner. *)
+let test_check_errors_are_positioned () =
+  let expect what ~line ~msg script =
+    let loaded = Elaborate.load_string script in
+    List.iter
+      (fun (how, run) ->
+        match run loaded with
+        | () -> Alcotest.failf "%s (%s): no error" what how
+        | exception Check.Check_error (pos, e) ->
+          check_int (Printf.sprintf "%s (%s): line" what how) line
+            pos.Ast.line;
+          Alcotest.(check string)
+            (Printf.sprintf "%s (%s): message" what how)
+            msg (Check.error_message e))
+      [
+        "run", (fun l -> ignore (Check.run l));
+        ( "two workers",
+          fun l ->
+            ignore
+              (Check.run
+                 ~config:Csp.Check_config.(default |> with_workers 2)
+                 l) );
+        ( "run_seq",
+          fun l -> ignore (Check.run_seq ~config:Csp.Check_config.default l) );
+      ]
+  in
+  expect "unguarded recursion" ~line:3
+    ~msg:"Unguarded recursion: P [] (a!1 -> P)"
+    "channel a : {0..3}\nP = P [] a!1 -> P\nassert STOP [T= P\n";
+  expect "division by zero" ~line:4 ~msg:"Evaluation error: division by zero"
+    "channel a : {0..3}\nN = 0\nP(x) = a!(x/N) -> STOP\n\
+     assert STOP [T= P(1)\n";
+  expect "the first failing assertion wins" ~line:4
+    ~msg:"function Q used as a process"
+    "channel a : {0..3}\nQ = Q\nP = P [] a!1 -> P\n\
+     assert STOP [T= Q\nassert STOP [T= P\n"
+
 (* Printing a random process and parsing it back yields a process with
    the same traces. *)
 let print_parse_roundtrip =
@@ -296,6 +335,8 @@ let suite =
         test_elaborate_classification;
       Alcotest.test_case "elaboration errors" `Quick test_elaborate_errors;
       Alcotest.test_case "assertion checking" `Quick test_check_assertions;
+      Alcotest.test_case "errors while checking carry positions" `Quick
+        test_check_errors_are_positioned;
       Alcotest.test_case "counterexamples through CSPm" `Quick
         test_counterexample_through_cspm;
       Alcotest.test_case "script round trip" `Quick test_script_roundtrip;

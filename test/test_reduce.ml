@@ -173,6 +173,107 @@ let staged_is_raw_graph_with_calls =
       isomorphic ~what:"def set" (Helpers.def_set_defs ds) ds.Helpers.root)
 
 (* ------------------------------------------------------------------ *)
+(* Root hiding applied to the compiled graph                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A staged graph as text: the initial state, then each state's term and
+   row, targets by number. *)
+let render_graph (g : Lts.t) =
+  let buf = Buffer.create 256 in
+  Printf.bprintf buf "initial %d\n" g.Lts.initial;
+  Array.iteri
+    (fun i t ->
+      Printf.bprintf buf "%d %s:" i (Proc.to_string t);
+      List.iter
+        (fun (l, j) -> Printf.bprintf buf " %s>%d" (Event.label_to_string l) j)
+        g.Lts.transitions.(i);
+      Buffer.add_char buf '\n')
+    g.Lts.states;
+  Buffer.contents buf
+
+(* The body's staged graph, the hidden term's own staged compile (through
+   [hide_comp]) and the graph [hide_staged] derives from the body's. *)
+let hidden_graphs defs root =
+  let compile p =
+    match Reduce.compile_staged ~max_states:200_000 defs p with
+    | Lts.Complete lts -> Some lts
+    | Lts.Partial _ -> None
+  in
+  let body, sets = Reduce.split_hiding root in
+  match compile body, compile root with
+  | Some body_graph, Some direct ->
+    Some (body_graph, direct, Reduce.hide_staged sets body_graph)
+  | _ -> None
+
+(* Derived and direct graphs agree state for state and row for row, with
+   the same numbering: reduced graphs, their cache entries and
+   checkpoints all go by it. *)
+let derived_is_direct ~what defs root =
+  match hidden_graphs defs root with
+  | None -> QCheck.assume_fail ()
+  | Some (_, direct, derived) ->
+    let d = render_graph direct and e = render_graph derived in
+    if
+      String.equal d e
+      && Array.for_all2 Proc.equal direct.Lts.states derived.Lts.states
+    then true
+    else
+      QCheck.Test.fail_reportf "%s:@.direct:@.%s@.derived:@.%s" what d e
+
+(* One or two hidings over a root. *)
+let gen_hidings =
+  QCheck.Gen.(list_size (int_range 1 2) Helpers.gen_eventset)
+
+let hide_all root sets =
+  List.fold_left (fun p set -> Proc.hide (p, set)) root sets
+
+let derived_hiding_terms =
+  QCheck.Test.make ~count:1000
+    ~name:"random terms: derived hidden graph = direct compile"
+    (QCheck.make ~print:Proc.to_string
+       QCheck.Gen.(map2 hide_all Helpers.gen_proc gen_hidings))
+    (fun root ->
+      derived_is_direct ~what:(Proc.to_string root) (Helpers.make_defs ())
+        root)
+
+let derived_hiding_calls =
+  QCheck.Test.make ~count:500
+    ~name:"named calls: derived hidden graph = direct compile"
+    (QCheck.make
+       ~print:(fun (ds, sets) ->
+         Helpers.print_def_set ds ^ "\nhidden: "
+         ^ Proc.to_string (hide_all ds.Helpers.root sets))
+       QCheck.Gen.(pair Helpers.gen_def_set gen_hidings))
+    (fun (ds, sets) ->
+      derived_is_direct ~what:"def set" (Helpers.def_set_defs ds)
+        (hide_all ds.Helpers.root sets))
+
+(* Wrapping makes twins when the body reaches both x and x \ H: here X
+   and X \ {b}, and STOP and STOP \ {b}. The hidden graph merges each
+   pair, numbered as the direct compile numbers it. *)
+let test_hidden_twins () =
+  let loaded =
+    Cspm.Elaborate.load_string
+      {|channel a, b, c
+X = a -> (X \ {b}) [] b -> X [] c -> STOP
+assert STOP [T= X \ {b}
+|}
+  in
+  let root =
+    match loaded.Cspm.Elaborate.assertions with
+    | [ (Cspm.Ast.A_refines (_, _, impl), _) ] ->
+      Cspm.Elaborate.proc_of_term loaded impl
+    | _ -> Alcotest.fail "expected one refinement assertion"
+  in
+  match hidden_graphs loaded.Cspm.Elaborate.defs root with
+  | None -> Alcotest.fail "a compile was partial"
+  | Some (body, direct, derived) ->
+    check_int "the body has four states" 4 (Lts.num_states body);
+    check_int "the hidden graph has two" 2 (Lts.num_states derived);
+    check_string "derived = direct" (render_graph direct)
+      (render_graph derived)
+
+(* ------------------------------------------------------------------ *)
 (* Each pass earns its keep                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -409,6 +510,10 @@ let suite =
       QCheck_alcotest.to_alcotest staged_compile_agrees;
       QCheck_alcotest.to_alcotest staged_is_raw_graph;
       QCheck_alcotest.to_alcotest staged_is_raw_graph_with_calls;
+      QCheck_alcotest.to_alcotest derived_hiding_terms;
+      QCheck_alcotest.to_alcotest derived_hiding_calls;
+      Alcotest.test_case "hiding merges the twins it makes" `Quick
+        test_hidden_twins;
       Alcotest.test_case "dead events + tau compression collapse" `Quick
         test_dead_and_tau_collapse;
       Alcotest.test_case "bisimulation quotienting merges equivalent states"
