@@ -46,6 +46,11 @@ let rec mem set e =
   | Union (s1, s2) -> mem s1 e || mem s2 e
   | Diff (s1, s2) -> mem s1 e && not (mem s2 e)
 
+let rec by_channel = function
+  | Empty | Chans _ -> true
+  | Prefixed _ | Events _ -> false
+  | Union (s1, s2) | Diff (s1, s2) -> by_channel s1 && by_channel s2
+
 let rec is_empty_syntactically = function
   | Empty -> true
   | Chans cs -> cs = []

@@ -26,6 +26,11 @@ val union_all : t list -> t
 val diff : t -> t -> t
 
 val mem : t -> Event.t -> bool
+
+val by_channel : t -> bool
+(** Whether {!mem} reads only an event's channel: true for sets built from
+    whole channels ([{| c |}]) by union and difference. *)
+
 val is_empty_syntactically : t -> bool
 (** True only for sets built from [empty]/empty lists (no oracle needed). *)
 

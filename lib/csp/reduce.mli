@@ -12,7 +12,10 @@
       calls) is decomposed into a tree of lazy combinator nodes. Leaves
       step their (small) subterms through the operational semantics;
       composition nodes work on integer component states with memoized
-      transition rows and event-indexed synchronisation lookup. Nothing is
+      transition rows and event-indexed synchronisation lookup. A
+      parallel composition classifies each child edge (free,
+      synchronising, outside the side's alphabet, tick) once per child
+      state, one byte per edge, not once per pair. Nothing is
       materialized except the {e root} reachable graph — intermediate
       components are never explored beyond what the whole system reaches,
       so an interleaving of hundreds of two-state cells costs its reachable
@@ -93,6 +96,12 @@ val compile_staged :
   Lts.compile_result
 (** Compile the reachable graph of a ground term through the lazy
     combinator tree, numbering states in discovery order from state 0.
+    Discovery follows the order in which each composition emits a row
+    (free moves of the left row, then the right row with the scan join's
+    matches in place, then the index join's, then the joint tick), so
+    that order is part of this contract: checkpoint digests, bisim's
+    representatives and POR's pair counts go by the numbering, and
+    [test/fixtures/par_order.csp] pins it.
     Up to that numbering it is the raw [Lts] compiler's graph, with the
     same state terms and every row in the raw stepper's order (by label,
     then by target term), except at the root: a named call unfolded into

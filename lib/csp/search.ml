@@ -572,7 +572,10 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
      - cycle proviso: some successor of G is not yet closed (not interned,
        or interned with a pair id greater than the committing pair's, i.e.
        still queued) — deferring the other groups along a cycle of
-       already-closed states would postpone them forever. *)
+       already-closed states would postpone them forever.
+     Grouping flattens the Inter spines of the state's term and of every
+     successor's, so it is skipped when no edge has a spec-free label: no
+     group can qualify then. *)
   let c_ample = Obs.counter obs "search.por_ample_commits" in
   let ample pair_id node edges =
     let plain_step = function
@@ -582,7 +585,8 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
     match por with
     | Some p
       when refusal = `None && source.divergent = None
-           && List.for_all plain_step edges -> (
+           && List.for_all plain_step edges
+           && List.exists (fun (l, _, _) -> p.por_spec_free l) edges -> (
       match p.por_groups !pair_impl.(pair_id) with
       | [] | [ _ ] -> None
       | groups ->

@@ -405,15 +405,6 @@ let test_old_format_is_a_miss () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir
 
-(* The fixture's text, from the test directory or the repository root. *)
-let read_fixture name =
-  let path =
-    List.find Sys.file_exists
-      [ Filename.concat "fixtures" name;
-        Filename.concat "test" (Filename.concat "fixtures" name) ]
-  in
-  In_channel.with_open_bin path In_channel.input_all
-
 (* The layout golden: a canonical rendering of the staged graph that
    [staged-] entries hold, for a named composition under a named
    composition, with its root call state restored as a counterexample
@@ -426,7 +417,9 @@ let read_fixture name =
 let staged_layout_digest = "f19c74aa768ce620752ef337db90514e"
 
 let test_staged_layout_golden () =
-  let loaded = Cspm.Elaborate.load_string (read_fixture "call_state.csp") in
+  let loaded =
+    Cspm.Elaborate.load_string (Helpers.read_fixture "call_state.csp")
+  in
   let defs = loaded.Cspm.Elaborate.defs in
   let buf = Buffer.create 1024 in
   List.iter
@@ -546,7 +539,7 @@ assert SPEC [T= Q
    every hidden term on its own reported. *)
 let test_hidden_system_stats () =
   let loaded =
-    Cspm.Elaborate.load_string (read_fixture "hidden_system.csp")
+    Cspm.Elaborate.load_string (Helpers.read_fixture "hidden_system.csp")
   in
   let expected =
     [

@@ -109,6 +109,49 @@ let test_checkpoint_codec () =
     | Ok _ -> Alcotest.fail "a wrong schema tag was accepted"
     | Error _ -> ())
 
+(* Checkpoint files are external input: a mutated one must decode to a
+   checkpoint or to an error, never raise. The pool holds every
+   [exhausted] kind, with and without a deadline, and every pipeline
+   fingerprint shape. *)
+let checkpoint_lines =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (exhausted, deadline_left, pipeline) ->
+            Obs.Json.to_string
+              (Search.json_of_checkpoint
+                 {
+                   Search.explored = 9728;
+                   pairs = 11511;
+                   impl_states = 4096;
+                   visited_digest = 0xF_FFFF_FFFF_FFFF;
+                   deadline_left;
+                   exhausted;
+                   pipeline;
+                 }))
+          [
+            Search.Deadline, Some 1.25, "dead,tau,bisim,por";
+            Search.States, None, "none";
+            Search.Pairs, Some 0., "bisim";
+            Search.Interrupt, None, "dead,tau";
+            Search.Memory, Some 30., "por";
+          ]))
+
+let checkpoints_never_raise =
+  QCheck.Test.make ~count:20_000
+    ~name:"checkpoint_of_json classifies every mutated checkpoint"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (Helpers.gen_mutated ~pool:checkpoint_lines))
+    (fun line ->
+      match Obs.Json.parse line with
+      | Error _ -> true
+      | Ok json -> (
+        match Search.checkpoint_of_json json with
+        | Ok _ | Error _ -> true
+        | exception e ->
+          QCheck.Test.fail_reportf "checkpoint_of_json raised %s"
+            (Printexc.to_string e)))
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: interrupt at a random point, resume, compare                *)
 (* ------------------------------------------------------------------ *)
@@ -386,6 +429,7 @@ let suite =
     [
       Alcotest.test_case "checkpoint JSON codec round-trips exactly" `Quick
         test_checkpoint_codec;
+      QCheck_alcotest.to_alcotest checkpoints_never_raise;
       QCheck_alcotest.to_alcotest interrupt_resume_equals_uninterrupted;
       Alcotest.test_case "cancel token: checkpoint then identical resume"
         `Quick test_cancel_token_checkpoint_resume;

@@ -14,6 +14,19 @@ let test_membership () =
   check_bool "explicit member" true (Eventset.mem ex (e "send" [ 2 ]));
   check_bool "explicit non-member" false (Eventset.mem ex (e "send" [ 3 ]))
 
+let test_by_channel () =
+  let chans = Eventset.chans [ "a"; "b" ] in
+  let ex = Eventset.events [ e "a" [ 1 ] ] in
+  check_bool "whole channels" true (Eventset.by_channel chans);
+  check_bool "the empty set" true (Eventset.by_channel Eventset.empty);
+  check_bool "a union of channels" true
+    (Eventset.by_channel (Eventset.union chans (Eventset.chan "c")));
+  check_bool "explicit events" false (Eventset.by_channel ex);
+  check_bool "a channel prefix" false
+    (Eventset.by_channel (Eventset.prefixed "a" [ Value.Int 1 ]));
+  check_bool "a difference with events" false
+    (Eventset.by_channel (Eventset.diff chans ex))
+
 let test_union_diff () =
   let s =
     Eventset.union (Eventset.chan "a") (Eventset.events [ e "b" [ 0 ] ])
@@ -56,6 +69,7 @@ let suite =
   ( "eventset",
     [
       Alcotest.test_case "membership" `Quick test_membership;
+      Alcotest.test_case "membership by channel alone" `Quick test_by_channel;
       Alcotest.test_case "union and difference" `Quick test_union_diff;
       Alcotest.test_case "emptiness" `Quick test_empty;
       Alcotest.test_case "channels mentioned" `Quick test_channels_mentioned;

@@ -210,6 +210,34 @@ let test_request_parse_v2 () =
   (* an unknown kind *)
   rejects {|{"op":"submit","id":"t","path":"m.csp","kind":"fuzz"}|}
 
+(* Request lines are external input: a mutated one must decode to a
+   request or to a rejection reason, never raise. The pool covers v1 and
+   v2 submits of both kinds, health and drain. *)
+let request_lines =
+  lazy
+    [|
+      {|{"schema":"cspm-checkd/1","op":"submit","id":"j1","script":"assert STOP [T= STOP","deadline_s":2.5,"workers":2,"max_states":100,"max_retries":3}|};
+      {|{"op":"submit","id":"j2","path":"m.csp"}|};
+      {|{"schema":"cspm-checkd/2","op":"submit","id":"j3","path":"m.csp","kind":"check","reductions":"bisim,tau","lint":true,"deny_warnings":false,"max_states":500}|};
+      {|{"op":"submit","id":"t1","script":"SPEC = STOP","kind":"trace-check","corpus":"fleet.ndjson","specs":["SPEC_A","SPEC_B"],"dbc":"bus.dbc","workers":4}|};
+      {|{"schema":"cspm-checkd/2","op":"submit","id":"t2","path":"m.csp","kind":"trace-check","corpus":"c.ndjson","spec":"SPEC_ONLY"}|};
+      {|{"op":"health"}|};
+      {|{"schema":"cspm-checkd/2","op":"health"}|};
+      {|{"op":"drain"}|};
+    |]
+
+let requests_never_raise =
+  QCheck.Test.make ~count:20_000
+    ~name:"request_of_line classifies every mutated line"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (Helpers.gen_mutated ~pool:request_lines))
+    (fun line ->
+      match Serve.Protocol.request_of_line line with
+      | Ok _ | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "request_of_line raised %s"
+          (Printexc.to_string e))
+
 let test_events_tagged () =
   (* default tagging is the current schema; ~v:V1 reproduces the v1
      bytes, so a v1 job's event stream is unchanged *)
@@ -655,6 +683,7 @@ let suite =
         test_request_parse;
       Alcotest.test_case "v2 requests: kinds, spec lists, v1 rejections"
         `Quick test_request_parse_v2;
+      QCheck_alcotest.to_alcotest requests_never_raise;
       Alcotest.test_case "every event is schema-tagged" `Quick
         test_events_tagged;
       Alcotest.test_case "bounded queue: backpressure then clean drain"

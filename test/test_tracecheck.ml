@@ -396,61 +396,15 @@ let corpus_lines =
 
 let pool = lazy (Array.of_list (Lazy.force corpus_lines @ edge_lines))
 
-(* Bytes a mutation writes: JSON's structural and number characters more
-   often than chance would pick them. *)
-let gen_byte =
-  QCheck.Gen.(
-    frequency
-      [
-        (3, map Char.chr (int_range 0 255));
-        ( 7,
-          oneofl
-            (List.of_seq (String.to_seq "{}[]\":,\\-+.eE0123456789 tfnu")) );
-      ])
-
-let mutate =
-  let open QCheck.Gen in
-  let at s = int_range 0 (String.length s) in
-  fun s ->
-    frequency
-      [
-        ( 3,
-          if s = "" then return s
-          else
-            let* i = int_range 0 (String.length s - 1) in
-            let* c = gen_byte in
-            return (String.mapi (fun j d -> if j = i then c else d) s) );
-        (2, map (fun i -> String.sub s 0 i) (at s));
-        ( 2,
-          let* i = at s in
-          let* c = gen_byte in
-          return
-            (String.sub s 0 i ^ String.make 1 c
-            ^ String.sub s i (String.length s - i)) );
-        ( 2,
-          if s = "" then return s
-          else
-            let* i = int_range 0 (String.length s - 1) in
-            let* len = int_range 1 (min 4 (String.length s - i)) in
-            return
-              (String.sub s 0 i
-              ^ String.sub s (i + len) (String.length s - i - len)) );
-        ( 1,
-          let* other = map (fun () -> Lazy.force pool) unit >>= oneofa in
-          let* i = at s in
-          let* j = at other in
-          return
-            (String.sub s 0 i ^ String.sub other j (String.length other - j))
-        );
-      ]
-
 let gen_mutated_line =
   let open QCheck.Gen in
   let* base = map (fun () -> Lazy.force pool) unit >>= oneofa in
   let* rounds =
     frequency [ (1, return 0); (5, return 1); (3, return 2); (1, return 3) ]
   in
-  let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+  let rec go k s =
+    if k = 0 then return s else Helpers.mutate ~pool s >>= go (k - 1)
+  in
   go rounds base
 
 let differential_test =
