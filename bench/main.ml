@@ -448,7 +448,7 @@ let attack () =
 
 let ablations () =
   section "A"
-    "Ablations: transition memoization; spec normalization; hash-consing";
+    "Ablations: transition memoization; spec normalization";
   let s = Ota.Scenario.make ~medium:Ota.Scenario.Intruder () in
   let defs = s.Ota.Scenario.defs in
   let system = s.Ota.Scenario.system in
@@ -472,16 +472,6 @@ let ablations () =
       bench "normalise_run_spec" (fun () ->
           Csp.Normalise.of_term defs
             (Csp.Proc.run (Csp.Eventset.chans [ "send"; "recv" ])));
-      (* interning ablation: O(1) hash-consed ids vs the deep structural
-         hashing the ids replace, on a full product check *)
-      bench "hashcons_id_interning" (fun () ->
-          Ota.Requirements.r05
-            ~config:Csp.Check_config.(default |> with_interner `Id)
-            s ~version:1);
-      bench "hashcons_structural_interning" (fun () ->
-          Ota.Requirements.r05
-            ~config:Csp.Check_config.(default |> with_interner `Structural)
-            s ~version:1);
     ]
 
 let () =

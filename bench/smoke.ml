@@ -126,38 +126,6 @@ let digest result =
     Printf.sprintf "inconclusive/%d/%d/%d" s.Csp.Refine.impl_states
       s.Csp.Refine.spec_nodes s.Csp.Refine.pairs
 
-let check_engine_agreement () =
-  (* the unified engine under hash-consed ids must agree with the deep
-     structural-equality oracle on the stock checks, including the
-     exploration counts (timing aside, the searches are the same search) *)
-  let s = Ota.Scenario.make () in
-  let cfg interner = Csp.Check_config.(default |> with_interner interner) in
-  let ns_cfg interner =
-    Csp.Check_config.with_interner interner Security.Ns_protocol.default_config
-  in
-  let checks =
-    [
-      "SP02", (fun i -> Ota.Requirements.r02 ~config:(cfg i) s);
-      "R05v1", (fun i -> Ota.Requirements.r05 ~config:(cfg i) s ~version:1);
-      ( "NS-broken",
-        fun i -> Security.Ns_protocol.check ~config:(ns_cfg i) ~fixed:false ()
-      );
-    ]
-  in
-  List.iter
-    (fun (name, run) ->
-      let id = digest (run `Id) and structural = digest (run `Structural) in
-      if not (String.equal id structural) then
-        fail "engine smoke: %s disagrees across interners:\n  id: %s\n  st: %s"
-          name id structural;
-      let head =
-        match String.index_opt id '\n' with
-        | Some i -> String.sub id 0 i
-        | None -> id
-      in
-      Format.printf "engine agreement: %s -> %s@." name head)
-    checks
-
 let check_cache_warm_speedup () =
   (* the LTS cache's one-line contract: re-checking an unchanged model
      against a warm cache skips compile/normalise/reduce and lands on a
@@ -820,7 +788,6 @@ let () =
   check_reduction_speedup ();
   check_fails_cost ();
   check_cache_warm_speedup ();
-  check_engine_agreement ();
   check_json_output ();
   check_lint_schema ();
   check_dataflow_lint ();

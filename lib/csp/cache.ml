@@ -394,7 +394,6 @@ let term_key kind ~max_states defs p =
 
 let spec_key = term_key "norm-"
 let impl_key = term_key "staged-"
-let lts_key = term_key "lts-"
 
 let model_tag = function
   | `Traces -> "T"

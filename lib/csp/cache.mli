@@ -93,12 +93,9 @@ val spec_key : max_states:int -> Defs.t -> Proc.t -> string
 
 val impl_key : max_states:int -> Defs.t -> Proc.t -> string
 (** Key of an implementation compiled with [Reduce.compile_staged]
-    ([Lts_graph]). Distinct namespace from {!lts_key}: the two compilers
-    give the same graph up to state numbering, and numbering is what
-    reduced graphs and checkpoints are keyed by. *)
-
-val lts_key : max_states:int -> Defs.t -> Proc.t -> string
-(** Key of a graph compiled by the raw [Lts] compiler ([Lts_graph]). *)
+    ([Lts_graph]), numbered as that compile numbers it. Every check that
+    compiles an implementation reads this entry: FD, deadlock and
+    divergence checks renumber it as [Lts.compile] would. *)
 
 val reduced_key :
   model:[ `Traces | `Failures | `Fd ] ->

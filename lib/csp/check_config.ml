@@ -4,7 +4,6 @@
    libraries. *)
 
 type t = {
-  interner : Search.interner;
   max_states : int;
   max_pairs : int option;
   deadline : float option;
@@ -19,7 +18,6 @@ type t = {
 
 let default =
   {
-    interner = `Id;
     max_states = 1_000_000;
     max_pairs = None;
     deadline = None;
@@ -32,7 +30,6 @@ let default =
     cache = None;
   }
 
-let with_interner interner t = { t with interner }
 let with_max_states max_states t = { t with max_states }
 let with_max_pairs n t = { t with max_pairs = Some n }
 let with_deadline seconds t = { t with deadline = Some seconds }

@@ -1,6 +1,6 @@
 (** The one configuration record every check accepts.
 
-    Replaces the [?interner ?max_states ?max_pairs ?deadline ?workers]
+    Replaces the [?max_states ?max_pairs ?deadline ?workers]
     optional-argument sprawl that used to be copy-pasted across
     {!Refine}, [Cspm.Check], [Security.Ns_protocol], and
     [Ota.Requirements]: build a [t] once with the [with_*] builders and
@@ -18,10 +18,10 @@
     fields). *)
 
 type t = {
-  interner : Search.interner;
-      (** how on-the-fly implementation states are interned; [`Id]
-          (hash-consing) unless you are the structural test oracle *)
-  max_states : int;  (** budget for each [Lts] compilation *)
+  max_states : int;
+      (** budget for each compilation: the states a staged compile
+          interns across its whole combinator tree, and the specification
+          nodes a search reaches *)
   max_pairs : int option;
       (** budget for the product exploration; [None] = [max_states] *)
   deadline : float option;
@@ -61,17 +61,17 @@ type t = {
           and (in the daemon) jobs. When this is [None],
           [Cspm.Check.run] and [Cspm.Check.run_seq] still share the
           compile of a system that two or more of a run's refinements
-          name, hidden or not: they then check the run against a silent
+          and deadlock or divergence checks name, hidden or not: they
+          then check the run against a silent
           cache of their own that lives as long as the run. Only complete compilation results are
           cached, so verdicts never depend on this field either. *)
 }
 
 val default : t
-(** [`Id] interner, [max_states = 1_000_000], no pair budget of its own,
+(** [max_states = 1_000_000], no pair budget of its own,
     no deadline, one worker, {!Obs.silent}, no progress callback — the
     exact behavior of the old per-function defaults. *)
 
-val with_interner : Search.interner -> t -> t
 val with_max_states : int -> t -> t
 val with_max_pairs : int -> t -> t
 val with_deadline : float -> t -> t

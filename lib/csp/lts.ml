@@ -7,9 +7,9 @@ type t = {
 exception State_limit of int
 
 type progress = {
-  explored : int;
+  interned : int;
   frontier : int;
-  reason : [ `States | `Deadline ];
+  reason : [ `States | `Deadline | `Interrupt ];
 }
 
 type compile_result =
@@ -22,101 +22,39 @@ module Proc_tbl = Hashtbl.Make (struct
   let hash = Proc.hash
 end)
 
-let compile_budgeted ?(max_states = 1_000_000) ?stop_at ?(obs = Obs.silent)
-    defs root =
-  Obs.span obs "lts.compile" (fun () ->
-  let c_states = Obs.counter obs "lts.states" in
-  let c_transitions = Obs.counter obs "lts.transitions" in
-  let step = Semantics.make_cached ~obs defs in
+(* States are interned in BFS discovery order, successors in row order,
+   and dequeued in id order, so consing each row keeps the rows aligned
+   with the (reversed) state list. *)
+let compile ?(max_states = 1_000_000) defs root =
+  let step = Semantics.make_cached defs in
   let index = Proc_tbl.create 64 in
-  let states = ref [] in  (* reverse order *)
-  let count = ref 0 in
+  let states = ref [] and count = ref 0 in
   let queue = Queue.create () in
-  let capped = ref false in
   let intern term =
     match Proc_tbl.find_opt index term with
-    | Some i -> Some i
+    | Some i -> i
     | None ->
-      if !count >= max_states then begin
-        capped := true;
-        None
-      end
-      else begin
-        let i = !count in
-        incr count;
-        Obs.incr c_states;
-        Proc_tbl.replace index term i;
-        states := term :: !states;
-        Queue.add (i, term) queue;
-        Some i
-      end
+      if !count >= max_states then raise (State_limit max_states);
+      let i = !count in
+      incr count;
+      Proc_tbl.replace index term i;
+      states := term :: !states;
+      Queue.add term queue;
+      i
   in
-  let fenv = Defs.fenv defs in
-  let tys = Defs.ty_lookup defs in
-  let root = Proc.const_fold ~tys fenv root in
-  let initial = Option.value (intern root) ~default:0 in
-  let explored = ref 0 in
-  let timed_out = ref false in
-  (* Only give up after at least one state has been explored, so callers
-     always receive non-trivial progress information even with a deadline
-     that has effectively already passed. *)
-  let over_deadline () =
-    match stop_at with
-    | Some limit -> !explored > 0 && Obs.now () > limit
-    | None -> false
+  let initial =
+    intern (Proc.const_fold ~tys:(Defs.ty_lookup defs) (Defs.fenv defs) root)
   in
-  let transitions = ref [] in  (* reverse order, aligned with states *)
-  let rec drain () =
-    (* an empty queue means compilation is complete — the deadline only
-       matters while work remains, otherwise a budget expiring on the
-       final iteration would misreport a finished graph as partial *)
-    if Queue.is_empty queue then ()
-    else if over_deadline () then timed_out := true
-    else
-      match Queue.take_opt queue with
-      | None -> ()
-      | Some (_, term) ->
-        (* States are dequeued in id order (FIFO), so consing transition
-           lists keeps them aligned with the (reversed) state list. *)
-        let ts = step term in
-        let ts =
-          List.filter_map
-            (fun (l, target) ->
-              match intern target with
-              | Some i -> Some (l, i)
-              | None -> None)
-            ts
-        in
-        transitions := ts :: !transitions;
-        Obs.add c_transitions (List.length ts);
-        incr explored;
-        drain ()
-  in
-  drain ();
-  (* Unexplored frontier states get empty transition rows to keep the
-     arrays aligned; a partial graph is only meaningful for statistics and
-     resumption, not for verdicts. *)
-  let frontier = Queue.length queue in
-  for _ = 1 to frontier do
-    transitions := [] :: !transitions
+  let rows = ref [] in
+  while not (Queue.is_empty queue) do
+    let ts = step (Queue.take queue) in
+    rows := List.map (fun (l, target) -> l, intern target) ts :: !rows
   done;
-  let t =
-    {
-      initial;
-      states = Array.of_list (List.rev !states);
-      transitions = Array.of_list (List.rev !transitions);
-    }
-  in
-  if !timed_out then
-    Partial (t, { explored = !explored; frontier; reason = `Deadline })
-  else if !capped then
-    Partial (t, { explored = !explored; frontier; reason = `States })
-  else Complete t)
-
-let compile ?(max_states = 1_000_000) defs root =
-  match compile_budgeted ~max_states defs root with
-  | Complete t -> t
-  | Partial _ -> raise (State_limit max_states)
+  {
+    initial;
+    states = Array.of_list (List.rev !states);
+    transitions = Array.of_list (List.rev !rows);
+  }
 
 let num_states t = Array.length t.states
 
@@ -125,6 +63,34 @@ let num_transitions t =
 
 let transitions_of t i = t.transitions.(i)
 let state_term t i = t.states.(i)
+
+(* Admitting each row's targets in row order, from the initial state, is
+   how [compile] numbers states. *)
+let renumber t =
+  let n = num_states t in
+  let map = Array.make n (-1) and order = Array.make n 0 in
+  let count = ref 0 in
+  let admit i =
+    if map.(i) < 0 then begin
+      map.(i) <- !count;
+      order.(!count) <- i;
+      incr count
+    end
+  in
+  admit t.initial;
+  let next = ref 0 in
+  while !next < !count do
+    List.iter (fun (_, j) -> admit j) t.transitions.(order.(!next));
+    incr next
+  done;
+  let m = !count in
+  {
+    initial = 0;
+    states = Array.init m (fun k -> t.states.(order.(k)));
+    transitions =
+      Array.init m (fun k ->
+          List.map (fun (l, j) -> l, map.(j)) t.transitions.(order.(k)));
+  }
 
 let initials t i =
   List.sort_uniq Event.compare_label (List.map fst t.transitions.(i))

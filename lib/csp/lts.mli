@@ -12,33 +12,29 @@ exception State_limit of int
     the bound. *)
 
 type progress = {
-  explored : int;  (** states whose transitions were computed *)
-  frontier : int;  (** discovered but unexplored states *)
-  reason : [ `States | `Deadline ];  (** which budget ran out *)
+  interned : int;
+      (** states the compile interned before it stopped, across every node
+          of [Reduce.compile_staged]'s combinator tree *)
+  frontier : int;  (** discovered but unexplored root states *)
+  reason : [ `States | `Deadline | `Interrupt ];
+      (** which budget ran out: the state budget, the wall clock, or the
+          cancellation token *)
 }
 
 type compile_result =
   | Complete of t
   | Partial of t * progress
-      (** Exploration stopped early: the graph covers only the states
-          discovered so far (frontier states have empty transition rows,
-          and transitions into undiscovered states are dropped). Useful
-          for statistics and resumption, not for verdicts. *)
-
-val compile_budgeted :
-  ?max_states:int -> ?stop_at:float -> ?obs:Obs.t ->
-  Defs.t -> Proc.t -> compile_result
-(** Like {!compile} but degrades gracefully: instead of raising, returns
-    {!Partial} when the state budget (default [1_000_000]) is exhausted or
-    the wall clock passes [stop_at] (absolute time, on the {!Obs.now}
-    clock). At least one state is always explored before the deadline is
-    consulted, so progress counters are never all zero. [obs] records an
-    [lts.compile] span plus state/transition counters. *)
+      (** [Reduce.compile_staged] stopped early: the graph holds only the
+          root term, and [progress] says how far the compile got. Useful
+          for statistics, not for verdicts. *)
 
 val compile : ?max_states:int -> Defs.t -> Proc.t -> t
 (** Compile the reachable state graph of a ground term
-    (default [max_states] = [1_000_000]). Transition computation is
-    memoized per call.
+    (default [max_states] = [1_000_000]), stepping whole terms through
+    {!Semantics}: states are numbered in breadth-first discovery order,
+    each row's targets in row order. This is the reference compiler the
+    checks' graphs are tested against; the checks themselves compile
+    through [Reduce.compile_staged] and {!renumber}.
     @raise State_limit when the state bound is exceeded. *)
 
 val num_states : t -> int
@@ -46,6 +42,12 @@ val num_transitions : t -> int
 
 val transitions_of : t -> int -> (Event.label * int) list
 val state_term : t -> int -> Proc.t
+
+val renumber : t -> t
+(** Number the states reachable from the initial one in breadth-first
+    discovery order, each row's targets in row order, keeping every row's
+    order: the numbering {!compile} gives. Unreachable states are
+    dropped. *)
 
 val initials : t -> int -> Event.label list
 (** Labels offered by a state (sorted, deduplicated). *)

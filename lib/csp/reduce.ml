@@ -130,7 +130,7 @@ let sort_edges edges =
 (* Staged compilation: lazy combinator tree                            *)
 (* ------------------------------------------------------------------ *)
 
-exception Stage_stop of [ `States | `Deadline ]
+exception Stage_stop of [ `States | `Deadline | `Interrupt ]
 
 type env = {
   step : Proc.t -> (Event.label * Proc.t) list;
@@ -154,7 +154,7 @@ let charge env =
      | Some t when Obs.now () > t -> raise (Stage_stop `Deadline)
      | _ -> ());
     match env.cancel with
-    | Some cancelled when cancelled () -> raise (Stage_stop `Deadline)
+    | Some cancelled when cancelled () -> raise (Stage_stop `Interrupt)
     | _ -> ()
   end
 
@@ -724,7 +724,6 @@ let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
       let order = Dyn.create 0 in
       let rows : (Event.label * int) list Dyn.t = Dyn.create [] in
       let queue = Queue.create () in
-      let explored = ref 0 in
       match
         let comp = build env 0 root in
         let admit ci =
@@ -743,8 +742,7 @@ let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
         while not (Queue.is_empty queue) do
           let ci = Queue.take queue in
           let ts = comp.c_step ci in
-          Dyn.push rows (List.map (fun (l, _, cj) -> l, admit cj) ts);
-          incr explored
+          Dyn.push rows (List.map (fun (l, _, cj) -> l, admit cj) ts)
         done;
         comp
       with
@@ -758,8 +756,14 @@ let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
         Obs.add c_states (Lts.num_states g);
         Lts.Complete g
       | exception Stage_stop reason ->
+        (* What the budget was charged for: the states every tree node
+           interned, the one that overran it excluded. *)
         let progress =
-          { Lts.explored = !explored; frontier = Queue.length queue; reason }
+          {
+            Lts.interned = min max_states (max_states - env.budget);
+            frontier = Queue.length queue;
+            reason;
+          }
         in
         Lts.Partial
           ( { Lts.initial = 0; states = [| root |]; transitions = [| [] |] },

@@ -163,8 +163,6 @@ type 's source = {
   divergent : (int -> bool) option;
 }
 
-type interner = [ `Id | `Structural ]
-
 (* Ample-set partial-order reduction hooks, supplied by [Reduce.por_hooks]
    for precompiled implementation graphs. [por_groups i] partitions the
    transitions of state [i] into groups that belong to independent
@@ -233,30 +231,12 @@ module Id_tbl = Hashtbl.Make (struct
   let hash = Proc.hash
 end)
 
-module Structural_tbl = Hashtbl.Make (struct
-  type t = Proc.t
-
-  let equal = Proc.structural_equal
-  let hash = Proc.structural_hash
-end)
-
-(* One polymorphic face over the two intern-table functors, so the
-   interning scheme is selectable at runtime (the structural scheme is the
-   oracle the hash-consed one is tested against). *)
-let proc_interner = function
-  | `Id ->
-    let tbl = Id_tbl.create 64 in
-    (Id_tbl.find_opt tbl : Proc.t -> int option), Id_tbl.replace tbl
-  | `Structural ->
-    let tbl = Structural_tbl.create 64 in
-    (Structural_tbl.find_opt tbl, Structural_tbl.replace tbl)
-
-let proc_source ?(interner = `Id) ~step term0 =
-  let find_opt, replace = proc_interner interner in
+let proc_source ~step term0 =
+  let index = Id_tbl.create 64 in
   let terms = ref (Array.make 64 term0) in
   let count = ref 0 in
   let intern_term term =
-    match find_opt term with
+    match Id_tbl.find_opt index term with
     | Some i -> i
     | None ->
       let i = !count in
@@ -267,7 +247,7 @@ let proc_source ?(interner = `Id) ~step term0 =
         terms := bigger
       end;
       !terms.(i) <- term;
-      replace term i;
+      Id_tbl.replace index term i;
       i
   in
   let initial = intern_term term0 in

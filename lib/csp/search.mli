@@ -56,7 +56,7 @@ type stats = {
 
 type budget_kind =
   | Deadline  (** the wall-clock deadline passed *)
-  | States  (** an [Lts] compilation hit its state budget *)
+  | States  (** a compile or a normal form hit its state budget *)
   | Pairs  (** the product exploration hit its pair budget *)
   | Interrupt  (** the cancellation token tripped (signal, drain, …) *)
   | Memory  (** the heap watermark was crossed before the OOM killer *)
@@ -118,8 +118,8 @@ type resume_hint = {
   exhausted : budget_kind;
   checkpoint : checkpoint option;
       (** resumable snapshot of the interrupted product search; [None]
-          when the exhaustion happened outside the product engine (an
-          [Lts] compilation budget) or before any pair was interned *)
+          when the exhaustion happened outside the product engine (in a
+          compile) or before any pair was interned *)
 }
 
 type result =
@@ -172,12 +172,6 @@ type por = {
   por_spec_free : Event.label -> bool;
 }
 
-type interner =
-  [ `Id  (** hash-consed: [Proc.equal] / [Proc.hash], O(1) *)
-  | `Structural
-    (** deep [Proc.structural_equal] / [Proc.structural_hash]; the test
-        oracle — verdicts must be identical to [`Id] *) ]
-
 type progress = {
   explored : int;  (** pairs dequeued and expanded so far *)
   pairs : int;  (** pairs interned so far *)
@@ -190,14 +184,14 @@ type progress = {
 (** A snapshot handed to the throttled progress callback of {!product}. *)
 
 val proc_source :
-  ?interner:interner ->
   step:(Proc.t -> (Event.label * Proc.t) list) ->
   Proc.t ->
   Proc.t source
 (** States are process terms, interned on the fly as the search reaches
     them (early counterexamples avoid compiling the full state space).
     [step] is the transition function, typically a per-check
-    {!Semantics.make_cached}. Default interner is [`Id]. *)
+    {!Semantics.make_cached}. States are interned by hash-consed
+    identity. *)
 
 val lts_source : ?check_divergence:bool -> Lts.t -> int source
 (** States are the nodes of a precompiled graph. [check_divergence]

@@ -89,19 +89,20 @@ let run_at ~config ?resume defs pos = function
   | Ok p -> at pos (fun () -> run_prepared ~config ?resume defs p)
   | Error e -> raise e
 
-(* Whether two of the assertions from [from] on refine one system,
+(* Whether two of the assertions from [from] on compile one system,
    hidden or not: [Refine] compiles what an implementation's root hiding
-   hides, so assertions that name one [SYSTEM] under different hide sets
-   (or none) need only one compile of it. *)
+   hides, so refinements, deadlock- and divergence-freedom checks that
+   name one [SYSTEM] under different hide sets (or none) need only one
+   compile of it. *)
 let share_a_body ?(from = 0) prepared =
   let seen = Hashtbl.create 8 and shared = ref false in
   for i = from to Array.length prepared - 1 do
     match prepared.(i) with
-    | Ok (P_refines (_, _, impl)) ->
-      let body = Csp.Proc.id (fst (Csp.Reduce.split_hiding impl)) in
+    | Ok (P_refines (_, _, p) | P_deadlock_free p | P_divergence_free p) ->
+      let body = Csp.Proc.id (fst (Csp.Reduce.split_hiding p)) in
       if Hashtbl.mem seen body then shared := true
       else Hashtbl.add seen body ()
-    | Ok _ | Error _ -> ()
+    | Ok (P_deterministic _) | Error _ -> ()
   done;
   !shared
 

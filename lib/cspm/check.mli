@@ -82,10 +82,11 @@ val run : ?config:Csp.Check_config.t -> Elaborate.t -> outcome list
     always runs on one domain. Verdicts and counterexamples are identical
     to a sequential run either way.
 
-    Assertions that refine one system share its compile, whatever each
-    hides of it ([SYSTEM \ H]). With [config.cache] set they share it
-    through that cache. Without one, when two or more of the refinements
-    to run have one implementation once their root hiding is peeled
+    Assertions that refine one system, or check it for deadlock or
+    divergence, share its compile, whatever each hides of it
+    ([SYSTEM \ H]). With [config.cache] set they share it through that
+    cache. Without one, when two or more of the refinements and freedom
+    checks to run name one process once their root hiding is peeled
     off, the run makes a fresh in-memory cache that lives as long as
     the run, holds at most [config.max_states] resident states, emits no
     [serve.cache_*] metrics and appears in no report. A run whose

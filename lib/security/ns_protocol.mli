@@ -26,7 +26,7 @@ val default_config : Csp.Check_config.t
 
 val check :
   ?config:Csp.Check_config.t -> fixed:bool -> unit -> Csp.Refine.result
-(** Build and check authentication. Budgets, the interner, and
+(** Build and check authentication. Budgets and
     observability all come from [config] (default {!default_config}); a
     [config.deadline] makes the check budgeted — exhausting it returns
     [Inconclusive] rather than running to completion. The verdict and

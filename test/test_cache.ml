@@ -250,7 +250,6 @@ let test_warm_run_skips_pipeline_spans () =
   check_bool "the cold run normalised" true (has cold "normalise");
   let warm = spans_of_run run in
   check_bool "the warm run searched" true (has warm "search.");
-  check_bool "the warm run did not compile" false (has warm "lts.compile");
   check_bool "the warm run did not normalise" false (has warm "normalise");
   check_bool "the warm run did not reduce" false (has warm "reduce.")
 
@@ -498,6 +497,57 @@ assert ACK [T= SYSTEM \ {req}
     [
       "no cache configured", Check_config.default;
       "a caller's cache", Check_config.(default |> with_cache (Cache.create ()));
+    ]
+
+(* Deadlock and divergence freedom search the explicit graph, which is
+   derived from the same staged compile a refinement reads: a script that
+   refines, deadlock-checks and divergence-checks one system, under
+   different hide sets, compiles it once, whoever owns the cache. *)
+let test_graph_checks_share_the_compile () =
+  let loaded =
+    Cspm.Elaborate.load_string
+      {|channel req, upd, ack
+VMG = req -> upd -> VMG
+ECU = upd -> ack -> ECU
+SYSTEM = VMG [| {upd} |] ECU
+SPEC = req -> SPEC [] upd -> SPEC
+assert SPEC [T= SYSTEM \ {ack}
+assert SYSTEM :[deadlock free]
+assert SYSTEM \ {upd} :[divergence free]
+|}
+  in
+  List.iter
+    (fun (what, config) ->
+      List.iter
+        (fun (runner, run) ->
+          let verdicts = ref [] in
+          let names =
+            spans_of_run (fun obs ->
+                verdicts :=
+                  List.map
+                    (fun o -> render o.Cspm.Check.result)
+                    (run (Check_config.with_obs obs (config ())) loaded))
+          in
+          Alcotest.(check (list string))
+            (what ^ ", " ^ runner ^ ": verdicts")
+            [ "holds"; "holds"; "holds" ]
+            (List.map
+               (fun v -> List.hd (String.split_on_char ' ' v))
+               !verdicts);
+          check_int
+            (what ^ ", " ^ runner ^ ": one compile of SYSTEM")
+            1
+            (List.length
+               (List.filter (String.equal "reduce.compile_staged") names)))
+        [
+          "run", (fun config loaded -> Cspm.Check.run ~config loaded);
+          ( "run_seq",
+            fun config loaded -> fst (Cspm.Check.run_seq ~config loaded) );
+        ])
+    [
+      "no cache configured", (fun () -> Check_config.default);
+      ( "a caller's cache",
+        fun () -> Check_config.(default |> with_cache (Cache.create ())) );
     ]
 
 (* A run keeps a cache of its own only for assertions that share a
@@ -929,6 +979,8 @@ let suite =
         `Quick test_old_format_is_a_miss;
       Alcotest.test_case "the staged graph layout is golden" `Quick
         test_staged_layout_golden;
+      Alcotest.test_case "freedom checks share a refinement's compile" `Quick
+        test_graph_checks_share_the_compile;
       Alcotest.test_case "hidden roots of one system compile it once" `Quick
         test_hidden_roots_compile_once;
       Alcotest.test_case "hidden roots report the stats they did" `Quick

@@ -287,7 +287,9 @@ let test_resume_mismatch () =
    and pairs. Pinning them for one on-the-fly search and two over reduced
    graphs (the second with POR choosing ample groups) pins that order: a
    build that reorders interning would refuse every checkpoint an earlier
-   build wrote. *)
+   build wrote. The FD cuts pin the numbering of the explicit graph an FD
+   check searches, reduced or not: it must stay [Lts.compile]'s, which
+   earlier builds compiled FD implementations with. *)
 let test_checkpoint_golden () =
   let defs, spec, impl = big_model () in
   let fields ?model ?(spec = spec) config =
@@ -311,7 +313,38 @@ let test_checkpoint_golden () =
        cut);
   check_string "reduced graph under POR"
     "por explored=999 pairs=1000 impl_states=4096 digest=0x7fbadc8c20c70"
-    (fields Check_config.(cut |> with_reductions [ Reduce.Por ]))
+    (fields Check_config.(cut |> with_reductions [ Reduce.Por ]));
+  let par_order =
+    Cspm.Elaborate.load_string (Helpers.read_fixture "par_order.csp")
+  in
+  let fd_cut name ~pairs reductions =
+    let p = Proc.call (name, []) in
+    let config =
+      Check_config.(
+        default |> with_max_pairs pairs |> with_reductions reductions)
+    in
+    match
+      Refine.check ~config ~model:Refine.Failures_divergences
+        par_order.Cspm.Elaborate.defs ~spec:p ~impl:p
+    with
+    | Refine.Inconclusive (_, { Refine.checkpoint = Some cp; _ }) ->
+      Printf.sprintf "%s explored=%d pairs=%d impl_states=%d digest=%#x"
+        cp.Search.pipeline cp.Search.explored cp.Search.pairs
+        cp.Search.impl_states cp.Search.visited_digest
+    | other -> Alcotest.failf "%s: pair budget did not bite: %s" name (render other)
+  in
+  check_string "FD cut of SCAN"
+    "none explored=1 pairs=3 impl_states=4 digest=0x84145cfbe55ba"
+    (fd_cut "SCAN" ~pairs:3 []);
+  check_string "FD cut of INDEX, reduced"
+    "tau,bisim explored=1 pairs=22 impl_states=22 digest=0x763ec21443e2e"
+    (fd_cut "INDEX" ~pairs:22 Reduce.default_pipeline);
+  check_string "FD cut of MIXED, reduced"
+    "tau,bisim explored=5 pairs=12 impl_states=16 digest=0x458eadd452785"
+    (fd_cut "MIXED" ~pairs:12 Reduce.default_pipeline);
+  check_string "FD cut of CHANS"
+    "none explored=15 pairs=20 impl_states=28 digest=0xf6b8f79e91863"
+    (fd_cut "CHANS" ~pairs:20 [])
 
 (* ------------------------------------------------------------------ *)
 (* The cspm layer: run_seq + the cspm-checkpoint/1 document            *)
@@ -404,6 +437,42 @@ let test_run_seq_interrupt_and_resume () =
       (fun i (e, g) -> check_string (Printf.sprintf "assertion %d" i) e g)
       (List.combine expected got)
 
+(* The graph checks compile before they search, and the staged compile
+   polls the token: a tripped token stops them as an interrupt, not as a
+   deadline, with the states the compile interned. They carry no engine
+   checkpoint, and [run_seq] stops at them as at any interrupt. *)
+let test_graph_checks_interrupt () =
+  let defs, spec, impl = big_model () in
+  let config = Check_config.(default |> with_cancel (fun () -> true)) in
+  let interrupted what = function
+    | Refine.Inconclusive
+        (stats, { Refine.exhausted = Refine.Interrupt; checkpoint = None; _ })
+      ->
+      Alcotest.(check bool)
+        (what ^ ": interned states reported") true
+        (stats.Refine.impl_states > 0)
+    | other -> Alcotest.failf "%s: expected an interrupt, got %s" what (render other)
+  in
+  interrupted "deadlock_free" (Refine.deadlock_free ~config defs impl);
+  interrupted "divergence_free" (Refine.divergence_free ~config defs impl);
+  interrupted "fd_refines" (Refine.fd_refines ~config defs ~spec ~impl);
+  let loaded =
+    Cspm.Elaborate.load_string
+      "channel x : {0..15}\n\
+       channel y : {0..15}\n\
+       P(n) = x!n -> P((n+1)%16)\n\
+       Q(n) = y!n -> Q((n+3)%16)\n\
+       SYS = P(0) ||| Q(0)\n\
+       assert SYS :[deadlock free]\n\
+       assert SYS :[divergence free]\n"
+  in
+  let outcomes, stop = Cspm.Check.run_seq ~config loaded in
+  match stop with
+  | Some { Cspm.Check.next_index = 0; search = None } ->
+    Alcotest.(check int) "only the interrupted outcome" 1 (List.length outcomes)
+  | Some _ | None ->
+    Alcotest.fail "run_seq did not stop at the interrupted deadlock check"
+
 let test_resume_state_rejects_malformed () =
   let reject name json =
     match Cspm.Check.resume_state_of_json json with
@@ -441,6 +510,8 @@ let suite =
         test_checkpoint_golden;
       Alcotest.test_case "run_seq interrupt, document round trip, resume"
         `Quick test_run_seq_interrupt_and_resume;
+      Alcotest.test_case "graph checks stop on the cancellation token"
+        `Quick test_graph_checks_interrupt;
       Alcotest.test_case "malformed resume documents are rejected" `Quick
         test_resume_state_rejects_malformed;
     ] )

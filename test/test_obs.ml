@@ -190,18 +190,15 @@ let test_check_config_builders () =
   check_int "default workers" 1 d.Check_config.workers;
   check_bool "default obs is silent" true (Obs.is_silent d.Check_config.obs);
   check_bool "default progress" true (d.Check_config.progress = None);
-  check_bool "default interner" true (d.Check_config.interner = `Id);
   let c =
     Check_config.(
       default |> with_max_states 7 |> with_max_pairs 9 |> with_deadline 0.5
-      |> with_workers 3
-      |> with_interner `Structural)
+      |> with_workers 3)
   in
   check_int "with_max_states" 7 c.Check_config.max_states;
   check_bool "with_max_pairs" true (c.Check_config.max_pairs = Some 9);
   check_bool "with_deadline" true (c.Check_config.deadline = Some 0.5);
   check_int "with_workers" 3 c.Check_config.workers;
-  check_bool "with_interner" true (c.Check_config.interner = `Structural);
   (* each builder touches only its own field *)
   check_int "orthogonal" 1_000_000
     (Check_config.with_workers 5 d).Check_config.max_states

@@ -255,25 +255,21 @@ let lint_domains path contents =
     "Domain.spawn outside lib/csp/fanout (fan whole units out through \
      Csp.Fanout)"
 
-(* Compile discipline: a specification is normalised on the fly through
-   [Normalise], and only [Refine.cached_graph] still compiles a whole
-   graph up front (FD implementations, deadlock and divergence freedom).
-   An eager [Lts.compile]/[Lts.compile_budgeted] anywhere else under lib/
-   would quietly bring back the specification compile wall. Textual, like
-   the other discipline lints. *)
-let compiles_eagerly path =
-  match Filename.basename path with
-  | "lts.ml" | "refine.ml" -> true
-  | _ -> false
+(* Compile discipline: every check compiles an implementation through
+   [Reduce.compile_staged], and a specification is normalised on the fly
+   through [Normalise]. [Lts.compile] is the reference compiler the staged
+   graphs are tested against; a call to it anywhere else under lib/ or
+   bin/ would bring back a second compiler, one that polls no
+   cancellation token and shares no cache entry. Interfaces may name it
+   in their docs. Textual, like the other discipline lints. *)
+let under_bin path = List.mem "bin" (String.split_on_char '/' path)
 
 let lint_eager_compile path contents =
-  List.iter
-    (fun name ->
-      scan_word path contents name
-        (name
-       ^ " outside lib/csp/lts and Refine.cached_graph (normalise \
-          specifications on the fly through Csp.Normalise)"))
-    [ "Lts.compile"; "Lts.compile_budgeted" ]
+  if Filename.check_suffix path ".ml" && Filename.basename path <> "lts.ml"
+  then
+    scan_word path contents "Lts.compile"
+      "Lts.compile outside lib/csp/lts.ml (compile through \
+       Reduce.compile_staged; Refine.explicit_graph is Lts.compile's graph)"
 
 (* Library code must not kill the process or trip the always-on assertion
    machinery: raise [Invalid_argument]/a domain exception and let the CLI
@@ -419,10 +415,10 @@ let lint_file ~strict path =
       end;
       if not (under_cache path) then lint_digest path contents;
       if not (spawns_domains path) then lint_domains path contents;
-      if not (compiles_eagerly path) then lint_eager_compile path contents;
       if under_csp path && not (defines_identity path) then
         lint_poly_compare path contents
-    end
+    end;
+    if strict || under_bin path then lint_eager_compile path contents
   end
 
 let is_source path =
