@@ -4,7 +4,7 @@
    speedups and regressions are comparable across PRs.
 
    Usage: dune exec bench/report.exe [-- OUTPUT.json]
-   The workloads are the scalability series of bench/main.ml (domain
+   The workloads are the paper's S1 scalability series (domain
    scaling k = 2..32, interleaved-ECU scaling n = 2..12) and the
    Needham-Schroeder authentication check — the checks whose before/after
    numbers EXPERIMENTS.md tracks — plus an ablate/reductions family that
@@ -82,7 +82,8 @@ let row_of_result name result t ~comparison =
     extras = [];
   }
 
-(* The same two synthetic systems as bench/main.ml S1. *)
+(* S1's domain-scaling system: a VMG cycling through [k] request values
+   and an ECU echoing each one, against the request/response property. *)
 let echo_system k =
   let defs = Csp.Defs.create () in
   Csp.Defs.declare_channel defs "req" [ Csp.Ty.Int_range (0, k - 1) ];

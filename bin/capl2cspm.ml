@@ -4,23 +4,14 @@
    script: channels and nametypes from the database, one recursive process
    per node, and the composed SYSTEM. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let node_name_of_path path =
   Filename.remove_extension (Filename.basename path)
 
-type format = Pretty | Json
-
 let run dbc_path capl_paths output max_domain global_max max_unroll strict
-    quiet lint deny_warnings format =
-  let lint = lint || deny_warnings in
+    quiet lint format =
   match
-    ( read_file dbc_path,
-      List.map (fun p -> node_name_of_path p, read_file p) capl_paths )
+    ( Cli.read_file dbc_path,
+      List.map (fun p -> node_name_of_path p, Cli.read_file p) capl_paths )
   with
   | exception Sys_error msg ->
     Printf.eprintf "error: %s\n" msg;
@@ -34,25 +25,21 @@ let run dbc_path capl_paths output max_domain global_max max_unroll strict
     (* Lint before extraction: defects in the CAPL sources should surface
        as positioned diagnostics, not as a strict-mode abort or a puzzling
        generated model. *)
-    let diags =
-      if lint then Some (Extractor.Pipeline.lint_programs ~db programs)
-      else None
-    in
     let blocked =
-      match diags with
-      | Some ds ->
+      match lint with
+      | Some deny_warnings ->
+        let ds = Extractor.Pipeline.lint_programs ~db programs in
         (match format, ds with
-         | Json, _ ->
-           print_string (Obs.Json.to_string (Analysis.Diag.json_of_list ds));
-           print_newline ()
-         | Pretty, _ :: _ ->
+         | Cli.Json, _ ->
+           print_endline (Obs.Json.to_string (Analysis.Diag.json_of_list ds))
+         | Cli.Pretty, _ :: _ ->
            Format.eprintf "@[<v>%a@]@." Analysis.Diag.pp_list ds
-         | Pretty, [] -> ());
+         | Cli.Pretty, [] -> ());
         Analysis.Diag.blocking ~deny_warnings ds
       | None -> false
     in
     if blocked then begin
-      if format = Pretty then
+      if format = Cli.Pretty then
         Format.eprintf "extraction aborted: blocking diagnostics@.";
       Analysis.Diag.exit_code
     end
@@ -82,36 +69,25 @@ let run dbc_path capl_paths output max_domain global_max max_unroll strict
               Format.eprintf "warning: %s: %a@." node
                 Extractor.Extract.pp_warning w)
             (Extractor.Pipeline.warnings system);
-        let script = Extractor.Pipeline.emit_script system in
-        (match output with
-         | None -> print_string script
-         | Some path ->
-           (* temp + rename: an interrupt mid-write can never leave a
-              half-translated script that happens to parse *)
-           Serve.Fsio.atomic_write ~path script;
-           if not quiet then Printf.eprintf "wrote %s\n" path);
+        Cli.emit output (Extractor.Pipeline.emit_script system);
+        if not quiet then Option.iter (Printf.eprintf "wrote %s\n") output;
         0
     end
 
 let run dbc_path capl_paths output max_domain global_max max_unroll strict
-    quiet lint deny_warnings format =
+    quiet lint format =
   (* A pathologically deep CAPL program or signal domain exhausts stack
-     or heap before any budget applies; surface it as a clean load error
-     instead of a raw uncaught exception. *)
-  try
-    run dbc_path capl_paths output max_domain global_max max_unroll strict
-      quiet lint deny_warnings format
-  with
-  | Stack_overflow ->
-    Printf.eprintf
+     or heap before any budget applies. *)
+  Cli.guard ~name:"capl2cspm"
+    ~stack_overflow:
       "error: stack overflow — the sources nest too deeply to translate; \
-       simplify them or raise the system stack limit\n";
-    2
-  | Out_of_memory ->
-    Printf.eprintf
+       simplify them or raise the system stack limit"
+    ~out_of_memory:
       "error: out of memory while translating — clamp the model with \
-       --max-domain/--global-max/--max-unroll\n";
-    2
+       --max-domain/--global-max/--max-unroll"
+    (fun () ->
+      run dbc_path capl_paths output max_domain global_max max_unroll strict
+        quiet lint format)
 
 open Cmdliner
 
@@ -127,12 +103,7 @@ let capl_args =
     & pos_all file []
     & info [] ~docv:"CAPL" ~doc:"CAPL source files (one node each).")
 
-let output_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "o"; "output" ] ~docv:"FILE"
-        ~doc:"Output CSPm script (stdout if omitted).")
+let output_arg = Cli.output "CSPm script"
 
 let max_domain_arg =
   Arg.(
@@ -161,40 +132,25 @@ let quiet_arg =
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress warnings.")
 
 let lint_arg =
-  Arg.(
-    value & flag
-    & info [ "lint" ]
-        ~doc:
-          "Lint the CAPL sources against the CAN database before \
-           extraction: unknown messages, handlers nothing sends to, \
-           outputs nothing handles, orphaned timers, use-before-init \
-           globals (definite-assignment dataflow), unreachable \
-           statements, narrowing assignments (interval-gated), unused \
-           variables, and interprocedural taint flows — secrets \
-           reaching the bus unencrypted (CAPL101) and received \
-           payloads reaching a bus write or protected sink without \
-           verification on every path (CAPL102). Diagnostics carry \
-           stable CAPL codes and source positions; the generated model \
-           is unaffected.")
-
-let deny_warnings_arg =
-  Arg.(
-    value & flag
-    & info [ "deny-warnings" ]
-        ~doc:
-          "Implies $(b,--lint); treat warning diagnostics as blocking: \
-           if the lint reports any error or warning, print the \
-           diagnostics and exit with status 4 without extracting.")
+  Cli.lint ~instead:"extracting"
+    ~doc:
+      "Lint the CAPL sources against the CAN database before extraction: \
+       unknown messages, handlers nothing sends to, outputs nothing \
+       handles, orphaned timers, use-before-init globals \
+       (definite-assignment dataflow), unreachable statements, narrowing \
+       assignments (interval-gated), unused variables, and \
+       interprocedural taint flows — secrets reaching the bus \
+       unencrypted (CAPL101) and received payloads reaching a bus write \
+       or protected sink without verification on every path (CAPL102). \
+       Diagnostics carry stable CAPL codes and source positions; the \
+       generated model is unaffected."
 
 let format_arg =
-  Arg.(
-    value
-    & opt (enum [ "pretty", Pretty; "json", Json ]) Pretty
-    & info [ "format" ] ~docv:"FMT"
-        ~doc:
-          "Diagnostic format for $(b,--lint): $(b,pretty) (one line per \
-           diagnostic on stderr, the default) or $(b,json) (one \
-           machine-readable document on stdout, schema diagnostics/1).")
+  Cli.format
+    ~doc:
+      "Diagnostic format for $(b,--lint): $(b,pretty) (one line per \
+       diagnostic on stderr, the default) or $(b,json) (one \
+       machine-readable document on stdout, schema diagnostics/1)."
 
 let cmd =
   let doc = "translate CAPL ECU applications into a CSPm model" in
@@ -211,7 +167,8 @@ let cmd =
       `P "1 — an input could not be read, parsed, or translated.";
       `P
         "2 — translation exhausted a machine resource (stack overflow \
-         or out of memory) before producing a model.";
+         or out of memory) before producing a model, or the output \
+         could not be written.";
       `P
         "4 — the $(b,--lint) analysis reported blocking diagnostics \
          (an error, or any warning under $(b,--deny-warnings)); \
@@ -223,6 +180,6 @@ let cmd =
     Term.(
       const run $ dbc_arg $ capl_args $ output_arg $ max_domain_arg
       $ global_max_arg $ max_unroll_arg $ strict_arg $ quiet_arg
-      $ lint_arg $ deny_warnings_arg $ format_arg)
+      $ lint_arg $ format_arg)
 
 let () = exit (Cmd.eval' cmd)

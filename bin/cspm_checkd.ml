@@ -12,45 +12,15 @@
    a valid partial result, and the daemon emits its final drained event
    before exiting. *)
 
-let ensure_dir dir =
-  try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-  with Unix.Unix_error _ -> ()
-
 let run queue_limit retries backoff_s backoff_max_s deadline_cap seed
-    trace_out use_cache cache_dir state_dir =
+    trace_out cache state_dir =
   let token = Serve.Signals.create () in
   Serve.Signals.install_termination token;
-  let trace_oc = Option.map open_out trace_out in
-  let obs =
-    match trace_oc with
-    | Some oc -> Obs.create (Obs.Jsonl oc)
-    | None -> Obs.silent
-  in
-  let emit json =
-    print_string (Obs.Json.to_string json);
-    print_newline ();
-    flush stdout
-  in
-  (* One cache for the daemon's lifetime, shared by every job: a stream
-     of near-duplicate models (the edit–re-check loop) only recompiles
-     the components each edit actually changed. *)
-  let cache =
-    if use_cache || Option.is_some cache_dir then
-      let persist =
-        Option.map
-          (fun dir ->
-            ensure_dir dir;
-            {
-              Csp.Cache.dir;
-              write = (fun ~path text -> Serve.Fsio.atomic_write ~path text);
-            })
-          cache_dir
-      in
-      Some (Csp.Cache.create ~obs ?persist ())
-    else None
-  in
-  Option.iter ensure_dir state_dir;
-  let cfg =
+  Cli.guard ~name:"cspm_checkd" @@ fun () ->
+  Cli.with_trace ~streaming:true trace_out @@ fun obs ->
+  let emit json = print_endline (Obs.Json.to_string json) in
+  Option.iter Cli.ensure_dir state_dir;
+  Serve.Runner.serve
     {
       (Serve.Runner.default_config ~emit) with
       Serve.Runner.queue_limit;
@@ -61,23 +31,14 @@ let run queue_limit retries backoff_s backoff_max_s deadline_cap seed
       seed;
       obs;
       cancel = token;
-      cache;
+      (* One cache for the daemon's lifetime, shared by every job: a
+         stream of near-duplicate models (the edit–re-check loop) only
+         recompiles the components each edit actually changed. *)
+      cache = Cli.make_cache ~obs cache;
       state_dir;
     }
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.flush obs;
-      Option.iter close_out_noerr trace_oc)
-    (fun () ->
-      match Serve.Runner.serve cfg stdin with
-      | () -> 0
-      | exception Stack_overflow ->
-        prerr_endline "cspm_checkd: stack overflow";
-        2
-      | exception Out_of_memory ->
-        prerr_endline "cspm_checkd: out of memory";
-        2)
+    stdin;
+  0
 
 open Cmdliner
 
@@ -123,14 +84,8 @@ let seed_arg =
            reproducible.")
 
 let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Write the observability stream (per-job spans plus the \
-           serve.* queue/health gauges and retry counters) to $(docv) \
-           as JSON Lines.")
+  Cli.trace_out ~streaming:true
+    "per-job spans plus the serve.* queue/health gauges and retry counters"
 
 let deadline_cap_arg =
   Arg.(
@@ -143,30 +98,18 @@ let deadline_cap_arg =
            longer than the client asked.")
 
 let cache_arg =
-  Arg.(
-    value & flag
-    & info [ "cache" ]
-        ~doc:
-          "Share one content-addressed LTS cache across all jobs: \
-           compiled, normalised, and reduced graphs are keyed by digests \
-           of each assertion's elaborated terms (plus budgets, model, \
-           and reduction pipeline), so a job stream of near-duplicate \
-           models — the edit-one-handler re-check loop — only \
-           recompiles what changed. Bounded by resident states with LRU \
-           eviction; hit/miss/eviction counts appear in $(b,health) \
-           events and in every result's embedded report as a \
-           $(b,cache) object. Verdicts are byte-identical either way.")
-
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:
-          "Implies $(b,--cache); persist cache entries to $(docv) \
-           (created if missing) so a restarted daemon starts warm. \
-           Entries are written atomically and durably, and validated on \
-           load.")
+  Cli.cache
+    ~doc:
+      "Share one content-addressed LTS cache across all jobs: compiled, \
+       normalised, and reduced graphs are keyed by digests of each \
+       assertion's elaborated terms (plus budgets, model, and reduction \
+       pipeline), so a job stream of near-duplicate models — the \
+       edit-one-handler re-check loop — only recompiles what changed. \
+       Bounded by resident states with LRU eviction; hit/miss/eviction \
+       counts appear in $(b,health) events and in every result's \
+       embedded report as a $(b,cache) object. Verdicts are \
+       byte-identical either way."
+    ~dir_doc:"A restarted daemon starts warm; every entry write is durable."
 
 let state_dir_arg =
   Arg.(
@@ -201,7 +144,9 @@ let cmd =
          drain.";
       `S Manpage.s_exit_status;
       `P "0 — drained cleanly (even if individual jobs failed).";
-      `P "2 — the daemon itself ran out of stack or memory.";
+      `P
+        "2 — the daemon itself ran out of stack or memory, or the \
+         $(b,--trace-out) file could not be opened.";
     ]
   in
   Cmd.v
@@ -209,6 +154,6 @@ let cmd =
     Term.(
       const run $ queue_limit_arg $ retries_arg $ backoff_arg
       $ backoff_max_arg $ deadline_cap_arg $ seed_arg $ trace_out_arg
-      $ cache_arg $ cache_dir_arg $ state_dir_arg)
+      $ cache_arg $ state_dir_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -8,97 +8,45 @@
    prints per-requirement verdict counts as text or the stable
    trace-check/1 JSON document. *)
 
-let load_script path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | source -> (
-    match Cspm.Elaborate.load_string source with
-    | loaded -> Ok loaded
-    | exception Cspm.Parser.Parse_error (msg, pos) ->
-      Error (Format.asprintf "%a: syntax error: %s" Cspm.Ast.pp_pos pos msg)
-    | exception Cspm.Lexer.Lex_error (msg, pos) ->
-      Error (Format.asprintf "%a: lexical error: %s" Cspm.Ast.pp_pos pos msg)
-    | exception Cspm.Elaborate.Elab_error (msg, pos) ->
-      Error
-        (match pos with
-        | Some pos -> Format.asprintf "%a: %s" Cspm.Ast.pp_pos pos msg
-        | None -> msg))
-  | exception Sys_error msg -> Error msg
-
-let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> Ok text
-  | exception Sys_error msg -> Error msg
-
 let run_check script corpus specs dbc workers max_states format sample_limit
     trace_out =
-  let trace_oc = Option.map open_out trace_out in
-  let obs =
-    match trace_oc with
-    | Some oc -> Obs.create (Obs.Jsonl oc)
-    | None -> Obs.silent
-  in
-  let finish code =
-    Obs.flush obs;
-    Option.iter close_out_noerr trace_oc;
-    code
-  in
-  let fail msg =
-    prerr_endline ("cspm_tracecheck: " ^ msg);
-    finish 2
-  in
-  let config =
-    let open Csp.Check_config in
-    let c = default |> with_obs obs in
-    match max_states with Some n -> with_max_states n c | None -> c
-  in
-  let ( let* ) v k = match v with Error m -> `Exit (fail m) | Ok v -> k v in
+  Cli.guard ~name:"cspm_tracecheck" @@ fun () ->
+  Cli.with_trace trace_out @@ fun obs ->
+  let config = { Csp.Check_config.default with obs; max_states } in
+  let ( let* ) = Result.bind in
   match
-    let* loaded = load_script script in
-    let* dbc_text =
-      match dbc with None -> Ok None | Some p -> Result.map Option.some (read_file p)
-    in
+    let* _, loaded = Cli.load_cspm script in
     let* map, requirements =
-      Serve.Trace_run.prepare ~config ~script:loaded ~specs ~dbc:dbc_text
-        ~corpus ()
+      Serve.Trace_run.prepare ~config ~script:loaded ~specs
+        ~dbc:(Option.map Cli.read_file dbc) ~corpus ()
     in
-    let* report =
-      Serve.Trace_run.check_corpus ~workers ~obs ~sample_limit ~map
-        ~requirements ~path:corpus ()
-    in
-    (match format with
-     | `Json ->
-       print_string (Obs.Json.to_string (Serve.Trace_run.json_of_report report));
-       print_newline ()
-     | `Pretty -> Format.printf "%a@." Serve.Trace_run.pp_report report);
-    `Exit (finish (if Serve.Trace_run.passed report then 0 else 1))
+    Serve.Trace_run.check_corpus ~workers ~obs ~sample_limit ~map
+      ~requirements ~path:corpus ()
   with
-  | `Exit code -> code
-
-let run_generate out streams seed until_ms flawed_rate no_dbc =
-  match
-    Ota.Corpus.generate ~seed ~streams ~until_ms ~flawed_rate
-      ~embed_dbc:(not no_dbc) ~path:out ()
-  with
-  | s ->
-    Printf.printf
-      "wrote %s: %d streams, %d entries (%d fault entries, %d flawed \
-       streams), seed %d\n"
-      out s.Ota.Corpus.streams s.Ota.Corpus.entries s.Ota.Corpus.faults
-      s.Ota.Corpus.flawed seed;
-    0
-  | exception Sys_error msg ->
+  | Error msg ->
     prerr_endline ("cspm_tracecheck: " ^ msg);
     2
+  | Ok report ->
+    (match format with
+     | Cli.Json ->
+       print_endline
+         (Obs.Json.to_string (Serve.Trace_run.json_of_report report))
+     | Cli.Pretty -> Format.printf "%a@." Serve.Trace_run.pp_report report);
+    if Serve.Trace_run.passed report then 0 else 1
+
+let run_generate out streams seed until_ms flawed_rate no_dbc =
+  Cli.guard ~name:"cspm_tracecheck" @@ fun () ->
+  let s =
+    Cli.writing out (fun () ->
+        Ota.Corpus.generate ~seed ~streams ~until_ms ~flawed_rate
+          ~embed_dbc:(not no_dbc) ~path:out ())
+  in
+  Printf.printf
+    "wrote %s: %d streams, %d entries (%d fault entries, %d flawed \
+     streams), seed %d\n"
+    out s.Ota.Corpus.streams s.Ota.Corpus.entries s.Ota.Corpus.faults
+    s.Ota.Corpus.flawed seed;
+  0
 
 open Cmdliner
 
@@ -210,18 +158,15 @@ let workers_arg =
 let max_states_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt int Csp.Check_config.default.max_states
     & info [ "max-states" ] ~docv:"N"
         ~doc:"State budget for compiling each spec's normal form.")
 
 let format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("pretty", `Pretty); ("json", `Json) ]) `Pretty
-    & info [ "format" ] ~docv:"FMT"
-        ~doc:
-          "Output format: $(b,pretty) text or the stable $(b,json) \
-           trace-check/1 document.")
+  Cli.format
+    ~doc:
+      "Output format: $(b,pretty) text or the stable $(b,json) \
+       trace-check/1 document."
 
 let sample_limit_arg =
   Arg.(
@@ -230,13 +175,7 @@ let sample_limit_arg =
         ~doc:"Rejection examples retained per requirement.")
 
 let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Write the observability stream (tracecheck.* counters, \
-           events/s histogram, spans) to $(docv) as JSON Lines.")
+  Cli.trace_out "tracecheck.* counters, events/s histogram, spans"
 
 let check_cmd =
   let doc = "check a trace corpus against CSPm specs" in
@@ -254,7 +193,9 @@ let check_cmd =
       `S Manpage.s_exit_status;
       `P "0 — every stream accepted by every requirement.";
       `P "1 — some stream rejected, corrupt, or malformed.";
-      `P "2 — the script, database, or corpus could not be loaded.";
+      `P
+        "2 — the script, database, or corpus could not be loaded, or the \
+         $(b,--trace-out) file could not be written.";
     ]
   in
   Cmd.v

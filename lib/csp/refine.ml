@@ -493,12 +493,14 @@ let pp_counterexample ppf cex =
   Format.fprintf ppf "@[<v 2>counterexample:@ trace = %a@ %a@ state = %a@]"
     pp_labels cex.trace pp_violation cex.violation Proc.pp cex.impl_state
 
-let pp_budget_kind ppf = function
-  | Deadline -> Format.pp_print_string ppf "deadline"
-  | States -> Format.pp_print_string ppf "state budget"
-  | Pairs -> Format.pp_print_string ppf "pair budget"
+(* What stopped the search: a budget that ran out, or a stop that is not
+   a budget (an interrupt, the heap watermark). *)
+let pp_stopped ppf = function
+  | Deadline -> Format.pp_print_string ppf "deadline exhausted"
+  | States -> Format.pp_print_string ppf "state budget exhausted"
+  | Pairs -> Format.pp_print_string ppf "pair budget exhausted"
   | Interrupt -> Format.pp_print_string ppf "interrupted"
-  | Memory -> Format.pp_print_string ppf "memory watermark"
+  | Memory -> Format.pp_print_string ppf "memory watermark crossed"
 
 let pp_resume_hint ppf hint =
   (* the deepest trace can be thousands of events long on a budget-limited
@@ -506,15 +508,15 @@ let pp_resume_hint ppf hint =
   let depth = List.length hint.deepest in
   let max_shown = 12 in
   if depth <= max_shown then
-    Format.fprintf ppf "%a exhausted; frontier = %d, deepest trace = %a"
-      pp_budget_kind hint.exhausted hint.frontier pp_labels hint.deepest
+    Format.fprintf ppf "%a; frontier = %d, deepest trace = %a" pp_stopped
+      hint.exhausted hint.frontier pp_labels hint.deepest
   else
     let tail =
       List.filteri (fun i _ -> i >= depth - max_shown) hint.deepest
     in
     Format.fprintf ppf
-      "%a exhausted; frontier = %d, deepest trace (depth %d) ends <..., %a"
-      pp_budget_kind hint.exhausted hint.frontier depth
+      "%a; frontier = %d, deepest trace (depth %d) ends <..., %a" pp_stopped
+      hint.exhausted hint.frontier depth
       (Format.pp_print_list
          ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
          Event.pp_label)

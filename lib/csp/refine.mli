@@ -250,6 +250,12 @@ val inconclusive : result -> bool
 
 val pp_violation : Format.formatter -> violation -> unit
 val pp_counterexample : Format.formatter -> counterexample -> unit
+
 val pp_resume_hint : Format.formatter -> resume_hint -> unit
+(** Leads with what stopped the search — ["deadline exhausted"],
+    ["state budget exhausted"], ["pair budget exhausted"], ["interrupted"]
+    or ["memory watermark crossed"] — then the frontier and the deepest
+    trace. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 val pp_result : Format.formatter -> result -> unit

@@ -38,7 +38,10 @@ let with_atomic_out ~path f =
     close_out oc
   with
   | () ->
-    Sys.rename tmp path;
+    (try Sys.rename tmp path
+     with e ->
+       (try Sys.remove tmp with Sys_error _ -> ());
+       raise e);
     fsync_dir temp_dir
   | exception e ->
     close_out_noerr oc;

@@ -17,8 +17,8 @@
 val with_atomic_out : path:string -> (out_channel -> unit) -> unit
 (** [with_atomic_out ~path f] runs [f] on a channel to a fresh temporary
     file next to [path], then renames it over [path]. If [f] raises (or
-    the close fails), the temporary is removed and [path] is untouched;
-    the exception propagates. *)
+    the close or the rename fails), the temporary is removed and [path]
+    is untouched; the exception propagates. *)
 
 val atomic_write : path:string -> string -> unit
 (** [atomic_write ~path contents] is [with_atomic_out] of one

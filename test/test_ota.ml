@@ -117,6 +117,60 @@ let test_checksum_matches_model_mac () =
       check_bool "checksum in tag domain" true (tag >= 0 && tag < 8))
     [ 0; 1; 2; 7 ]
 
+(* Table II of the paper: in one 1000 ms update campaign of the demo
+   CAPL network on the simulated bus, each of the four message types is
+   sent exactly once. *)
+let test_table2_messages_once () =
+  let sim = Ota.Capl_sources.simulation () in
+  Capl.Simulation.start sim;
+  ignore (Capl.Simulation.run ~until_ms:1000 sim);
+  let tx = Capl.Simulation.transmissions sim in
+  List.iter
+    (fun (name, id) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s (0x%03X) sent" name id)
+        1
+        (List.length (List.filter (fun (_, f) -> f.Canbus.Frame.id = id) tx)))
+    [ "reqSw", 0x101; "rptSw", 0x201; "reqApp", 0x102; "rptUpd", 0x202 ]
+
+(* Fig. 2 of the paper: the demonstration system's state spaces, as the
+   graph the checks search — states, transitions, and quiescent states
+   (no transition and not terminated). *)
+let test_fig2_state_spaces () =
+  let extracted = Ota.Capl_sources.build_system () in
+  let reliable = Ota.Scenario.make () in
+  let intruder = Ota.Scenario.make ~medium:Ota.Scenario.Intruder () in
+  let extended = Ota.Scenario.make_extended () in
+  List.iter
+    (fun (name, defs, p, want) ->
+      match Csp.Refine.explicit_graph defs p with
+      | Csp.Lts.Complete lts ->
+        Alcotest.(check (triple int int int))
+          name want
+          ( Csp.Lts.num_states lts,
+            Csp.Lts.num_transitions lts,
+            List.length (Csp.Lts.deadlocks lts) )
+      | Csp.Lts.Partial _ ->
+        Alcotest.failf "%s: compile ran out of budget" name)
+    [
+      ( "extracted VMG || ECU",
+        extracted.Extractor.Pipeline.defs,
+        extracted.Extractor.Pipeline.composed,
+        (6, 5, 2) );
+      ( "spec-level system, reliable medium",
+        reliable.Ota.Scenario.defs,
+        reliable.Ota.Scenario.system,
+        (13, 13, 0) );
+      ( "spec-level system, Dolev-Yao intruder",
+        intruder.Ota.Scenario.defs,
+        intruder.Ota.Scenario.system,
+        (31, 180, 0) );
+      ( "extended scope (update server)",
+        extended.Ota.Scenario.defs,
+        extended.Ota.Scenario.system,
+        (25, 25, 0) );
+    ]
+
 let suite =
   ( "ota",
     [
@@ -134,4 +188,7 @@ let suite =
       Alcotest.test_case "demo CAPL sources well-formed" `Quick
         test_demo_sources_are_wellformed;
       Alcotest.test_case "checksum sanity" `Quick test_checksum_matches_model_mac;
+      Alcotest.test_case "Table II messages once per campaign" `Quick
+        test_table2_messages_once;
+      Alcotest.test_case "Fig. 2 state spaces" `Quick test_fig2_state_spaces;
     ] )

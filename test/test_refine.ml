@@ -116,6 +116,26 @@ let test_deadline_does_not_mask_verdicts () =
   check_bool "holds under deadline" true
     (holds (Refine.check ~deadline:60.0 defs ~spec:a0 ~impl:a0))
 
+(* The resume hint leads with what stopped the search: three budgets run
+   out, an interrupt and the heap watermark do not. *)
+let test_resume_hint_kinds () =
+  List.iter
+    (fun (exhausted, lead) ->
+      let hint =
+        { Refine.frontier = 7; deepest = []; exhausted; checkpoint = None }
+      in
+      Alcotest.(check string)
+        lead
+        (lead ^ "; frontier = 7, deepest trace = <>")
+        (Format.asprintf "%a" Refine.pp_resume_hint hint))
+    [
+      Refine.Deadline, "deadline exhausted";
+      Refine.States, "state budget exhausted";
+      Refine.Pairs, "pair budget exhausted";
+      Refine.Interrupt, "interrupted";
+      Refine.Memory, "memory watermark crossed";
+    ]
+
 (* Preorder laws, checked on random processes. *)
 let reflexive =
   QCheck.Test.make ~count:100 ~name:"trace refinement is reflexive" arb_proc
@@ -170,6 +190,8 @@ let suite =
       Alcotest.test_case "deadline budget" `Quick test_deadline;
       Alcotest.test_case "deadline preserves verdicts" `Quick
         test_deadline_does_not_mask_verdicts;
+      Alcotest.test_case "resume hint names what stopped the search" `Quick
+        test_resume_hint_kinds;
       QCheck_alcotest.to_alcotest reflexive;
       QCheck_alcotest.to_alcotest transitive;
       QCheck_alcotest.to_alcotest agrees_with_trace_subset;

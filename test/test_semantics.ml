@@ -231,6 +231,31 @@ let test_cached_equivalence () =
   check_bool "cached result identical" true (t1 == t2);
   check_int "matches uncached" (List.length (trans p)) (List.length t1)
 
+(* Table I of the paper: one micro-process per basic operator over
+   channels [a] and [b] of type [{0..3}], and the number of transitions
+   the semantics gives each. *)
+let test_table1_transition_counts () =
+  let defs = Defs.create () in
+  Defs.declare_channel defs "a" [ Ty.Int_range (0, 3) ];
+  Defs.declare_channel defs "b" [ Ty.Int_range (0, 3) ];
+  let p0 = Proc.send "a" [ Value.Int 0 ] Proc.stop in
+  let q0 = Proc.send "b" [ Value.Int 1 ] Proc.stop in
+  List.iter
+    (fun (operator, p, n) ->
+      check_int operator n (List.length (Semantics.transitions defs p)))
+    [
+      "prefix", p0, 1;
+      "input", Proc.prefix_items ("a", [ Proc.In ("x", None) ], Proc.stop), 4;
+      "output", Proc.send "a" [ Value.Int 0 ] Proc.skip, 1;
+      "sequential composition", Proc.seq (p0, q0), 1;
+      "external choice", Proc.ext (p0, q0), 2;
+      "internal choice", Proc.intc (p0, q0), 2;
+      ( "alphabetised parallel",
+        Proc.apar (p0, Eventset.chan "a", Eventset.chan "b", q0),
+        2 );
+      "interleaving", Proc.inter (p0, q0), 2;
+    ]
+
 let suite =
   ( "semantics",
     [
@@ -253,4 +278,6 @@ let suite =
       Alcotest.test_case "RUN and CHAOS" `Quick test_run_chaos;
       Alcotest.test_case "initials and stability" `Quick test_initials_stability;
       Alcotest.test_case "memoized transitions" `Quick test_cached_equivalence;
+      Alcotest.test_case "Table I transition counts" `Quick
+        test_table1_transition_counts;
     ] )

@@ -58,7 +58,17 @@ let test_atomic_write_failure_leaves_target () =
        with Failure _ -> ());
       check_string "target untouched by the failed write" "precious"
         (read_file path);
-      check_int "failed temporary removed" 1 (Array.length (Sys.readdir dir)))
+      check_int "failed temporary removed" 1 (Array.length (Sys.readdir dir));
+      (* a rename that fails (the target is a directory) removes the
+         temporary too *)
+      let sub = Filename.concat dir "sub" in
+      Sys.mkdir sub 0o700;
+      (match Serve.Fsio.atomic_write ~path:sub "x" with
+       | () -> Alcotest.fail "a write over a directory succeeded"
+       | exception Sys_error _ -> ());
+      check_int "failed rename's temporary removed" 2
+        (Array.length (Sys.readdir dir));
+      Sys.rmdir sub)
 
 let test_atomic_write_is_durable () =
   (* the durability contract, counted at the syscall shim: each

@@ -271,6 +271,44 @@ let lint_eager_compile path contents =
       "Lts.compile outside lib/csp/lts.ml (compile through \
        Reduce.compile_staged; Refine.explicit_graph is Lts.compile's graph)"
 
+(* Front-end discipline: [bin/cli.ml] holds what the binaries share. It
+   is the one place under bin/ that opens a file for writing, so every
+   unwritable output ends in a message naming the path and exit 2, and
+   the one place that declares the flags meaning the same thing in every
+   tool, so their parsing and help cannot drift apart between copies.
+   Anywhere else under bin/, write through [Cli.write]/[Cli.emit]/
+   [Cli.with_trace] and take the flag's [Cli] term. Textual, like the
+   other discipline lints. *)
+let cli_writers =
+  [
+    "open_out";
+    "open_out_bin";
+    "open_out_gen";
+    "open_temp_file";
+    "Fsio.atomic_write";
+    "Fsio.with_atomic_out";
+  ]
+
+let cli_flags =
+  [
+    "format"; "lint"; "deny-warnings"; "trace-out"; "output"; "cache";
+    "cache-dir";
+  ]
+
+let lint_cli path contents =
+  List.iter
+    (fun name ->
+      scan_word path contents name
+        (name ^ " outside bin/cli.ml (write through Cli.write, Cli.emit or \
+                 Cli.with_trace)"))
+    cli_writers;
+  List.iter
+    (fun flag ->
+      scan_word path contents
+        ("\"" ^ flag ^ "\"")
+        ("--" ^ flag ^ " declared outside bin/cli.ml (use its Cli term)"))
+    cli_flags
+
 (* Library code must not kill the process or trip the always-on assertion
    machinery: raise [Invalid_argument]/a domain exception and let the CLI
    decide the exit code. [exit] is only flagged in call position (next
@@ -418,7 +456,9 @@ let lint_file ~strict path =
       if under_csp path && not (defines_identity path) then
         lint_poly_compare path contents
     end;
-    if strict || under_bin path then lint_eager_compile path contents
+    if strict || under_bin path then lint_eager_compile path contents;
+    if under_bin path && Filename.basename path <> "cli.ml" then
+      lint_cli path contents
   end
 
 let is_source path =
