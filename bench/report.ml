@@ -395,7 +395,7 @@ let run_rows () =
                    (Csp.Check_config.with_reductions pipeline
                       Security.Ns_protocol.default_config)
                  ~fixed:true ())))
-    [ "none"; "dead"; "tau"; "bisim"; "por"; "default" ];
+    [ "none"; "dead"; "tau"; "bisim"; "default" ];
   (* The pre-check static analysis on the same model: the point of the row
      is the ratio — the lint must cost a vanishing fraction of the search
      it runs in front of. *)

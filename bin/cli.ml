@@ -41,9 +41,16 @@ let write ~path text =
 let emit output text =
   match output with Some path -> write ~path text | None -> print_string text
 
+(* A directory a tool writes into, created if missing (or by a
+   concurrent run). A path that is not a directory and cannot be made one
+   is [Cannot_write]. *)
 let ensure_dir dir =
-  try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-  with Unix.Unix_error _ -> ()
+  (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755 with
+   | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+   | Unix.Unix_error (e, _, _) ->
+     raise (Cannot_write (dir, Unix.error_message e)));
+  if not (Sys.is_directory dir) then
+    raise (Cannot_write (dir, "not a directory"))
 
 (* A CSPm script and its elaboration; a load error is one message that
    names the file, positioned [path:line:col:] where the error has a

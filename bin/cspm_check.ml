@@ -25,9 +25,11 @@ let splice_diags diags doc =
    codes are listed in the man page below), for a plain run and a
    checkpointed one alike: [rendered] is every outcome's JSON in script
    order, led by the [completed] ones an interrupted run settled (read
-   back from its checkpoint), and [outcomes] are this run's. A definite
-   failure outranks an interrupt outranks a plain inconclusive. *)
-let report ~format ~output ~diags ~cache ~completed ~rendered outcomes =
+   back from its checkpoint), and [outcomes] are this run's. [lead]
+   precedes a pretty report. A definite failure outranks an interrupt
+   outranks a plain inconclusive. *)
+let report ~format ~output ~diags ~lead ~cache ~completed ~rendered
+    outcomes =
   let count v =
     List.length
       (List.filter (fun j -> String.equal (json_verdict j) v) rendered)
@@ -59,11 +61,12 @@ let report ~format ~output ~diags ~cache ~completed ~rendered outcomes =
             | Some (Obs.Json.Str s) -> s
             | _ -> "?")
        in
-       Format.asprintf
-         "%a@[<v>%a@]@.%d assertion(s), %d failure(s), %d inconclusive@."
-         (Format.pp_print_list ~pp_sep:(fun _ () -> ()) from_checkpoint)
-         completed Cspm.Check.pp_outcomes outcomes (List.length rendered)
-         failures inconclusive);
+       lead
+       ^ Format.asprintf
+           "%a@[<v>%a@]@.%d assertion(s), %d failure(s), %d inconclusive@."
+           (Format.pp_print_list ~pp_sep:(fun _ () -> ()) from_checkpoint)
+           completed Cspm.Check.pp_outcomes outcomes (List.length rendered)
+           failures inconclusive);
   if failures > 0 then 1
   else if interrupted then 5
   else if inconclusive > 0 then 3
@@ -160,27 +163,39 @@ let run path max_states timeout jobs list_only dot format progress trace_out
       | None -> (
         (* The static pass runs (and prints) before any refinement so a
            defective model fails fast instead of burning the search
-           budget. Blocking diagnostics abort with their own exit code. *)
+           budget. Blocking diagnostics abort with their own exit code.
+           Diagnostics go where the report goes: on stdout they print at
+           once, and with -o they lead the file. *)
         let diags =
           Option.map
             (fun _ ->
               Analysis.Cspm_analyze.analyze_loaded ~obs ~file:path loaded)
             lint
         in
-        (match format, diags with
-         | Cli.Pretty, Some (_ :: _ as ds) ->
-           Format.printf "@[<v>%a@]@." Analysis.Diag.pp_list ds
-         | _ -> ());
+        let pretty_diags =
+          match format, diags with
+          | Cli.Pretty, Some (_ :: _ as ds) ->
+            Format.asprintf "@[<v>%a@]@." Analysis.Diag.pp_list ds
+          | _ -> ""
+        in
         match lint, diags with
         | Some deny_warnings, Some ds
           when Analysis.Diag.blocking ~deny_warnings ds ->
-          (match format with
-           | Cli.Json ->
-             print_endline (Obs.Json.to_string (Analysis.Diag.json_of_list ds))
-           | Cli.Pretty ->
-             Format.printf "refinement not run: blocking diagnostics@.");
+          Cli.emit output
+            (match format with
+             | Cli.Json ->
+               Obs.Json.to_string (Analysis.Diag.json_of_list ds) ^ "\n"
+             | Cli.Pretty ->
+               pretty_diags ^ "refinement not run: blocking diagnostics\n");
           Analysis.Diag.exit_code
         | _ -> (
+          let lead =
+            match output with
+            | None ->
+              print_string pretty_diags;
+              ""
+            | Some _ -> pretty_diags
+          in
           let ticked = ref false in
           let config =
             {
@@ -270,7 +285,7 @@ let run path max_states timeout jobs list_only dot format progress trace_out
                Cli.writing ck_path (fun () ->
                    if Sys.file_exists ck_path then Sys.remove ck_path)
              | None, None -> ());
-            report ~format ~output ~diags ~cache ~completed ~rendered
+            report ~format ~output ~diags ~lead ~cache ~completed ~rendered
               outcomes))))
 
 let run path max_states timeout jobs list_only dot format progress trace_out
@@ -427,19 +442,18 @@ let reductions_arg =
     value & opt string "default"
     & info [ "reductions" ] ~docv:"LIST"
         ~doc:
-          "Staged state-space reductions applied before/during the \
-           product search: $(b,default) (all of them), $(b,none) (the \
-           raw engine), or a comma-separated subset of $(b,dead) \
-           (relabel events the specification ignores everywhere to tau; \
-           traces checks only), $(b,tau) (tau-chain/SCC compression), \
-           $(b,bisim) (strong-bisimulation quotient), $(b,por) \
-           (ample-set partial-order reduction of independent \
-           interleavings, applied during the search; traces checks \
-           only). Passes that do not apply to an assertion's model are \
-           skipped. Verdicts and counterexample traces are identical \
-           under every setting — counterexamples are re-derived on the \
-           unreduced graph, which is the raw engine's — only speed and \
-           the reported reduction stats change. A checkpoint can only be resumed under the \
+          "Staged state-space reductions applied between compilation \
+           and the product search: $(b,default) (all of them), \
+           $(b,none) (the raw engine), or a comma-separated subset of \
+           $(b,dead) (relabel events the specification ignores \
+           everywhere to tau; traces checks only), $(b,tau) \
+           (tau-chain/SCC compression) and $(b,bisim) \
+           (strong-bisimulation quotient). Passes that do not apply to \
+           an assertion's model are skipped. Verdicts and counterexample \
+           traces are identical under every setting — counterexamples \
+           are re-derived on the unreduced graph, which is the raw \
+           engine's — only speed and the reported reduction stats \
+           change. A checkpoint can only be resumed under the \
            $(b,--reductions) setting it was taken with.")
 
 let output_arg = Cli.output "report (either format)"
@@ -471,9 +485,10 @@ let cmd =
       `P "1 — at least one assertion definitely fails.";
       `P
         "2 — the script could not be loaded (syntax or semantic error, \
-         stack overflow, or out of memory), an output file could not be \
-         written, or an assertion names a process the semantics cannot \
-         step (unguarded recursion, an ill-formed call), reported at that \
+         stack overflow, or out of memory), an output file or the \
+         $(b,--cache-dir) directory could not be written, or an \
+         assertion names a process the semantics cannot step \
+         (unguarded recursion, an ill-formed call), reported at that \
          assertion's position.";
       `P
         "3 — no assertion fails, but at least one is inconclusive \

@@ -145,8 +145,10 @@ let cmd =
       `S Manpage.s_exit_status;
       `P "0 — drained cleanly (even if individual jobs failed).";
       `P
-        "2 — the daemon itself ran out of stack or memory, or the \
-         $(b,--trace-out) file could not be opened.";
+        "2 — the daemon itself ran out of stack or memory, the \
+         $(b,--trace-out) file could not be opened, or the \
+         $(b,--cache-dir) or $(b,--state-dir) directory could not be \
+         created.";
     ]
   in
   Cmd.v

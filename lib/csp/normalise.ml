@@ -66,11 +66,15 @@ type session = {
   form : t;
   step : Proc.t -> row;
   max_states : int;
+  mutable stop_at : float option;
+  cancel : (unit -> bool) option;
+  mutable work : int;  (* row edges stepped since the last poll *)
   obs : Obs.t;
   c_nodes : Obs.counter;
 }
 
 exception State_limit of int
+exception Stopped of [ `Deadline | `Interrupt ]
 
 let filler_node =
   {
@@ -113,13 +117,24 @@ let locked t f = Mutex.protect t.mu f
 
 (* Admit a term as a state. Every state is a member of some node, and
    closing a node needs its members' rows, so a state is stepped exactly
-   once, when it is admitted. *)
+   once, when it is admitted. Before a step, the deadline and the
+   cancellation token are polled once per 256 edges of the rows stepped
+   since the last poll: counting states instead, a tau-closure whose
+   terms and rows grow as it goes took seconds to notice a deadline. *)
 let state s term =
   let t = s.form in
   match Proc_tbl.find_opt t.ids term with
   | Some i -> i
   | None ->
+    if s.work >= 256 then begin
+      s.work <- 0;
+      match s.stop_at, s.cancel with
+      | Some limit, _ when Obs.now () > limit -> raise (Stopped `Deadline)
+      | _, Some cancelled when cancelled () -> raise (Stopped `Interrupt)
+      | _ -> ()
+    end;
     let row = s.step term in
+    s.work <- s.work + List.length row + 1;
     let i = t.num_states in
     t.terms <- grow t.terms i Proc.stop;
     t.rows <- grow t.rows i [];
@@ -253,11 +268,13 @@ let resolve s node k =
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let session ?(obs = Obs.silent) ?(max_states = 1_000_000) ~step form =
-  { form; step; max_states; obs; c_nodes = Obs.counter obs "normalise.nodes" }
+let session ?(obs = Obs.silent) ?(max_states = 1_000_000) ?stop_at ?cancel
+    ~step form =
+  { form; step; max_states; stop_at; cancel; work = 0; obs;
+    c_nodes = Obs.counter obs "normalise.nodes" }
 
-let create ?obs ?max_states ~step root =
-  let s = session ?obs ?max_states ~step (empty ()) in
+let create ?obs ?max_states ?stop_at ?cancel ~step root =
+  let s = session ?obs ?max_states ?stop_at ?cancel ~step (empty ()) in
   Obs.span s.obs "normalise" (fun () ->
       locked s.form (fun () ->
           ignore (node_of_members s (closure s [ root ]))));
@@ -265,6 +282,7 @@ let create ?obs ?max_states ~step root =
 
 let form s = s.form
 let max_states s = s.max_states
+let set_stop_at s stop_at = s.stop_at <- stop_at
 let num_nodes t = locked t (fun () -> t.num_nodes)
 (* Unlocked: the count only grows, so a reader sees a value some lock
    holder wrote; it is for accounting, which tolerates a lag. *)

@@ -30,23 +30,32 @@ exception State_limit of int
 (** A tau-closure (or {!force}) exceeded the session's state budget,
     which it carries. *)
 
+exception Stopped of [ `Deadline | `Interrupt ]
+(** The session's deadline passed, or its cancellation token tripped. *)
+
 val create :
   ?obs:Obs.t ->
   ?max_states:int ->
+  ?stop_at:float ->
+  ?cancel:(unit -> bool) ->
   step:(Proc.t -> (Event.label * Proc.t) list) ->
   Proc.t ->
   session
 (** A fresh normal form rooted at a ground term (const-folded by the
     caller), with its initial node built. [step] is the check's transition
     function, typically a per-check [Semantics.make_cached]; [max_states]
-    (default [1_000_000]) bounds any one tau-closure. [obs] records a
-    [normalise] span around the initial node and counts every node the
-    session builds in [normalise.nodes].
+    (default [1_000_000]) bounds any one tau-closure. [stop_at] (an
+    {!Obs.now} time) and [cancel] are polled once per 256 edges of the
+    rows the session steps, so a tau-closure that never ends raises
+    {!Stopped}. [obs] records a [normalise] span around the initial node
+    and counts every node the session builds in [normalise.nodes].
     @raise State_limit when the initial closure exceeds [max_states]. *)
 
 val session :
   ?obs:Obs.t ->
   ?max_states:int ->
+  ?stop_at:float ->
+  ?cancel:(unit -> bool) ->
   step:(Proc.t -> (Event.label * Proc.t) list) ->
   t ->
   session
@@ -56,6 +65,8 @@ val session :
 
 val form : session -> t
 val max_states : session -> int
+val set_stop_at : session -> float option -> unit
+(** Re-arm the deadline, as a resumed search does past its replay. *)
 
 val force : session -> unit
 (** Materialise every node reachable from the initial one (what an
@@ -83,8 +94,8 @@ val initial : session -> int
 (** {1 Node queries}
 
     Each takes a node id below [num_nodes]. Those that follow labels may
-    materialise nodes and raise {!State_limit} or the transition
-    function's exceptions. *)
+    materialise nodes and raise {!State_limit}, {!Stopped} or the
+    transition function's exceptions. *)
 
 val members : session -> int -> Proc.t list
 (** The node's specification states, as terms. *)

@@ -1,4 +1,4 @@
-(* Staged state-space reduction. Three stages, all optional and selected
+(* Staged state-space reduction. Two stages, both optional and selected
    by [Check_config.reductions]:
 
    1. [compile_staged]: decompose the term's parallel structure into a
@@ -15,40 +15,29 @@
    2. [apply]: composable Lts.t -> Lts.t passes (dead-event hiding, tau
       compression, strong-bisimulation quotienting), each obs-instrumented.
 
-   3. [por_hooks]: ample-set partial-order reduction hooks consumed by
-      [Search.product] during the search itself.
-
    Soundness notes are kept with each pass; the passes are gated per
    model by [effective]. The staged graph is the raw engine's graph up to
    numbering, and [Refine] re-derives reduced counterexamples on it, so
    every user-visible verdict and trace is identical to the unreduced
    engine's. *)
 
-type pass = Dead_events | Tau_compress | Bisim | Por
+type pass = Dead_events | Tau_compress | Bisim
 type pipeline = pass list
 
 (* Also the application order: hiding dead events first manufactures taus
    for tau compression, and bisim merges whatever is left. *)
-let canonical_order = [ Dead_events; Tau_compress; Bisim; Por ]
+let canonical_order = [ Dead_events; Tau_compress; Bisim ]
 let default_pipeline = canonical_order
 
 let pass_name = function
   | Dead_events -> "dead"
   | Tau_compress -> "tau"
   | Bisim -> "bisim"
-  | Por -> "por"
 
+(* Dead-event hiding changes stability: traces only. *)
 let effective ~model pipeline =
   List.filter
-    (fun p ->
-      List.memq p pipeline
-      &&
-      match p, model with
-      | (Dead_events | Por), `Traces -> true
-      (* dead-event hiding changes stability, and the ample conditions
-         assume violations are trace violations: traces only *)
-      | (Dead_events | Por), (`Failures | `Fd) -> false
-      | (Tau_compress | Bisim), _ -> true)
+    (fun p -> List.memq p pipeline && (p <> Dead_events || model = `Traces))
     canonical_order
 
 let pipeline_to_string = function
@@ -71,12 +60,11 @@ let pipeline_of_string s =
         | "dead" -> go (Dead_events :: acc) rest
         | "tau" -> go (Tau_compress :: acc) rest
         | "bisim" -> go (Bisim :: acc) rest
-        | "por" -> go (Por :: acc) rest
         | other ->
           Error
             (Printf.sprintf
                "unknown reduction %S (expected a comma-separated subset of \
-                dead, tau, bisim, por — or none / default)"
+                dead, tau, bisim — or none / default)"
                other))
     in
     go [] (String.split_on_char ',' s)
@@ -160,7 +148,7 @@ let charge env =
 
 (* A combinator node: a lazily explored integer state space. [c_step] is
    memoized per state; [c_term] rebuilds the process term a state denotes
-   (for the materialized graph, counterexamples and POR grouping);
+   (for the materialized graph and counterexamples);
    [c_reserve] sets aside a fresh id in the node's id space that the node
    itself never reaches, for a named call's own state ([call_comp]);
    [c_body] is the state the initial one steps as — itself, unless the
@@ -323,8 +311,8 @@ let per_channel sets role =
    row in order with the scan join's matches in place, then the index
    join's matches, then the joint tick, each pushed in turn onto a list
    that the row is the reverse of. [compile_staged] numbers states in that
-   order, and checkpoint digests, bisim's representatives and POR's pair
-   counts go by the numbering; [test/fixtures/par_order.csp] pins it. *)
+   order, and checkpoint digests and bisim's representatives go by the
+   numbering; [test/fixtures/par_order.csp] pins it. *)
 let par_comp env ~roles ~mk left right =
   let ids : int Pair_tbl.t = Pair_tbl.create 64 in
   let pairs = Dyn.create (0, 0) in
@@ -1192,85 +1180,8 @@ let apply ?(obs = Obs.silent) ~model ~norm pipeline lts =
           match model with
           | `Traces -> run "tau" tau_eliminate acc
           | `Failures | `Fd -> run "tau" tau_scc_collapse acc)
-        | Bisim -> run "bisim" bisim_quotient acc
-        | Por -> acc (* search-time, see [por_hooks] *))
+        | Bisim -> run "bisim" bisim_quotient acc)
       (lts, [])
       (effective ~model pipeline)
   in
   lts, List.rev stats
-
-(* ------------------------------------------------------------------ *)
-(* Partial-order reduction hooks                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Strip structurally identical Hide/Rename wrappers from both terms so
-   the component analysis sees the Inter spine of e.g. (A ||| B) \ H. *)
-let rec strip_wrappers t u =
-  match Proc.view t, Proc.view u with
-  | Proc.Hide (t', s1), Proc.Hide (u', s2) when Eventset.equal s1 s2 ->
-    strip_wrappers t' u'
-  | Proc.Rename (t', m1), Proc.Rename (u', m2) when m1 = m2 ->
-    strip_wrappers t' u'
-  | _ -> t, u
-
-let rec flatten_inter t acc =
-  match Proc.view t with
-  | Proc.Inter (a, b) -> flatten_inter a (flatten_inter b acc)
-  | _ -> t :: acc
-
-(* Which interleaved component moved between [t] and [u]? [Some k] only
-   when exactly one position of the (equally shaped) Inter spines
-   differs — interleaving has no synchronization, so every genuine step
-   moves exactly one component. *)
-let changed_component t u =
-  let t, u = strip_wrappers t u in
-  match Proc.view t with
-  | Proc.Inter _ ->
-    let ct = flatten_inter t [] in
-    let cu = flatten_inter u [] in
-    if List.length ct <> List.length cu then None
-    else begin
-      let diffs = ref [] in
-      List.iteri
-        (fun k (a, b) -> if not (Proc.equal a b) then diffs := k :: !diffs)
-        (List.combine ct cu);
-      match !diffs with [ k ] -> Some k | _ -> None
-    end
-  | _ -> None
-
-let por_hooks ~norm lts =
-  let free = spec_free_labels norm in
-  let por_spec_free = function
-    | Event.Tau -> true
-    | Event.Tick -> false
-    | Event.Vis _ as l -> Label_tbl.mem free l
-  in
-  let por_groups i =
-    match Lts.transitions_of lts i with
-    | [] | [ _ ] -> []
-    | ts ->
-      let t = Lts.state_term lts i in
-      let tagged =
-        List.map
-          (fun (l, j) ->
-            match changed_component t (Lts.state_term lts j) with
-            | Some k -> Some (k, (l, j))
-            | None -> None)
-          ts
-      in
-      if List.exists Option.is_none tagged then []
-      else begin
-        let module IM = Map.Make (Int) in
-        let by_component =
-          List.fold_left
-            (fun m (k, e) ->
-              IM.update k
-                (fun prev -> Some (e :: Option.value prev ~default:[]))
-                m)
-            IM.empty
-            (List.filter_map Fun.id tagged)
-        in
-        List.rev (IM.fold (fun _ es acc -> List.rev es :: acc) by_component [])
-      end
-  in
-  { Search.por_groups; por_spec_free }

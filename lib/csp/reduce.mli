@@ -24,8 +24,6 @@
       dead-event hiding against the specification alphabet, tau
       compression, strong-bisimulation quotienting — each obs-instrumented
       with a span and states-before/after counters.
-    + {b Search-time reduction} ({!por_hooks}): ample-set partial-order
-      reduction applied on the fly by [Search.product].
 
     Every pass preserves verdicts for the model it is enabled under (see
     {!effective}). The staged graph is the raw engine's graph up to state
@@ -39,7 +37,7 @@
     names from it. *)
 
 (** One reduction pass. String names (for [--reductions], fingerprints and
-    stats): ["dead"], ["tau"], ["bisim"], ["por"]. *)
+    stats): ["dead"], ["tau"], ["bisim"]. *)
 type pass =
   | Dead_events
       (** Relabel to [tau] every visible event the specification
@@ -55,14 +53,11 @@ type pass =
   | Bisim
       (** Strong-bisimulation quotient by signature-refinement partition
           refinement. Sound in every model. *)
-  | Por
-      (** Ample-set partial-order reduction, applied during the product
-          search rather than to the graph; traces refinement only. *)
 
 type pipeline = pass list
 
 val default_pipeline : pipeline
-(** All four passes. Model-inapplicable passes are filtered by
+(** All three passes. Model-inapplicable passes are filtered by
     {!effective}, so the default is safe for every check. *)
 
 val pass_name : pass -> string
@@ -78,7 +73,7 @@ val pipeline_to_string : pipeline -> string
 val effective :
   model:[ `Traces | `Failures | `Fd ] -> pipeline -> pipeline
 (** The passes that actually run for a model, in canonical application
-    order (dead, tau, bisim, por): [Dead_events] and [Por] are traces-only,
+    order (dead, tau, bisim): [Dead_events] is traces-only,
     [Tau_compress] and [Bisim] apply everywhere. *)
 
 val fingerprint : pipeline -> string
@@ -99,8 +94,8 @@ val compile_staged :
     Discovery follows the order in which each composition emits a row
     (free moves of the left row, then the right row with the scan join's
     matches in place, then the index join's, then the joint tick), so
-    that order is part of this contract: checkpoint digests, bisim's
-    representatives and POR's pair counts go by the numbering, and
+    that order is part of this contract: checkpoint digests and bisim's
+    representatives go by the numbering, and
     [test/fixtures/par_order.csp] pins it.
     Up to that numbering it is the raw [Lts] compiler's graph, with the
     same state terms and every row in the raw stepper's order (by label,
@@ -153,20 +148,15 @@ val apply :
   pipeline ->
   Lts.t ->
   Lts.t * pass_stat list
-(** Run the graph passes of the pipeline (in {!effective} order; [Por] is
-    ignored here) over an implementation graph, against the normalised
-    specification [norm]. Returns the reduced graph and one stat per pass
-    run, in application order. *)
+(** Run the passes of the pipeline, in {!effective} order, over an
+    implementation graph, against the normalised specification [norm].
+    Returns the reduced graph and one stat per pass run, in application
+    order. Under [`Traces] every pass leaves no tau edge and no label of
+    {!spec_free_labels}, unless the graph is too big to eliminate taus. *)
 
 val spec_free_labels : Normalise.session -> unit Event.Label_tbl.t
 (** The visible labels the specification self-loops on at every
-    normal-form node — the labels the dead pass hides and POR may defer.
+    normal-form node — the labels the dead pass hides.
     Exact, but it stops walking the normal form as soon as no candidate
     is left, so it rarely forces much of it; if the states it does force
     outgrow the session's budget, no label qualifies. *)
-
-val por_hooks : norm:Normalise.session -> Lts.t -> Search.por
-(** Build the ample-set hooks for a compiled implementation graph:
-    transition grouping by independent interleaved component (derived from
-    the state terms' [Inter] spines, looking through common [Hide]/[Rename]
-    wrappers) and the spec-free label predicate. *)

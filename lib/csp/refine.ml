@@ -132,10 +132,11 @@ let const_fold defs p =
 
 (* Nothing is compiled up front: the search materialises the nodes it
    reaches. The key feeds the reduced-graph key. *)
-let cached_spec ~(config : Check_config.t) ~step defs spec =
+let cached_spec ~(config : Check_config.t) ?stop_at ?cancel ~step defs spec =
   let obs = config.obs and max_states = config.max_states in
   let fresh () =
-    Normalise.create ~obs ~max_states ~step (const_fold defs spec)
+    Normalise.create ~obs ~max_states ?stop_at ?cancel ~step
+      (const_fold defs spec)
   in
   match config.cache with
   | None -> fresh (), None
@@ -143,32 +144,41 @@ let cached_spec ~(config : Check_config.t) ~step defs spec =
     let key = Cache.spec_key ~max_states defs spec in
     (match Cache.find cache key with
      | Some (Cache.Norm_spec norm) ->
-       Normalise.session ~obs ~max_states ~step norm, Some key
+       Normalise.session ~obs ~max_states ?stop_at ?cancel ~step norm, Some key
      | Some _ | None ->
        let session = fresh () in
        Cache.add cache key (Cache.Norm_spec (Normalise.form session));
        session, Some key)
 
 (* Run a check against the specification's normal form, then spill what
-   it materialised when the cache persists to disk. *)
-let with_spec ~(config : Check_config.t) ~step defs spec check =
-  match cached_spec ~config ~step defs spec with
-  | exception Normalise.State_limit _ ->
-    lts_inconclusive { Lts.interned = 0; frontier = 1; reason = `States }
-  | norm, spec_cache_key ->
-    let result = check norm spec_cache_key in
-    (match config.cache, spec_cache_key with
+   it materialised when the cache persists to disk. A spec that outgrows
+   the budgets outside the product search leaves the check inconclusive. *)
+let with_spec ~(config : Check_config.t) ?stop_at ~step defs spec check =
+  let stopped reason =
+    lts_inconclusive { Lts.interned = 0; frontier = 1; reason }
+  in
+  match
+    let norm, key =
+      cached_spec ~config ?stop_at ?cancel:config.cancel ~step defs spec
+    in
+    let result = check norm key in
+    (match config.cache, key with
      | Some cache, Some key -> Cache.spill cache key
      | _ -> ());
     result
+  with
+  | result -> result
+  | exception Normalise.State_limit _ -> stopped `States
+  | exception Normalise.Stopped ((`Deadline | `Interrupt) as reason) ->
+    stopped reason
 
 (* One product search under the check's budgets and hooks. *)
 let search ~(config : Check_config.t) ~refusal ~max_pairs ?stop_at
-    ?resume_from ?por ?pipeline ~norm source =
+    ?resume_from ?pipeline ~norm source =
   Search.product ~refusal ~max_pairs ?stop_at ~obs:config.obs
     ?progress:config.progress ?cancel:config.cancel
     ?memory_limit_mb:config.memory_limit_mb ?resume_from
-    ?resume_deadline:config.deadline ?por ?pipeline ~norm source
+    ?resume_deadline:config.deadline ?pipeline ~norm source
 
 (* The effective pipeline, unless a checkpoint names the engine that
    recorded it. One recorded by the raw engine — including the raw
@@ -241,7 +251,7 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
      steps nothing. *)
   let stepper = lazy (Semantics.make_cached ~obs:config.obs defs) in
   let step p = Lazy.force stepper p in
-  with_spec ~config ~step defs spec @@ fun norm spec_cache_key ->
+  with_spec ~config ?stop_at ~step defs spec @@ fun norm spec_cache_key ->
     (* The unreduced engine: implementation states generated on the fly.
        Used when no pass applies and when the staged compile degrades,
        which it can do gracefully (and still find an early
@@ -273,15 +283,9 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
           with
           | Error _ -> raw_search ()
           | Ok (reduced, pass_stats) ->
-            let por =
-              match refusal_mode with
-              | `None when List.memq Reduce.Por pipeline ->
-                Some (Reduce.por_hooks ~norm reduced)
-              | _ -> None
-            in
             let result =
               search ~config ~refusal:refusal_mode ~max_pairs ?stop_at
-                ?resume_from ?por ~pipeline:(Reduce.fingerprint pipeline)
+                ?resume_from ~pipeline:(Reduce.fingerprint pipeline)
                 ~norm (Search.lts_source ~check_divergence:false reduced)
             in
             canonical result ~pass_stats ~unreduced:(fun () ->
@@ -300,7 +304,7 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
 let fd_check ~(config : Check_config.t) ~max_pairs ?stop_at ?resume_from defs
     ~spec ~impl =
   let step = Semantics.make_cached ~obs:config.obs defs in
-  with_spec ~config ~step defs spec @@ fun norm spec_cache_key ->
+  with_spec ~config ?stop_at ~step defs spec @@ fun norm spec_cache_key ->
     (* As in [product_check], a resume compiles without cancellation. *)
     let cancel =
       match resume_from with Some _ -> None | None -> config.cancel

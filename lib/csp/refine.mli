@@ -129,20 +129,20 @@ val check :
     gracefully: once the token trips (or the heap watermark is crossed)
     the product search returns {!Inconclusive} with [exhausted =
     Interrupt] (respectively [Memory]) and a {!Search.checkpoint} in the
-    hint instead of dying.
+    hint instead of dying. The specification's normal form polls the
+    token and the deadline, so a tau-closure that never ends stops too.
 
     [config.reductions] selects the staged reduction pipeline (see
     {!Reduce}): when any pass applies to the model, the implementation is
     compiled through the staged combinator tree, reduced, and the product
-    is searched over the reduced graph (with ample-set POR applied during
-    the search when enabled). Verdicts are preserved by construction. A
-    [Fails] found on the reduced graph is re-derived by a second product
-    search over the unreduced staged graph — the one this check compiled,
-    else the cache's [staged-] entry, else a fresh staged compile — which
-    is the raw engine's graph up to state numbering, so results are
-    byte-identical to [with_reductions []]; if that search reaches no
-    verdict within the budgets, the reduced counterexample stands.
-    [stats.reductions] and the wall clock are the only observable
+    is searched over the reduced graph. Verdicts are preserved by
+    construction. A [Fails] found on the reduced graph is re-derived by a
+    second product search over the unreduced staged graph — the one this
+    check compiled, else the cache's [staged-] entry, else a fresh staged
+    compile — which is the raw engine's graph up to state numbering, so
+    results are byte-identical to [with_reductions []]; if that search
+    reaches no verdict within the budgets, the reduced counterexample
+    stands. [stats.reductions] and the wall clock are the only observable
     differences. If the staged compile runs out of budget the check falls
     back to the raw engine (which can still find an early counterexample
     without the full graph). The determinism check always runs raw. *)
@@ -231,17 +231,19 @@ val deterministic : ?config:Check_config.t -> Defs.t -> Proc.t -> result
 
 val cached_spec :
   config:Check_config.t ->
+  ?stop_at:float ->
+  ?cancel:(unit -> bool) ->
   step:(Proc.t -> (Event.label * Proc.t) list) ->
   Defs.t ->
   Proc.t ->
   Normalise.session * string option
 (** A session on a specification's normal form, stepped by the caller's
-    transition function: the normal form cached under {!Cache.spec_key}
-    when [config.cache] holds one, else a fresh one (then cached). Only
-    the initial node is built up front. The cache key comes back when
-    there is a cache, for {!Cache.spill} once the caller is done.
+    transition function, polling [stop_at] and [cancel]: the normal form
+    cached under {!Cache.spec_key} when [config.cache] holds one, else a
+    fresh one (then cached). Only the initial node is built up front. The
+    cache key comes back when there is a cache, for {!Cache.spill}.
     @raise Normalise.State_limit when the initial tau-closure alone
-    exceeds [config.max_states]. *)
+    exceeds [config.max_states], and [Normalise.Stopped]. *)
 
 val holds : result -> bool
 (** [true] only for {!Holds}; {!Inconclusive} is not a pass. *)

@@ -163,19 +163,6 @@ type 's source = {
   divergent : (int -> bool) option;
 }
 
-(* Ample-set partial-order reduction hooks, supplied by [Reduce.por_hooks]
-   for precompiled implementation graphs. [por_groups i] partitions the
-   transitions of state [i] into groups that belong to independent
-   interleaved components ([] when the state has no such structure);
-   [por_spec_free l] holds when the specification is insensitive to [l]
-   (it self-loops on [l] at every normal-form node). The engine commits
-   only one qualifying group instead of the full successor set when the
-   ample conditions hold — see [commit]. *)
-type por = {
-  por_groups : int -> (Event.label * int) list list;
-  por_spec_free : Event.label -> bool;
-}
-
 type progress = {
   explored : int;
   pairs : int;
@@ -299,7 +286,7 @@ let heap_mb () =
   float_of_int (words * (Sys.word_size / 8)) /. (1024. *. 1024.)
 
 let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
-    ?cancel ?memory_limit_mb ?resume_from ?resume_deadline ?por
+    ?cancel ?memory_limit_mb ?resume_from ?resume_deadline
     ?(pipeline = "none") ~norm source =
   (* A checkpoint records the pipeline it was taken under; its pair ids
      and visit-order digest are meaningless under any other pipeline. *)
@@ -452,7 +439,9 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
                 cp.explored cp.pairs cp.visited_digest !pair_count !digest));
       ff := None;
       (match !pending_budget with
-       | Some budget -> stop_at_r := Some (Obs.now () +. budget)
+       | Some budget ->
+         stop_at_r := Some (Obs.now () +. budget);
+         Normalise.set_stop_at norm !stop_at_r
        | None -> ());
       pending_budget := None
     | _ -> ()
@@ -539,55 +528,6 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
     end
     else None
   in
-  (* Ample-set selection. The proviso consults pair ids (FIFO interning
-     order = dequeue order), so the choice depends only on the commit
-     order. A group G of state [s]'s transitions qualifies as ample when:
-     - every edge of [s] is a plain step (no trace violation, no tick):
-       otherwise the violation must be found / the spec must move;
-     - the state's transitions split into >= 2 component groups that
-       cover them all (so G is a proper subset);
-     - every label of G is invisible to the specification (Tau, or
-       self-looping at every normal-form node), hence firing G keeps the
-       spec node and cannot mask or create a violation;
-     - cycle proviso: some successor of G is not yet closed (not interned,
-       or interned with a pair id greater than the committing pair's, i.e.
-       still queued) — deferring the other groups along a cycle of
-       already-closed states would postpone them forever.
-     Grouping flattens the Inter spines of the state's term and of every
-     successor's, so it is skipped when no edge has a spec-free label: no
-     group can qualify then. *)
-  let c_ample = Obs.counter obs "search.por_ample_commits" in
-  let ample pair_id node edges =
-    let plain_step = function
-      | (Event.Tau | Event.Vis _), _, Some _ -> true
-      | Event.Tick, _, _ | _, _, None -> false
-    in
-    match por with
-    | Some p
-      when refusal = `None && source.divergent = None
-           && List.for_all plain_step edges
-           && List.exists (fun (l, _, _) -> p.por_spec_free l) edges -> (
-      match p.por_groups !pair_impl.(pair_id) with
-      | [] | [ _ ] -> None
-      | groups ->
-        let total =
-          List.fold_left (fun acc g -> acc + List.length g) 0 groups
-        in
-        if total <> List.length edges then None
-        else
-          let qualifies g =
-            g <> []
-            && List.for_all (fun (l, _) -> p.por_spec_free l) g
-            && List.exists
-                 (fun (_, j) ->
-                   match Pair_tbl.find_opt pair_ids (j, node) with
-                   | None -> true
-                   | Some id -> id > pair_id)
-                 g
-          in
-          List.find_opt qualifies groups)
-    | _ -> None
-  in
   (* Expand and commit one dequeued pair. [Some result] ends the search. *)
   let visit pair_id =
     last_dequeued := pair_id;
@@ -606,48 +546,34 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
       match refused node ts with
       | Some (offered, acceptances) ->
         fails [] (Refusal_violation { offered; acceptances })
-      | None -> (
-        (* each successor with the spec node it moves to; [None] when the
-           specification forbids the label *)
-        let edges =
+      | None ->
+        (* The spec node each successor moves to, [None] where the
+           specification forbids the label. Every permitted successor
+           state is interned first, in row order, then the pairs up to
+           the first violation; the target of a forbidden label is never
+           interned. *)
+        let afters =
           List.map
-            (fun (l, target) ->
+            (fun (l, _) ->
               match l with
-              | Event.Tau -> l, target, Some node
-              | Event.Tick | Event.Vis _ ->
-                l, target, Normalise.after norm node l)
+              | Event.Tau -> Some node
+              | Event.Tick | Event.Vis _ -> Normalise.after norm node l)
             ts
         in
-        match ample pair_id node edges with
-        | Some group ->
-          (* Every label of an ample group leaves the spec node in place
-             (Tau, or a label the spec self-loops on everywhere). POR
-             groups name graph states, which need no interning. *)
-          Obs.incr c_ample;
-          List.iter
-            (fun (l, j) -> intern_pair (Some (l, pair_id)) (j, node))
-            group;
-          None
-        | None ->
-          (* Intern every permitted successor state first, in row order,
-             then the pairs up to the first violation. The target of a
-             forbidden label is never interned. *)
-          let steps =
-            List.map
-              (fun (l, target, after) ->
-                match after with
-                | Some node' -> l, Some (source.intern target, node')
-                | None -> l, None)
-              edges
-          in
-          List.find_map
-            (fun (l, pair) ->
-              match pair with
-              | Some pair ->
-                intern_pair (Some (l, pair_id)) pair;
-                None
-              | None -> fails [ l ] (Trace_violation l))
-            steps))
+        let steps =
+          List.map2
+            (fun (l, target) after ->
+              l, Option.map (fun node' -> source.intern target, node') after)
+            ts afters
+        in
+        List.find_map
+          (fun (l, pair) ->
+            match pair with
+            | Some pair ->
+              intern_pair (Some (l, pair_id)) pair;
+              None
+            | None -> fails [ l ] (Trace_violation l))
+          steps)
   in
   intern_pair None (source.initial, Normalise.initial norm);
   note_boundary ();
@@ -668,12 +594,10 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
   in
   (* Unwinding on an exhausted budget: the verdict carries the counters,
      the frontier and a checkpoint at the last commit boundary. *)
-  let inconclusive kind =
-    (* A [Pairs] exhaustion is raised on the pair that failed to intern;
-       it is discovered-but-unexplored work, so it counts as frontier. *)
-    let frontier =
-      Queue.length queue + (match kind with Pairs -> 1 | _ -> 0)
-    in
+  let inconclusive ?(pending = 0) kind =
+    (* [pending]: the pair a [Pairs] exhaustion failed to intern, or the
+       one a stopped spec session was visiting — unexplored work. *)
+    let frontier = Queue.length queue + pending in
     let cp : checkpoint =
       {
         explored = !b_explored;
@@ -712,5 +636,8 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
      | None -> ());
     result
   with
+  | Out_of_budget Pairs -> inconclusive ~pending:1 Pairs
   | Out_of_budget kind -> inconclusive kind
   | Normalise.State_limit _ -> inconclusive States
+  | Normalise.Stopped `Deadline -> inconclusive ~pending:1 Deadline
+  | Normalise.Stopped `Interrupt -> inconclusive ~pending:1 Interrupt

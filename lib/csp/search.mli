@@ -158,20 +158,6 @@ type 's source = {
           elsewhere as a violation. [None]: divergence-blind. *)
 }
 
-(** Ample-set partial-order reduction hooks (see [Reduce.por_hooks]).
-    [por_groups i] partitions state [i]'s transitions into groups owned by
-    independent interleaved components ([] when the state has no such
-    structure); [por_spec_free l] holds when the specification self-loops
-    on [l] at every normal-form node (so [l] can neither cause nor mask a
-    violation). When the ample conditions hold at a committed pair the
-    engine explores a single qualifying group instead of the full
-    successor set. Only consulted for [`None] (traces) refusal with a
-    divergence-blind source. *)
-type por = {
-  por_groups : int -> (Event.label * int) list list;
-  por_spec_free : Event.label -> bool;
-}
-
 type progress = {
   explored : int;  (** pairs dequeued and expanded so far *)
   pairs : int;  (** pairs interned so far *)
@@ -226,7 +212,6 @@ val product :
   ?memory_limit_mb:int ->
   ?resume_from:checkpoint ->
   ?resume_deadline:float ->
-  ?por:por ->
   ?pipeline:string ->
   norm:Normalise.session ->
   's source ->
@@ -243,7 +228,8 @@ val product :
     [spec_nodes] stat, and the spec's budget — at most
     [Normalise.max_states norm] distinct nodes, else [Inconclusive]
     ([States]) — read that numbering, so they do not depend on what other
-    checks sharing the normal form materialised before.
+    checks sharing the normal form materialised before. A stop in [norm]
+    ([Normalise.Stopped]) ends the search as its own deadline would.
 
     [cancel] is a cancellation token polled on the same cadence: once it
     returns [true] the search stops with [Inconclusive] ([Interrupt]) and
@@ -260,7 +246,8 @@ val product :
     pair count and visited digest at the recorded boundary (raising
     {!Resume_mismatch} on disagreement), and only then arms
     [resume_deadline] seconds of wall budget (default: the checkpoint's
-    own [deadline_left]) measured from the crossing point. The final
+    own [deadline_left]) measured from the crossing point, in [norm]
+    too. The final
     verdict, counterexample, and state/pair counts are byte-identical to
     an uninterrupted run with sufficient budget.
 

@@ -284,8 +284,8 @@ let test_resume_mismatch () =
 
 (* A checkpoint names a commit boundary by its pair count and visit-order
    digest, both of which follow from the order the engine interns states
-   and pairs. Pinning them for one on-the-fly search and two over reduced
-   graphs (the second with POR choosing ample groups) pins that order: a
+   and pairs. Pinning them for one on-the-fly search and one over a
+   reduced graph pins that order: a
    build that reorders interning would refuse every checkpoint an earlier
    build wrote. The FD cuts pin the numbering of the explicit graph an FD
    check searches, reduced or not: it must stay [Lts.compile]'s, which
@@ -311,9 +311,6 @@ let test_checkpoint_golden () =
     (fields ~model:Refine.Failures
        ~spec:(Proc.chaos (Eventset.chans [ "x"; "y"; "z" ]))
        cut);
-  check_string "reduced graph under POR"
-    "por explored=999 pairs=1000 impl_states=4096 digest=0x7fbadc8c20c70"
-    (fields Check_config.(cut |> with_reductions [ Reduce.Por ]));
   let par_order =
     Cspm.Elaborate.load_string (Helpers.read_fixture "par_order.csp")
   in
