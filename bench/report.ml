@@ -119,13 +119,11 @@ let echo_system k =
   in
   defs, spec, impl
 
-(* The trace-containment engine rows. Two families: [tracecheck/stream]
-   measures the raw engine on in-memory streams synthesized by walking
-   the NS authentication spec's own normal form (pure cursor stepping —
-   no I/O, no parsing), and [tracecheck/ota-corpus] measures the full
+(* The trace-containment rows: [tracecheck/ota-corpus] measures the
    corpus driver (NDJSON parse + frame mapping + cursors) on a generated
-   adversarial OTA corpus. Both run at j1 and j2; the numbers that
-   matter are in "events_per_sec"/"streams_per_sec", not states/s. *)
+   adversarial OTA corpus, at j1 and j2; the numbers that matter are in
+   "events_per_sec"/"streams_per_sec", not states/s. The cursor engine's
+   own floor is a gate in [smoke.ml]. *)
 let ota_trace_specs =
   "channel reqSw : {0..3}\n\
    channel rptSw : {0..7}\n\
@@ -178,69 +176,6 @@ let tracecheck_rows rows =
     rows := row :: !rows;
     row
   in
-  (* engine-only rows: valid NS-spec streams, pre-materialized so the
-     timed region is pure cursor stepping *)
-  let defs, _impl = Security.Ns_protocol.build ~fixed:true in
-  let spec = Security.Ns_protocol.authentication_spec defs in
-  let checker =
-    match Csp.Tracecheck.compile defs spec with
-    | Ok c -> c
-    | Error msg -> failwith msg
-  in
-  let norm = Csp.Normalise.of_term defs spec in
-  let visible =
-    Array.init
-      (Csp.Normalise.num_nodes (Csp.Normalise.form norm))
-      (fun i ->
-        List.filter
-          (fun (l, _) -> match l with Csp.Event.Vis _ -> true | _ -> false)
-          (Csp.Normalise.afters norm i))
-  in
-  let synth i len =
-    let labels = ref [] in
-    let node = ref (Csp.Normalise.initial norm) in
-    (try
-       for k = 0 to len - 1 do
-         match visible.(!node) with
-         | [] -> raise Exit
-         | choices ->
-           let l, next = List.nth choices ((i + k) mod List.length choices) in
-           labels := l :: !labels;
-           node := next
-       done
-     with Exit -> ());
-    Array.of_list (List.rev !labels)
-  in
-  let bodies = Array.init 1000 (fun i -> synth i 1000) in
-  let stream_base = ref None in
-  List.iter
-    (fun j ->
-      let streams =
-        Array.mapi
-          (fun i body -> Printf.sprintf "t%04d" i, Array.to_seq body)
-          bodies
-      in
-      Gc.compact ();
-      let (_, summary), t =
-        wall (fun () -> Csp.Tracecheck.check_streams ~workers:j checker streams)
-      in
-      let comparison =
-        match !stream_base with
-        | None -> Standalone
-        | Some base -> Speedup_vs_j1 (if t > 0. then base /. t else 0.)
-      in
-      let row =
-        record
-          (Printf.sprintf "tracecheck/stream/j%d" j)
-          t
-          ~events:summary.Csp.Tracecheck.events
-          ~streams:summary.Csp.Tracecheck.streams
-          ~accepted:summary.Csp.Tracecheck.accepted
-          ~events_per_sec:summary.Csp.Tracecheck.events_per_sec ~comparison
-      in
-      if !stream_base = None then stream_base := Some row.wall_s)
-    [ 1; 2 ];
-  (* full-driver rows: parse + map + cursors over a generated corpus *)
   let corpus = Filename.temp_file "bench_corpus" ".ndjson" in
   ignore
     (Ota.Corpus.generate ~seed:42 ~streams:400 ~until_ms:400 ~flawed_rate:0.25

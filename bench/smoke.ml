@@ -478,7 +478,8 @@ let check_checkpoint_resume () =
         | Error msg -> fail "checkpoint smoke: does not round-trip: %s" msg)
     in
     let resumed, stop' =
-      Cspm.Check.run_seq ~start:s.Cspm.Check.next_index ~resume_first:cp
+      Cspm.Check.run_seq
+        ~from:{ s with Cspm.Check.search = Some cp }
         ~config:raw loaded
     in
     if stop' <> None then fail "checkpoint smoke: the resume was interrupted";
@@ -538,23 +539,38 @@ let check_tracecheck_throughput () =
      with Exit -> ());
     Array.of_list (List.rev !labels)
   in
-  let streams =
-    Array.init 200 (fun i ->
-        Printf.sprintf "t%03d" i, Array.to_seq (stream i 1000))
+  let streams = Array.init 200 (fun i -> stream i 1000) in
+  let t0 = Obs.now () in
+  let cursors =
+    Array.map
+      (Array.fold_left (Csp.Tracecheck.step checker)
+         (Csp.Tracecheck.start checker))
+      streams
   in
-  let _, summary = Csp.Tracecheck.check_streams checker streams in
-  if summary.Csp.Tracecheck.rejected > 0 then
-    fail "tracecheck smoke: %d synthesized spec traces were rejected"
-      summary.Csp.Tracecheck.rejected;
-  if summary.Csp.Tracecheck.events < 10_000 then
-    fail "tracecheck smoke: synthesizer produced only %d events"
-      summary.Csp.Tracecheck.events;
-  if summary.Csp.Tracecheck.events_per_sec < 100_000. then
+  let wall_s = Obs.now () -. t0 in
+  let events =
+    Array.fold_left (fun n c -> n + Csp.Tracecheck.consumed c) 0 cursors
+  in
+  let rejected =
+    Array.fold_left
+      (fun n c ->
+        match Csp.Tracecheck.verdict c with
+        | Csp.Tracecheck.Accepted -> n
+        | Csp.Tracecheck.Rejected _ -> n + 1)
+      0 cursors
+  in
+  let events_per_sec =
+    if wall_s > 0. then float_of_int events /. wall_s else 0.
+  in
+  if rejected > 0 then
+    fail "tracecheck smoke: %d synthesized spec traces were rejected" rejected;
+  if events < 10_000 then
+    fail "tracecheck smoke: synthesizer produced only %d events" events;
+  if events_per_sec < 100_000. then
     fail "tracecheck smoke: %.0f events/s is below the 100k floor"
-      summary.Csp.Tracecheck.events_per_sec;
+      events_per_sec;
   Format.printf "tracecheck engine: %d events, %d streams, %.2fM events/s@."
-    summary.Csp.Tracecheck.events summary.Csp.Tracecheck.streams
-    (summary.Csp.Tracecheck.events_per_sec /. 1e6)
+    events (Array.length streams) (events_per_sec /. 1e6)
 
 let check_trace_schemas () =
   (* can-trace/1 and trace-check/1 are contracts: a generated corpus must

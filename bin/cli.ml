@@ -53,23 +53,14 @@ let ensure_dir dir =
     raise (Cannot_write (dir, "not a directory"))
 
 (* A CSPm script and its elaboration; a load error is one message that
-   names the file, positioned [path:line:col:] where the error has a
-   position. *)
+   names the file. *)
 let load_cspm ?obs path =
   match read_file path with
   | exception Sys_error msg -> Error msg
-  | source -> (
-    let at pos = Format.asprintf "%s:%a" path Cspm.Ast.pp_pos pos in
-    match Cspm.Elaborate.load_string ?obs source with
-    | loaded -> Ok (source, loaded)
-    | exception Cspm.Parser.Parse_error (msg, pos) ->
-      Error (Printf.sprintf "%s: syntax error: %s" (at pos) msg)
-    | exception Cspm.Lexer.Lex_error (msg, pos) ->
-      Error (Printf.sprintf "%s: lexical error: %s" (at pos) msg)
-    | exception Cspm.Elaborate.Elab_error (msg, Some pos) ->
-      Error (Printf.sprintf "%s: %s" (at pos) msg)
-    | exception Cspm.Elaborate.Elab_error (msg, None) ->
-      Error (Printf.sprintf "%s: %s" path msg))
+  | source ->
+    Result.map
+      (fun loaded -> (source, loaded))
+      (Cspm.Elaborate.load_source ?obs ~name:path source)
 
 (* [--trace-out]. A batch run writes the stream to a temporary file that
    is renamed into place once [f] returns or raises, so an interrupted

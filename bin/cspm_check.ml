@@ -22,28 +22,17 @@ let splice_diags diags doc =
   | _ -> doc
 
 (* Render a run's report in either format and choose its exit code (the
-   codes are listed in the man page below), for a plain run and a
-   checkpointed one alike: [rendered] is every outcome's JSON in script
-   order, led by the [completed] ones an interrupted run settled (read
-   back from its checkpoint), and [outcomes] are this run's. [lead]
-   precedes a pretty report. A definite failure outranks an interrupt
-   outranks a plain inconclusive. *)
-let report ~format ~output ~diags ~lead ~cache ~completed ~rendered
-    outcomes =
+   codes are listed in the man page below): the outcomes a run from
+   [from] computed, after the ones [from] settled (read back from a
+   checkpoint when resumed). [lead] precedes a pretty report. A definite
+   failure outranks an interrupt outranks a plain inconclusive. *)
+let report ~format ~output ~diags ~lead ~cache ~from ~interrupted outcomes =
+  let rendered = Cspm.Check.rendered from outcomes in
   let count v =
     List.length
       (List.filter (fun j -> String.equal (json_verdict j) v) rendered)
   in
   let failures = count "fail" and inconclusive = count "inconclusive" in
-  let interrupted =
-    List.exists
-      (fun o ->
-        match o.Cspm.Check.result with
-        | Csp.Refine.Inconclusive (_, hint) ->
-          hint.Csp.Refine.exhausted = Csp.Refine.Interrupt
-        | _ -> false)
-      outcomes
-  in
   Cli.emit output
     (match format with
      | Cli.Json ->
@@ -65,8 +54,8 @@ let report ~format ~output ~diags ~lead ~cache ~completed ~rendered
        ^ Format.asprintf
            "%a@[<v>%a@]@.%d assertion(s), %d failure(s), %d inconclusive@."
            (Format.pp_print_list ~pp_sep:(fun _ () -> ()) from_checkpoint)
-           completed Cspm.Check.pp_outcomes outcomes (List.length rendered)
-           failures inconclusive);
+           from.Cspm.Check.completed Cspm.Check.pp_outcomes outcomes
+           (List.length rendered) failures inconclusive);
   if failures > 0 then 1
   else if interrupted then 5
   else if inconclusive > 0 then 3
@@ -216,61 +205,22 @@ let run path max_states timeout jobs list_only dot format progress trace_out
                  else None);
             }
           in
-          (* The digest covers the reduction setting as well as the script
-             text: a checkpoint records a visit order, and the visit order
-             of a reduced search means nothing to a differently-reduced
-             one, so a mismatched --resume must fail loudly up front. *)
-          let script_digest =
-            Csp.Cache.script_digest
-              (source ^ "\x00reductions="
-              ^ Csp.Reduce.pipeline_to_string pipeline)
-          in
+          let script_digest = Csp.Cache.script_digest ~pipeline source in
           match read_checkpoint ~script_digest resume_file with
           | Error msg ->
             Format.eprintf "%s@." msg;
             2
           | Ok resume ->
-            let start, resume_first, completed =
-              match resume with
-              | Some st ->
-                ( st.Cspm.Check.next_index,
-                  st.Cspm.Check.search,
-                  st.Cspm.Check.completed )
-              | None -> (0, None, [])
+            let from =
+              Option.value resume ~default:(Cspm.Check.fresh script_digest)
             in
-            let outcomes, stop =
-              if Option.is_none checkpoint_out && Option.is_none resume then
-                (Cspm.Check.run ~config loaded, None)
-              else
-                (* The crash-safe sequential path: assertions run in
-                   script order so an interrupt has a well-defined "next
-                   assertion" to record, and a resumed run knows exactly
-                   what is left. *)
-                Cspm.Check.run_seq ~start ?resume_first ~config loaded
-            in
+            let outcomes, stop = Cspm.Check.run_seq ~from ~config loaded in
             (* finish the carriage-return progress line before reporting *)
             if !ticked then Printf.eprintf "\n%!";
-            let rendered =
-              completed
-              @ List.mapi
-                  (fun i o -> Cspm.Check.json_of_outcome (start + i) o)
-                  outcomes
-            in
             (* checkpoint before report: if writing the report is what dies
                next, the checkpoint already exists *)
             (match stop, checkpoint_out with
-             | Some s, Some ck_path ->
-               let st =
-                 {
-                   Cspm.Check.script_digest;
-                   completed =
-                     List.filteri
-                       (fun i _ -> i < s.Cspm.Check.next_index)
-                       rendered;
-                   next_index = s.Cspm.Check.next_index;
-                   search = s.Cspm.Check.search;
-                 }
-               in
+             | Some st, Some ck_path ->
                Cli.write ~path:ck_path
                  (Obs.Json.to_string (Cspm.Check.json_of_resume_state st)
                  ^ "\n");
@@ -285,8 +235,8 @@ let run path max_states timeout jobs list_only dot format progress trace_out
                Cli.writing ck_path (fun () ->
                    if Sys.file_exists ck_path then Sys.remove ck_path)
              | None, None -> ());
-            report ~format ~output ~diags ~lead ~cache ~completed ~rendered
-              outcomes))))
+            report ~format ~output ~diags ~lead ~cache ~from
+              ~interrupted:(Option.is_some stop) outcomes))))
 
 let run path max_states timeout jobs list_only dot format progress trace_out
     lint checkpoint_out resume_file memory_limit reductions output cache =
@@ -344,8 +294,10 @@ let jobs_arg =
           "Number of independent assertions checked at once, each on its \
            own OCaml domain; 0 means the runtime's recommended count. \
            Each product search runs on one domain, and under --timeout \
-           assertions run one after another. Verdicts, counterexamples, \
-           and state/pair counts are identical to -j 1.")
+           assertions run one after another. It applies to checkpointed \
+           and resumed runs too. Verdicts, counterexamples, state/pair \
+           counts and the assertion an interrupt stops at are identical \
+           to -j 1.")
 
 let list_arg =
   Arg.(
@@ -402,13 +354,13 @@ let checkpoint_out_arg =
     & opt (some string) None
     & info [ "checkpoint-out" ] ~docv:"FILE"
         ~doc:
-          "Run assertions sequentially and, if the run is interrupted by \
-           SIGINT/SIGTERM, write a resumable checkpoint (schema \
-           cspm-checkpoint/1) to $(docv): the outcomes already settled, \
-           the assertion that was cut short, and the engine's \
-           commit-boundary snapshot of its product search. The write is \
-           atomic (temp file + rename). If the run completes, a stale \
-           $(docv) from an earlier interrupt is removed.")
+          "If the run is interrupted by SIGINT/SIGTERM, write a \
+           resumable checkpoint (schema cspm-checkpoint/1) to $(docv): \
+           the outcomes already settled, the assertion that was cut \
+           short, and the engine's commit-boundary snapshot of its \
+           product search. The write is atomic (temp file + rename). If \
+           the run completes, a stale $(docv) from an earlier interrupt \
+           is removed.")
 
 let resume_arg =
   Arg.(
@@ -499,10 +451,11 @@ let cmd =
          (an error, or any warning under $(b,--deny-warnings)); no \
          assertion was run.";
       `P
-        "5 — interrupted by SIGINT/SIGTERM: the report covers what was \
-         checked, and with $(b,--checkpoint-out) the run can be \
-         continued with $(b,--resume). A definite failure still exits \
-         1; an interrupt outranks a plain inconclusive 3.";
+        "5 — interrupted by SIGINT/SIGTERM: the run stops at the \
+         interrupted assertion, the report covers what was checked, and \
+         with $(b,--checkpoint-out) the run can be continued with \
+         $(b,--resume). A definite failure still exits 1; an interrupt \
+         outranks a plain inconclusive 3.";
     ]
   in
   Cmd.v

@@ -385,7 +385,13 @@ let digest_term defs p =
         Hashtbl.replace term_digests slot (reached, d));
     d
 
-let script_digest source = Digest.to_hex (Digest.string source)
+(* The pipeline is part of a run's fingerprint: a checkpoint records a
+   visit order, and the visit order of a reduced search means nothing to
+   a differently-reduced one, so a mismatched resume must fail up front. *)
+let script_digest ~pipeline source =
+  Digest.to_hex
+    (Digest.string
+       (source ^ "\x00reductions=" ^ Reduce.pipeline_to_string pipeline))
 
 (* Keys are assembled by concatenation: [Printf] costs more than the
    digest itself at the rate a re-check takes keys. *)

@@ -85,8 +85,11 @@ val digest_term : Defs.t -> Proc.t -> string
     itself. Building block of the keys below; exposed for tests and for
     incremental-invalidation diagnostics. *)
 
-val script_digest : string -> string
-(** Digest of raw script source (daemon job identity, not LTS keying). *)
+val script_digest : pipeline:Reduce.pipeline -> string -> string
+(** The fingerprint of a checked script: its raw source and the
+    reduction pipeline it runs under. A [cspm-checkpoint/1] document
+    carries it, whether [cspm_check] or the daemon wrote it, and a
+    resume under another script or pipeline is refused. Not LTS keying. *)
 
 val spec_key : max_states:int -> Defs.t -> Proc.t -> string
 (** Key of a specification's normal form ([Norm_spec]). *)

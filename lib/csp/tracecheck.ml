@@ -57,20 +57,36 @@ let of_norm ?alphabet:alpha norm =
 
 (* Through [Refine.cached_spec]: a cache hit resumes from whatever
    earlier checks materialised, and what forcing adds is shared with
-   them (and spilled to disk when the cache persists). *)
+   them (and spilled to disk when the cache persists). Forcing polls the
+   config's deadline and cancellation token, as a check's normal form
+   does, so a specification whose tau-closure never ends stops. *)
 let compile ?(config = Check_config.default) ?alphabet defs spec =
   let max_states = config.Check_config.max_states in
+  let stop_at =
+    Option.map (fun s -> Obs.now () +. s) config.Check_config.deadline
+  in
   let step = Semantics.make_cached ~obs:config.Check_config.obs defs in
-  match Refine.cached_spec ~config ~step defs spec with
+  match
+    let norm, key =
+      Refine.cached_spec ~config ?stop_at ?cancel:config.Check_config.cancel
+        ~step defs spec
+    in
+    Normalise.force norm;
+    (norm, key)
+  with
   | exception Normalise.State_limit _ -> budget_error max_states
-  | norm, key -> (
-    match Normalise.force norm with
-    | exception Normalise.State_limit _ -> budget_error max_states
-    | () ->
-      (match config.Check_config.cache, key with
-       | Some cache, Some key -> Cache.spill cache key
-       | _ -> ());
-      Ok (of_norm ?alphabet norm))
+  | exception Normalise.Stopped reason ->
+    Error
+      ("specification compile stopped: "
+      ^
+      match reason with
+      | `Deadline -> "deadline exhausted"
+      | `Interrupt -> "interrupted")
+  | norm, key ->
+    (match config.Check_config.cache, key with
+     | Some cache, Some key -> Cache.spill cache key
+     | _ -> ());
+    Ok (of_norm ?alphabet norm)
 
 type verdict =
   | Accepted
@@ -120,66 +136,3 @@ let step t c label =
 
 let check_trace t labels =
   verdict (List.fold_left (step t) (start t) labels)
-
-type stream_result = {
-  stream : string;
-  events : int;
-  skipped_events : int;
-  verdict : verdict;
-}
-
-type summary = {
-  streams : int;
-  accepted : int;
-  rejected : int;
-  events : int;
-  skipped_events : int;
-  wall_s : float;
-  events_per_sec : float;
-}
-
-let check_one t (stream, labels) =
-  let c = Seq.fold_left (step t) (start t) labels in
-  { stream; events = consumed c; skipped_events = skipped c; verdict = verdict c }
-
-let check_streams ?(workers = 1) ?(obs = Obs.silent) t streams =
-  Obs.span obs "tracecheck.check_streams" (fun () ->
-      let n = Array.length streams in
-      let t0 = Obs.now () in
-      (* Streams are independent, and claimed one at a time, so long and
-         short streams balance across domains. *)
-      let results =
-        Fanout.init ~workers n (fun i -> check_one t streams.(i))
-      in
-      let wall_s = Obs.now () -. t0 in
-      let accepted = ref 0 and rejected = ref 0 in
-      let events = ref 0 and skipped_events = ref 0 in
-      Array.iter
-        (fun r ->
-          (match r.verdict with
-           | Accepted -> incr accepted
-           | Rejected _ -> incr rejected);
-          events := !events + r.events;
-          skipped_events := !skipped_events + r.skipped_events)
-        results;
-      let events_per_sec =
-        if wall_s > 0. then float_of_int !events /. wall_s else 0.
-      in
-      if not (Obs.is_silent obs) then begin
-        Obs.add (Obs.counter obs "tracecheck.events") !events;
-        Obs.add (Obs.counter obs "tracecheck.streams") n;
-        Obs.observe
-          (Obs.histogram obs "tracecheck.events_per_sec"
-             ~buckets:[| 1e3; 1e4; 1e5; 1e6; 1e7; 1e8 |])
-          events_per_sec
-      end;
-      ( results,
-        {
-          streams = n;
-          accepted = !accepted;
-          rejected = !rejected;
-          events = !events;
-          skipped_events = !skipped_events;
-          wall_s;
-          events_per_sec;
-        } ))

@@ -30,8 +30,11 @@ val compile :
 (** Normalise the whole specification ([config] supplies the state
     budget, observability handle, and the optional {!Cache}: a cached
     normal form is shared with the refinement checks, and forcing it
-    builds only what they have not). [Error] reports a specification
-    whose states exceed the budget.
+    builds only what they have not). Forcing polls [config.deadline]
+    (counted from the call) and [config.cancel] as a check's normal form
+    does. [Error] reports a specification whose states exceed the
+    budget, or a compile that ran out of its deadline or was
+    interrupted.
 
     [alphabet] is the set of channels the checker considers observable.
     Events on channels outside it are {e skipped}, not rejected — a
@@ -81,37 +84,3 @@ val skipped : cursor -> int
 (** Out-of-alphabet events skipped so far. *)
 
 val check_trace : t -> Event.label list -> verdict
-
-(** {1 Batched streams} *)
-
-type stream_result = {
-  stream : string;  (** caller-chosen stream identifier *)
-  events : int;  (** labels consumed *)
-  skipped_events : int;
-  verdict : verdict;
-}
-
-type summary = {
-  streams : int;
-  accepted : int;
-  rejected : int;
-  events : int;
-  skipped_events : int;
-  wall_s : float;
-  events_per_sec : float;
-}
-
-val check_streams :
-  ?workers:int ->
-  ?obs:Obs.t ->
-  t ->
-  (string * Event.label Seq.t) array ->
-  stream_result array * summary
-(** Check every stream to completion, [workers] domains wide (default
-    1). Results are positional — element [i] is the verdict of stream
-    [i] — so the output is deterministic at any worker count. Sequences
-    must be persistent or freshly-built (each is forced exactly once,
-    on whichever domain claims it). [obs] receives the
-    [tracecheck.events] / [tracecheck.streams] counters, a
-    [tracecheck.events_per_sec] histogram observation, and a
-    [tracecheck.check_streams] span. *)

@@ -74,9 +74,6 @@ let run_prepared ?(config = Csp.Check_config.default) ?resume defs prepared =
   | _, P_divergence_free p -> Csp.Refine.divergence_free ~config defs p
   | _, P_deterministic p -> Csp.Refine.deterministic ~config defs p
 
-let run_assertion ?config (loaded : Elaborate.t) (a : Ast.assertion) =
-  run_prepared ?config loaded.Elaborate.defs (prepare loaded a)
-
 (* Elaborating every assertion up front must not report a later
    assertion's error before an earlier one has run: the error waits for
    its turn. *)
@@ -141,58 +138,8 @@ let sliced ~(config : Csp.Check_config.t) ~t0 ~n i =
       config
   | None -> config
 
-(* Without a deadline the assertions are independent, so up to
-   [config.workers] of them run at once, each on its own domain. Results
-   are reported in script order regardless of completion order. *)
-let run_concurrent ~(config : Csp.Check_config.t) (loaded : Elaborate.t)
-    assertions prepared =
-  let results =
-    Csp.Fanout.init ~workers:config.Csp.Check_config.workers
-      (Array.length assertions) (fun i ->
-        run_at ~config loaded.Elaborate.defs (snd assertions.(i))
-          prepared.(i))
-  in
-  List.mapi
-    (fun i (assertion, pos) ->
-      { assertion; pos = Some pos; result = results.(i) })
-    loaded.Elaborate.assertions
-
-(* Otherwise one assertion after another: under a deadline each
-   assertion's slice depends on how much wall-clock the previous ones
-   actually used. *)
-let run ?(config = Csp.Check_config.default) (loaded : Elaborate.t) =
-  let assertions = Array.of_list loaded.Elaborate.assertions in
-  let n = Array.length assertions in
-  let prepared = Array.map (prepare_at loaded) assertions in
-  let config = with_run_cache prepared config in
-  match config.Csp.Check_config.deadline with
-  | None when config.Csp.Check_config.workers > 1 && n > 1 ->
-    run_concurrent ~config loaded assertions prepared
-  | _ ->
-    let t0 = Obs.now () in
-    List.mapi
-      (fun i (assertion, pos) ->
-        let config = sliced ~config ~t0 ~n i in
-        {
-          assertion;
-          pos = Some pos;
-          result =
-            Obs.span config.Csp.Check_config.obs "check.assertion" (fun () ->
-                run_at ~config loaded.Elaborate.defs pos prepared.(i));
-        })
-      loaded.Elaborate.assertions
-
 let all_pass outcomes =
   List.for_all (fun o -> Csp.Refine.holds o.result) outcomes
-
-let any_fails outcomes =
-  List.exists
-    (fun o ->
-      match o.result with Csp.Refine.Fails _ -> true | _ -> false)
-    outcomes
-
-let any_inconclusive outcomes =
-  List.exists (fun o -> Csp.Refine.inconclusive o.result) outcomes
 
 (* The machine-readable face of [pp_outcomes]: the documented stable
    schema behind [cspm_check --format json]. Verdict names, field names,
@@ -327,49 +274,8 @@ let pp_outcomes ppf outcomes =
     pp_outcome ppf outcomes
 
 (* ------------------------------------------------------------------ *)
-(* Interruptible sequential runner + the "cspm-checkpoint/1" document  *)
+(* The run, and the "cspm-checkpoint/1" session it stops and resumes in *)
 (* ------------------------------------------------------------------ *)
-
-type stop = {
-  next_index : int;  (** the assertion that was interrupted *)
-  search : Csp.Search.checkpoint option;
-}
-
-let run_seq ?(start = 0) ?resume_first ~(config : Csp.Check_config.t)
-    (loaded : Elaborate.t) =
-  let defs = loaded.Elaborate.defs in
-  let assertions = Array.of_list loaded.Elaborate.assertions in
-  let n = Array.length assertions in
-  (* Elaborate every assertion up front (cheap, hash-consed), so the loop
-     below is purely compile-and-search — and with [config.cache] set,
-     each assertion's spec/impl compilation is a content-addressed lookup
-     before it is ever a compile. *)
-  let prepared = Array.map (prepare_at loaded) assertions in
-  let config = with_run_cache ~from:start prepared config in
-  let t0 = Obs.now () in
-  let rec go i acc =
-    if i >= n then (List.rev acc, None)
-    else begin
-      let assertion, pos = assertions.(i) in
-      let config = sliced ~config ~t0 ~n i in
-      let resume = if i = start then resume_first else None in
-      let result =
-        Obs.span config.Csp.Check_config.obs "check.assertion" (fun () ->
-            run_at ~config ?resume defs pos prepared.(i))
-      in
-      let o = { assertion; pos = Some pos; result } in
-      match result with
-      | Csp.Refine.Inconclusive (_, hint)
-        when hint.Csp.Refine.exhausted = Csp.Refine.Interrupt ->
-        (* The interrupted outcome still joins the partial report, but the
-           stop record excludes it from [completed]: resuming re-runs this
-           assertion (from its engine checkpoint when one exists). *)
-        ( List.rev (o :: acc),
-          Some { next_index = i; search = hint.Csp.Refine.checkpoint } )
-      | _ -> go (i + 1) (o :: acc)
-    end
-  in
-  go start []
 
 type resume_state = {
   script_digest : string;
@@ -377,6 +283,91 @@ type resume_state = {
   next_index : int;
   search : Csp.Search.checkpoint option;
 }
+
+let fresh script_digest =
+  { script_digest; completed = []; next_index = 0; search = None }
+
+let rendered from outcomes =
+  from.completed
+  @ List.mapi (fun i o -> json_of_outcome (from.next_index + i) o) outcomes
+
+(* The state that re-runs assertion [i]: what settled before it, and the
+   engine checkpoint its outcome's resume hint holds, if any. An
+   interrupt and a daemon retry both stop here. *)
+let resume_at from outcomes i =
+  {
+    from with
+    completed = List.filteri (fun j _ -> j < i) (rendered from outcomes);
+    next_index = i;
+    search =
+      (match List.nth_opt outcomes (i - from.next_index) with
+       | Some { result = Csp.Refine.Inconclusive (_, hint); _ } ->
+         hint.Csp.Refine.checkpoint
+       | Some _ | None -> None);
+  }
+
+let interrupted o =
+  match o.result with
+  | Csp.Refine.Inconclusive (_, hint) ->
+    hint.Csp.Refine.exhausted = Csp.Refine.Interrupt
+  | Csp.Refine.Holds _ | Csp.Refine.Fails _ -> false
+
+let run_seq ?(from = fresh "") ~(config : Csp.Check_config.t)
+    (loaded : Elaborate.t) =
+  let defs = loaded.Elaborate.defs in
+  let assertions = Array.of_list loaded.Elaborate.assertions in
+  let n = Array.length assertions and start = from.next_index in
+  (* Elaborate every assertion up front (cheap, hash-consed), so what
+     runs below is purely compile-and-search — and with [config.cache]
+     set, each assertion's spec/impl compilation is a content-addressed
+     lookup before it is ever a compile. *)
+  let prepared = Array.map (prepare_at loaded) assertions in
+  let config = with_run_cache ~from:start prepared config in
+  let check ~config i =
+    let resume = if i = start then from.search else None in
+    run_at ~config ?resume defs (snd assertions.(i)) prepared.(i)
+  in
+  let result =
+    match config.Csp.Check_config.deadline with
+    | None when config.Csp.Check_config.workers > 1 && n - start > 1 ->
+      (* Without a deadline the assertions are independent, so up to
+         [config.workers] of them run at once, each on its own domain.
+         Their errors and interrupts are taken up below in script order,
+         as if they had run one after another. *)
+      let results =
+        Csp.Fanout.init ~workers:config.Csp.Check_config.workers (n - start)
+          (fun k ->
+            match check ~config (start + k) with
+            | r -> Ok r
+            | exception e -> Error e)
+      in
+      fun i -> (
+        match results.(i - start) with Ok r -> r | Error e -> raise e)
+    | _ ->
+      (* Otherwise one after another: under a deadline each assertion's
+         slice depends on how much wall clock the earlier ones used. *)
+      let t0 = Obs.now () in
+      fun i ->
+        let config = sliced ~config ~t0 ~n i in
+        Obs.span config.Csp.Check_config.obs "check.assertion" (fun () ->
+            check ~config i)
+  in
+  (* An interrupt ends the run: the interrupted outcome still joins the
+     partial report, and the run stops in the state that re-runs it. *)
+  let rec go i acc =
+    if i >= n then (List.rev acc, None)
+    else
+      let assertion, pos = assertions.(i) in
+      let o = { assertion; pos = Some pos; result = result i } in
+      if interrupted o then
+        let outcomes = List.rev (o :: acc) in
+        (outcomes, Some (resume_at from outcomes i))
+      else go (i + 1) (o :: acc)
+  in
+  go start []
+
+let run ?(config = Csp.Check_config.default) loaded =
+  fst (run_seq ~config loaded)
 
 let checkpoint_schema = "cspm-checkpoint/1"
 

@@ -23,85 +23,14 @@ val error_message : exn -> string
 (** A one-line description of a {!Check_error}'s exception, e.g.
     ["Unguarded recursion: P [] (a!1 -> P)"]. *)
 
-val run_assertion :
-  ?config:Csp.Check_config.t ->
-  Elaborate.t ->
-  Ast.assertion ->
-  Csp.Refine.result
-(** Elaborate the assertion's terms against the loaded script and run the
-    corresponding check ([T=] trace refinement, [F=] stable-failures
-    refinement, deadlock or divergence freedom). Budgets and
-    observability come from [config] (default
-    {!Csp.Check_config.default}); on a budget expiry the result is
-    {!Csp.Refine.Inconclusive} rather than an exception. *)
-
 val slice : remaining_wall:float -> remaining:int -> float
 (** The wall-clock share the next assertion receives when
     [remaining_wall] seconds are left for [remaining] assertions:
     [remaining_wall / remaining], clamped to be non-negative. Exposed so
     the rolling-budget arithmetic is testable on its own. *)
 
-type stop = {
-  next_index : int;  (** the assertion that was interrupted *)
-  search : Csp.Search.checkpoint option;
-      (** the engine checkpoint of the interrupted product search; [None]
-          when the interrupt landed outside a checkpointable search *)
-}
-
-val run_seq :
-  ?start:int ->
-  ?resume_first:Csp.Search.checkpoint ->
-  config:Csp.Check_config.t ->
-  Elaborate.t ->
-  outcome list * stop option
-(** The interruptible sequential runner behind [cspm_check
-    --checkpoint-out]/[--resume]. Runs assertions [start..] in script
-    order (default [start = 0]), resuming the first one from
-    [resume_first] when given. Stops early when an assertion comes back
-    {!Csp.Refine.Inconclusive} with [exhausted = Interrupt] (the
-    cancellation token tripped): the interrupted outcome is still the
-    last element of the returned list — so a valid partial report can be
-    written — but the {!stop} record points at it as the assertion to
-    re-run. [stop = None] means the sequence ran to the end.
-
-    A [config.deadline] is a rolling budget over the assertions actually
-    run, recomputed per assertion exactly like {!run}'s sequential
-    deadline path. The assertions from [start] on share compiles as in
-    {!run}. *)
-
-val run : ?config:Csp.Check_config.t -> Elaborate.t -> outcome list
-(** Run every [assert], reporting outcomes in script order. A
-    [config.deadline] covers the whole run; each assertion's slice is
-    recomputed as remaining-wall / remaining-assertions, so budget left
-    unused by fast assertions rolls forward to later (possibly hard) ones
-    instead of being discarded.
-
-    [config.workers] is how many independent assertions run at once, each
-    on its own domain. It applies only without a deadline, whose
-    accounting is inherently sequential; each product search itself
-    always runs on one domain. Verdicts and counterexamples are identical
-    to a sequential run either way.
-
-    Assertions that refine one system, or check it for deadlock or
-    divergence, share its compile, whatever each hides of it
-    ([SYSTEM \ H]). With [config.cache] set they share it through that
-    cache. Without one, when two or more of the refinements and freedom
-    checks to run name one process once their root hiding is peeled
-    off, the run makes a fresh in-memory cache that lives as long as
-    the run, holds at most [config.max_states] resident states, emits no
-    [serve.cache_*] metrics and appears in no report. A run whose
-    assertions share no system keeps no cache of its own.
-
-    [config.obs] records a [check.assertion] span per assertion (on the
-    sequential path) on top of the engine's own spans and metrics. *)
-
 val all_pass : outcome list -> bool
 (** Every outcome is {!Csp.Refine.Holds} — inconclusive is not a pass. *)
-
-val any_fails : outcome list -> bool
-(** At least one outcome is a definite {!Csp.Refine.Fails}. *)
-
-val any_inconclusive : outcome list -> bool
 
 val json_of_outcomes : ?cache:Csp.Cache.stats -> outcome list -> Obs.Json.t
 (** The machine-readable outcome report behind [cspm_check --format
@@ -158,24 +87,92 @@ val report_of_json_outcomes :
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_outcomes : Format.formatter -> outcome list -> unit
 
-(** {2 The ["cspm-checkpoint/1"] document}
+(** {2 Running a script}
 
-    What [cspm_check --checkpoint-out] writes and [--resume] reads: the
-    script digest (resuming against a different script is refused
-    up-front), the rendered outcomes of the assertions that completed,
-    the index of the assertion to re-run, and — when the interrupt landed
+    One loop runs a script's assertions, for a plain run, a checkpointed
+    one, a resumed one and a daemon's retry alike. Where it starts and
+    where it stopped are ["cspm-checkpoint/1"] session states: what
+    [cspm_check --checkpoint-out] writes and [--resume] reads, and what
+    the daemon spills to its state directory — the script fingerprint
+    (resuming against a different script or reduction setting is refused
+    up front), the rendered outcomes of the assertions that settled, the
+    index of the assertion to re-run, and — when the interrupt landed
     inside a product search — the engine checkpoint to fast-forward it
     from. *)
 
 type resume_state = {
   script_digest : string;
-      (** hex digest of the script source the checkpoint belongs to *)
+      (** the {!Csp.Cache.script_digest} of the script source and the
+          reduction pipeline the run was under *)
   completed : Obs.Json.t list;
       (** rendered {!json_of_outcome} objects for assertions
           [0 .. next_index - 1] *)
   next_index : int;  (** the assertion to re-run *)
   search : Csp.Search.checkpoint option;
 }
+
+val fresh : string -> resume_state
+(** [fresh script_digest]: nothing settled, so a run from it starts at
+    the first assertion, from scratch. *)
+
+val run_seq :
+  ?from:resume_state ->
+  config:Csp.Check_config.t ->
+  Elaborate.t ->
+  outcome list * resume_state option
+(** Run assertions [from.next_index ..] in script order (default: all of
+    them, from a fresh state with an empty digest), resuming the first
+    from [from.search] when it holds an engine checkpoint. Returns the
+    outcomes of the assertions it ran.
+
+    An interrupt ends the run: when an assertion comes back
+    {!Csp.Refine.Inconclusive} with [exhausted = Interrupt] (the
+    cancellation token tripped), its outcome is the last one returned,
+    so a valid partial report can be written, and the state returned
+    beside them ({!resume_at} of it) re-runs it. [None] means the run
+    reached the last assertion.
+
+    A [config.deadline] covers the whole run; each assertion's slice is
+    recomputed as remaining-wall / remaining-assertions, so budget left
+    unused by fast assertions rolls forward to later (possibly hard)
+    ones instead of being discarded.
+
+    [config.workers] is how many assertions run at once, each on its own
+    domain. It applies only without a deadline, whose accounting is
+    inherently sequential, and when more than one assertion is left to
+    run; each product search itself always runs on one domain. Verdicts,
+    counterexamples, the first {!Check_error} in script order and the
+    assertion an interrupt stops at are those of a run on one domain.
+
+    Assertions that refine one system, or check it for deadlock or
+    divergence, share its compile, whatever each hides of it
+    ([SYSTEM \ H]). With [config.cache] set they share it through that
+    cache. Without one, when two or more of the refinements and freedom
+    checks to run name one process once their root hiding is peeled
+    off, the run makes a fresh in-memory cache that lives as long as
+    the run, holds at most [config.max_states] resident states, emits no
+    [serve.cache_*] metrics and appears in no report. A run whose
+    assertions share no system keeps no cache of its own.
+
+    [config.obs] records a [check.assertion] span per assertion (when
+    they run one after another) on top of the engine's own spans and
+    metrics. *)
+
+val run : ?config:Csp.Check_config.t -> Elaborate.t -> outcome list
+(** The outcomes of {!run_seq} from the first assertion. *)
+
+val rendered : resume_state -> outcome list -> Obs.Json.t list
+(** [rendered from outcomes]: every outcome of a run from [from] that
+    returned [outcomes], rendered for the report in script order —
+    [from.completed], then [outcomes] by {!json_of_outcome} at their
+    indices from [from.next_index]. *)
+
+val resume_at : resume_state -> outcome list -> int -> resume_state
+(** [resume_at from outcomes i]: the state that re-runs assertion [i]
+    ([from.next_index <= i]) of a run from [from] that returned
+    [outcomes] — the rendered outcomes before [i], and the engine
+    checkpoint in the resume hint of [i]'s outcome, if it has one. An
+    interrupt stops there, and so does a daemon retry. *)
 
 val checkpoint_schema : string
 (** ["cspm-checkpoint/1"]. *)

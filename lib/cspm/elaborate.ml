@@ -387,6 +387,25 @@ let load_string ?(obs = Obs.silent) src =
   let ast = Obs.span obs "cspm.parse" (fun () -> Parser.script src) in
   Obs.span obs "cspm.elaborate" (fun () -> load ast)
 
+let load_source ?obs ?name src =
+  let at pos =
+    match name with
+    | Some name -> Format.asprintf "%s:%a" name Ast.pp_pos pos
+    | None -> Format.asprintf "%a" Ast.pp_pos pos
+  in
+  match load_string ?obs src with
+  | loaded -> Ok loaded
+  | exception Parser.Parse_error (msg, pos) ->
+    Error (Printf.sprintf "%s: syntax error: %s" (at pos) msg)
+  | exception Lexer.Lex_error (msg, pos) ->
+    Error (Printf.sprintf "%s: lexical error: %s" (at pos) msg)
+  | exception Elab_error (msg, Some pos) ->
+    Error (Printf.sprintf "%s: %s" (at pos) msg)
+  | exception Elab_error (msg, None) -> (
+    match name with
+    | Some name -> Error (Printf.sprintf "%s: %s" name msg)
+    | None -> Error msg)
+
 let ctx_of (loaded : t) =
   let defs = loaded.defs in
   let klass_of n =

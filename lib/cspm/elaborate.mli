@@ -27,6 +27,15 @@ val load_string : ?obs:Obs.t -> string -> t
     spans around the two stages.
     @raise Parser.Parse_error or {!Lexer.Lex_error} on syntax errors. *)
 
+val load_source :
+  ?obs:Obs.t -> ?name:string -> string -> (t, string) result
+(** {!load_string}, with a syntax, lexical or elaboration error turned
+    into one message: [name:line:col: syntax error: ...],
+    [name:line:col: lexical error: ...], [name:line:col: ...], or
+    [name: ...] for an elaboration error with no position. Without
+    [name] the message leads with the position alone, or is bare. The
+    one loader behind [cspm_check], the other tools and the daemon. *)
+
 val proc_of_term : t -> Ast.term -> Csp.Proc.t
 (** Elaborate a closed process term against a loaded script (used by the
     CLI and tests). *)

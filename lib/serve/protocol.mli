@@ -27,7 +27,9 @@
       "dbc": "bus.dbc",             // optional; default: the corpus
                                     // header's embedded database
       // both kinds:
-      "deadline_s": 5.0,     // optional per-attempt wall budget (check)
+      "deadline_s": 5.0,     // optional wall budget: per attempt for
+                             // a check; per spec compile for a
+                             // trace-check
       "workers": 2,          // optional, default 1 (trace-check only:
                              // parsing domains; check jobs ignore it)
       "max_states": 100000,  // optional
@@ -87,8 +89,10 @@ type job = {
       (** the schema version the job was submitted under — its events
           echo it back *)
   deadline_s : float option;
-      (** wall budget per attempt; the runner doubles it on every retry
-          so a too-tight first guess still converges (check jobs) *)
+      (** check jobs: wall budget per attempt, doubled by the runner on
+          every retry so a too-tight first guess still converges.
+          Trace-check jobs: the budget of each specification's compile;
+          one that runs out fails the job. *)
   workers : int;
       (** trace-check: corpus parsing domains. Check jobs run their
           assertions one after another on one domain and ignore it. *)

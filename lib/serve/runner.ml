@@ -96,32 +96,17 @@ let emit_health ?v t =
        ~queued:(Queue.length t.queue) ~done_:t.jobs_done
        ~failed:t.jobs_failed ~retries:t.retries ~draining:t.draining ())
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
+(* A [path] job's load errors name its file, as [cspm_check]'s do. *)
 let load_job (job : Protocol.job) =
   match
-    let source =
-      match job.Protocol.source with
-      | Protocol.Inline src -> src
-      | Protocol.Path p -> read_file p
-    in
-    (source, Cspm.Elaborate.load_string source)
+    match job.Protocol.source with
+    | Protocol.Inline source -> (source, Cspm.Elaborate.load_source source)
+    | Protocol.Path name ->
+      let source = In_channel.with_open_bin name In_channel.input_all in
+      (source, Cspm.Elaborate.load_source ~name source)
   with
-  | source, loaded -> Ok (source, loaded)
+  | source, loaded -> Result.map (fun loaded -> (source, loaded)) loaded
   | exception Sys_error msg -> Error msg
-  | exception Cspm.Parser.Parse_error (msg, pos) ->
-    Error (Format.asprintf "%a: syntax error: %s" Cspm.Ast.pp_pos pos msg)
-  | exception Cspm.Lexer.Lex_error (msg, pos) ->
-    Error (Format.asprintf "%a: lexical error: %s" Cspm.Ast.pp_pos pos msg)
-  | exception Cspm.Elaborate.Elab_error (msg, pos) ->
-    Error
-      (match pos with
-      | Some pos -> Format.asprintf "%a: %s" Cspm.Ast.pp_pos pos msg
-      | None -> msg)
   | exception Stack_overflow -> Error "stack overflow while loading script"
   | exception Out_of_memory -> Error "out of memory while loading script"
 
@@ -157,16 +142,9 @@ let timed_out (o : Cspm.Check.outcome) =
     | _ -> false)
   | _ -> false
 
-let checkpoint_of (o : Cspm.Check.outcome) =
-  match o.Cspm.Check.result with
-  | Csp.Refine.Inconclusive (_, hint) -> hint.Csp.Refine.checkpoint
-  | _ -> None
-
 let rec first_timeout i = function
   | [] -> None
-  | o :: rest -> if timed_out o then Some (i, o) else first_timeout (i + 1) rest
-
-let take n xs = List.filteri (fun i _ -> i < n) xs
+  | o :: rest -> if timed_out o then Some i else first_timeout (i + 1) rest
 
 (* Where a job's retry checkpoint is spilled between attempts. The file
    is a full cspm-checkpoint/1 document, so if the daemon dies mid-retry
@@ -227,23 +205,15 @@ let run_check_job t (job : Protocol.job) =
       note_failed t
     | lint_report ->
     let diagnostics = Option.map Analysis.Diag.json_of_list lint_report in
-    let script_digest =
-      Csp.Cache.script_digest
-        (source ^ "\x00reductions="
-        ^ Csp.Reduce.pipeline_to_string reductions)
-    in
-    let report_of outcomes =
+    let report_of from outcomes =
       Cspm.Check.report_of_json_outcomes
         ?cache:(Option.map Csp.Cache.stats cfg.cache)
-        outcomes
+        (Cspm.Check.rendered from outcomes)
     in
-    let render start outcomes =
-      List.mapi (fun i o -> Cspm.Check.json_of_outcome (start + i) o) outcomes
-    in
-    (* [completed]: rendered outcomes settled by earlier attempts, in
-       script order; each retry re-runs only from the first timed-out
-       assertion onward. *)
-    let rec attempt k ~start ~completed ~resume ~deadline_s =
+    (* [from]: where this attempt starts — the outcomes earlier attempts
+       settled, in script order, and the assertion to re-run from its
+       engine checkpoint. *)
+    let rec attempt k (from : Cspm.Check.resume_state) ~deadline_s =
       cfg.emit (Protocol.started ~v ~id:job.Protocol.id ~attempt:k ());
       let config =
         let open Csp.Check_config in
@@ -263,50 +233,43 @@ let run_check_job t (job : Protocol.job) =
         in
         match deadline_s with Some d -> with_deadline d c | None -> c
       in
-      let resume_first = Option.map roundtrip_checkpoint resume in
-      let outcomes, stop =
-        Cspm.Check.run_seq ~start ?resume_first ~config loaded
+      let from =
+        {
+          from with
+          Cspm.Check.search =
+            Option.map roundtrip_checkpoint from.Cspm.Check.search;
+        }
       in
+      let outcomes, stop = Cspm.Check.run_seq ~from ~config loaded in
       match stop with
-      | Some s ->
+      | Some st ->
         (* daemon shutdown interrupted the search mid-job: report what we
            have as a valid partial document and stop retrying. The spilled
            checkpoint is deliberately left behind (and refreshed) — it is
            the resume handle for a client that resubmits after restart. *)
-        let settled = s.Cspm.Check.next_index - start in
-        spill_checkpoint cfg job
-          {
-            Cspm.Check.script_digest;
-            completed = completed @ render start (take settled outcomes);
-            next_index = s.Cspm.Check.next_index;
-            search = s.Cspm.Check.search;
-          };
-        let report = report_of (completed @ render start outcomes) in
+        spill_checkpoint cfg job st;
         cfg.emit
           (Protocol.result ~v ?diagnostics ~id:job.Protocol.id ~attempts:k
-             ~interrupted:true ~report ());
+             ~interrupted:true ~report:(report_of from outcomes) ());
         note_failed t
       | None -> (
-        match (if k <= retries then first_timeout 0 outcomes else None) with
-        | Some (rel, o) ->
-          let completed = completed @ render start (take rel outcomes) in
-          let resume = checkpoint_of o in
+        match
+          if k <= retries then
+            first_timeout from.Cspm.Check.next_index outcomes
+          else None
+        with
+        | Some i ->
+          let next = Cspm.Check.resume_at from outcomes i in
           (* Spill before sleeping: the backoff window is exactly when an
              impatient operator restarts the daemon. *)
-          spill_checkpoint cfg job
-            {
-              Cspm.Check.script_digest;
-              completed;
-              next_index = start + rel;
-              search = resume;
-            };
+          spill_checkpoint cfg job next;
           let pause = backoff t k in
           t.retries <- t.retries + 1;
           Obs.incr t.c_retries;
           cfg.emit
             (Protocol.retrying ~v ~id:job.Protocol.id ~attempt:(k + 1)
                ~backoff_s:pause
-               ~resumed:(Option.is_some resume) ());
+               ~resumed:(Option.is_some next.Cspm.Check.search) ());
           cfg.sleep pause;
           (* Double the per-attempt budget, but never past a configurable
              multiple of the job's own deadline — unbounded doubling let a
@@ -319,18 +282,17 @@ let run_check_job t (job : Protocol.job) =
             | Some d, None -> Some (d *. 2.)
             | None, _ -> None
           in
-          attempt (k + 1) ~start:(start + rel) ~completed ~resume
-            ~deadline_s:next_deadline
+          attempt (k + 1) next ~deadline_s:next_deadline
         | None ->
-          let report = report_of (completed @ render start outcomes) in
           (* terminal verdict: the retry checkpoint is now stale state *)
           remove_checkpoint cfg job;
           cfg.emit
             (Protocol.result ~v ?diagnostics ~id:job.Protocol.id ~attempts:k
-               ~interrupted:false ~report ());
+               ~interrupted:false ~report:(report_of from outcomes) ());
           note_done t)
     in
-    attempt 1 ~start:0 ~completed:[] ~resume:None
+    attempt 1
+      (Cspm.Check.fresh (Csp.Cache.script_digest ~pipeline:reductions source))
       ~deadline_s:job.Protocol.deadline_s)
 
 (* Trace-check jobs are a single pass over the corpus — no product
@@ -348,21 +310,28 @@ let run_trace_job t (job : Protocol.job) ~corpus ~specs ~dbc =
   | Error reason -> fail reason
   | Ok (_source, loaded) -> (
     cfg.emit (Protocol.started ~v ~id:job.Protocol.id ~attempt:1 ());
+    (* The deadline and the daemon's token bound the spec compile, the
+       one step of a trace check that can run without end. *)
     let config =
       let open Csp.Check_config in
-      let c = default |> with_obs cfg.obs in
+      let c =
+        default |> with_obs cfg.obs |> with_cancel (Signals.read cfg.cancel)
+      in
       let c =
         match job.Protocol.max_states with
         | Some n -> with_max_states n c
         | None -> c
       in
-      match cfg.cache with Some k -> with_cache k c | None -> c
+      let c = match cfg.cache with Some k -> with_cache k c | None -> c in
+      match job.Protocol.deadline_s with
+      | Some d -> with_deadline d c
+      | None -> c
     in
     let dbc_text =
       match dbc with
       | None -> Ok None
       | Some path -> (
-        match read_file path with
+        match In_channel.with_open_bin path In_channel.input_all with
         | text -> Ok (Some text)
         | exception Sys_error msg -> Error msg)
     in

@@ -11,8 +11,9 @@
     refinement engine with the retry/checkpoint machinery below;
     [Trace_check] jobs stream a [can-trace/1] corpus through
     {!Trace_run} — a single pass, so no retries or checkpoints; their
-    [result] events embed the ["trace-check/1"] report and carry
-    top-level stream/verdict counts.
+    [deadline_s] and the runner's cancellation token bound the
+    specification compile, and their [result] events embed the
+    ["trace-check/1"] report and carry top-level stream/verdict counts.
 
     A job whose attempt exhausts its wall budget ([deadline_s], the
     per-job watchdog) is retried with exponential backoff and jitter, and

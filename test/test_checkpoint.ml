@@ -378,7 +378,12 @@ let test_run_seq_interrupt_and_resume () =
              incr calls;
              !calls >= 2))
   in
-  let outcomes, stop = Cspm.Check.run_seq ~config loaded in
+  let digest =
+    Csp.Cache.script_digest ~pipeline:Reduce.default_pipeline seq_script
+  in
+  let outcomes, stop =
+    Cspm.Check.run_seq ~from:(Cspm.Check.fresh digest) ~config loaded
+  in
   match stop with
   | None -> Alcotest.fail "the cancellation token did not stop the sequence"
   | Some s ->
@@ -391,22 +396,15 @@ let test_run_seq_interrupt_and_resume () =
        Alcotest.(check bool) "marked as an interrupt" true
          (hint.Refine.exhausted = Refine.Interrupt)
      | _ -> Alcotest.fail "the interrupted outcome should be inconclusive");
-    let cp =
-      match s.Cspm.Check.search with
-      | Some cp -> cp
-      | None -> Alcotest.fail "no engine checkpoint in the stop record"
-    in
+    Alcotest.(check bool) "an engine checkpoint in the stop state" true
+      (Option.is_some s.Cspm.Check.search);
+    Alcotest.(check (list string))
+      "the settled outcome in the stop state"
+      [ Obs.Json.to_string (Cspm.Check.json_of_outcome 0 (List.hd outcomes)) ]
+      (List.map Obs.Json.to_string s.Cspm.Check.completed);
     (* the full cspm-checkpoint/1 document, round-tripped as the CLI
        writes and reads it *)
-    let st =
-      {
-        Cspm.Check.script_digest = Digest.to_hex (Digest.string seq_script);
-        completed = [ Cspm.Check.json_of_outcome 0 (List.hd outcomes) ];
-        next_index = 1;
-        search = Some cp;
-      }
-    in
-    let encoded = Obs.Json.to_string (Cspm.Check.json_of_resume_state st) in
+    let encoded = Obs.Json.to_string (Cspm.Check.json_of_resume_state s) in
     let st' =
       match Obs.Json.parse encoded with
       | Error msg -> Alcotest.failf "resume state does not re-parse: %s" msg
@@ -415,16 +413,10 @@ let test_run_seq_interrupt_and_resume () =
         | Ok st -> st
         | Error msg -> Alcotest.failf "resume state rejected: %s" msg)
     in
-    check_string "script digest survives" st.Cspm.Check.script_digest
-      st'.Cspm.Check.script_digest;
-    let cp' =
-      match st'.Cspm.Check.search with
-      | Some cp -> cp
-      | None -> Alcotest.fail "engine checkpoint lost in the round trip"
-    in
-    let resumed, stop' =
-      Cspm.Check.run_seq ~start:1 ~resume_first:cp' ~config:raw loaded
-    in
+    check_string "script digest survives" digest st'.Cspm.Check.script_digest;
+    Alcotest.(check bool) "engine checkpoint survives the round trip" true
+      (Option.is_some st'.Cspm.Check.search);
+    let resumed, stop' = Cspm.Check.run_seq ~from:st' ~config:raw loaded in
     Alcotest.(check bool) "resume completes" true (stop' = None);
     let got =
       render (List.hd outcomes).Cspm.Check.result
@@ -460,15 +452,30 @@ let test_graph_checks_interrupt () =
        P(n) = x!n -> P((n+1)%16)\n\
        Q(n) = y!n -> Q((n+3)%16)\n\
        SYS = P(0) ||| Q(0)\n\
+       U = U [] x!1 -> U\n\
        assert SYS :[deadlock free]\n\
-       assert SYS :[divergence free]\n"
+       assert SYS :[divergence free]\n\
+       assert STOP [T= U\n"
   in
-  let outcomes, stop = Cspm.Check.run_seq ~config loaded in
-  match stop with
-  | Some { Cspm.Check.next_index = 0; search = None } ->
-    Alcotest.(check int) "only the interrupted outcome" 1 (List.length outcomes)
-  | Some _ | None ->
-    Alcotest.fail "run_seq did not stop at the interrupted deadlock check"
+  (* The interrupt ends every run there, on one domain or on two: the
+     unguarded assertion after it reports no error. *)
+  List.iter
+    (fun workers ->
+      let config = Check_config.with_workers workers config in
+      let what = Printf.sprintf "workers=%d" workers in
+      Alcotest.(check int)
+        (what ^ ": run stops at the interrupt")
+        1
+        (List.length (Cspm.Check.run ~config loaded));
+      match Cspm.Check.run_seq ~config loaded with
+      | outcomes, Some { Cspm.Check.next_index = 0; search = None; _ } ->
+        Alcotest.(check int)
+          (what ^ ": only the interrupted outcome")
+          1 (List.length outcomes)
+      | _, (Some _ | None) ->
+        Alcotest.failf "%s: run_seq did not stop at the interrupted check"
+          what)
+    [ 1; 2 ]
 
 let test_resume_state_rejects_malformed () =
   let reject name json =

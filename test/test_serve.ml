@@ -679,6 +679,91 @@ let test_crashing_job_fails_alone () =
   check_int "one job done" 1 (req "done" drained);
   check_int "one job failed" 1 (req "failed" drained)
 
+(* A trace-check job whose specification's tau-closure never ends
+   (P can always unfold another interleaved copy of itself) stops
+   compiling it at the job's deadline_s, and when the daemon's token
+   trips: the job fails with a reason naming what stopped it, and the
+   runner goes on. *)
+let test_trace_check_compile_stops () =
+  let corpus = Filename.temp_file "serve_corpus" ".ndjson" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove corpus)
+    (fun () ->
+      ignore
+        (Ota.Corpus.generate ~seed:5 ~streams:2 ~until_ms:100 ~path:corpus
+           ());
+      let endless =
+        "channel rptSw : {0..7}\n\
+         P = STOP |~| (P ||| rptSw!0 -> STOP)\n\
+         SPEC_P = P\n"
+      in
+      let kind =
+        Serve.Protocol.Trace_check { corpus; specs = []; dbc = None }
+      in
+      (* each event with the seconds since the runner was made *)
+      let run ?deadline_s ~trip_after () =
+        let events = ref [] and cancel = Serve.Signals.create () in
+        let t0 = Unix.gettimeofday () in
+        let t =
+          Serve.Runner.create
+            {
+              (Serve.Runner.default_config ~emit:(fun j ->
+                   events := (Unix.gettimeofday () -. t0, j) :: !events))
+              with
+              Serve.Runner.sleep = ignore;
+              cancel;
+            }
+        in
+        Serve.Runner.submit t
+          (job ?deadline_s ~kind ~id:"endless" (Serve.Protocol.Inline endless));
+        Serve.Runner.submit t
+          (job ~id:"next" (Serve.Protocol.Inline trivial_script));
+        let tripper =
+          Option.map
+            (fun s ->
+              Domain.spawn (fun () ->
+                  Unix.sleepf s;
+                  Serve.Signals.trip cancel))
+            trip_after
+        in
+        Serve.Runner.drain t;
+        Option.iter Domain.join tripper;
+        List.rev !events
+      in
+      let ending what evs =
+        match
+          List.find_opt
+            (fun (_, e) ->
+              str "id" e = Some "endless"
+              && List.mem (event_name e) [ "failed"; "result" ])
+            evs
+        with
+        | Some (at, e) ->
+          check_string (what ^ ": the job fails") "failed" (event_name e);
+          check_bool
+            (Printf.sprintf "%s: it ends within 1.5 s (%.2f s)" what at)
+            true (at < 1.5);
+          Option.value (str "reason" e) ~default:""
+        | None -> Alcotest.failf "%s: the job never ended" what
+      in
+      let names evs = List.map (fun (_, e) -> event_name e) evs in
+      let evs = run ~deadline_s:0.5 ~trip_after:None () in
+      let reason = ending "deadline_s 0.5" evs in
+      check_bool ("the reason names the deadline: " ^ reason) true
+        (Helpers.contains reason "deadline exhausted");
+      check_bool "the check queued behind it gets its result" true
+        (List.exists
+           (fun (_, e) -> str "id" e = Some "next" && event_name e = "result")
+           evs);
+      check_string "the drain returns" "drained"
+        (List.nth (names evs) (List.length evs - 1));
+      let evs = run ~trip_after:(Some 0.3) () in
+      let reason = ending "a tripped token" evs in
+      check_bool ("the reason names the interrupt: " ^ reason) true
+        (Helpers.contains reason "interrupted");
+      check_string "the drain returns" "drained"
+        (List.nth (names evs) (List.length evs - 1)))
+
 let suite =
   ( "serve",
     [
@@ -714,4 +799,6 @@ let suite =
         test_serve_loop_end_to_end;
       Alcotest.test_case "a job that raises fails alone" `Quick
         test_crashing_job_fails_alone;
+      Alcotest.test_case "a trace-check spec compile stops" `Quick
+        test_trace_check_compile_stops;
     ] )

@@ -133,46 +133,6 @@ let agreement_test =
           candidate_traces)
 
 (* ------------------------------------------------------------------ *)
-(* check_streams worker identity                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_workers_identical () =
-  let defs = make_defs () in
-  let spec = send "a" 0 (send "b" 1 Proc.skip) in
-  let t = compile_exn defs spec in
-  let streams =
-    Array.init 60 (fun i ->
-        let body =
-          match i mod 3 with
-          | 0 -> [ vis "a" 0; vis "b" 1; Event.Tick ]
-          | 1 -> [ vis "a" 0; vis "b" 0 ]
-          | _ -> [ vis "b" 1 ]
-        in
-        (Printf.sprintf "s%02d" i, List.to_seq body))
-  in
-  let render (results, (summary : Tracecheck.summary)) =
-    Printf.sprintf "streams=%d accepted=%d rejected=%d events=%d skipped=%d"
-      summary.streams summary.accepted summary.rejected summary.events
-      summary.skipped_events
-    :: (Array.to_list results
-       |> List.map (fun (r : Tracecheck.stream_result) ->
-              Printf.sprintf "%s %d %d %s" r.stream r.events r.skipped_events
-                (show_verdict r.verdict)))
-  in
-  let run w = Tracecheck.check_streams ~workers:w t streams in
-  let _, summary1 = run 1 in
-  Alcotest.(check int) "streams" 60 summary1.Tracecheck.streams;
-  Alcotest.(check int) "accepted" 20 summary1.Tracecheck.accepted;
-  Alcotest.(check int) "rejected" 40 summary1.Tracecheck.rejected;
-  let base = render (run 1) in
-  List.iter
-    (fun w ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "workers=%d identical" w)
-        base (render (run w)))
-    [ 2; 4 ]
-
-(* ------------------------------------------------------------------ *)
 (* can-trace/1 codec round-trip                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -655,8 +615,6 @@ let suite =
     Alcotest.test_case "out-of-alphabet events skipped" `Quick
       test_out_of_alphabet_skipped;
     QCheck_alcotest.to_alcotest agreement_test;
-    Alcotest.test_case "check_streams identical across workers" `Quick
-      test_workers_identical;
     QCheck_alcotest.to_alcotest codec_roundtrip_test;
     Alcotest.test_case "codec rejects invalid entries" `Quick
       test_entry_of_json_rejects;
