@@ -100,12 +100,13 @@ let print_dot ~config path (loaded : Cspm.Elaborate.t) name =
     | Csp.Lts.Complete lts ->
       print_string (Csp.Lts.to_dot lts);
       0
-    | Csp.Lts.Partial (_, progress) ->
+    | Csp.Lts.Partial progress ->
       Format.eprintf "%s: --dot %s: %s after %d states, no graph@." path name
         (match progress.Csp.Lts.reason with
-         | `States -> "state budget (--max-states) exhausted"
-         | `Deadline -> "deadline (--timeout) exhausted"
-         | `Interrupt -> "interrupted")
+         | Csp.Budget.States | Pairs -> "state budget (--max-states) exhausted"
+         | Deadline -> "deadline (--timeout) exhausted"
+         | Interrupt -> "interrupted"
+         | Memory -> "memory watermark (--memory-limit) crossed")
         progress.Csp.Lts.interned;
       2
     | exception
@@ -383,11 +384,13 @@ let memory_limit_arg =
     & opt (some int) None
     & info [ "memory-limit" ] ~docv:"MB"
         ~doc:
-          "Heap watermark in MiB, polled at the engine's cadence: if the \
-           OCaml heap crosses it, the running check returns INCONCLUSIVE \
-           (exhausted: memory) while the process is still healthy enough \
-           to write its report and checkpoint — instead of being killed \
-           by the OOM killer mid-write.")
+          "Heap watermark in MiB, polled wherever a check spends its \
+           time: the implementation's compile, the specification's \
+           normal form and the product search. If the OCaml heap crosses \
+           it, the running check returns INCONCLUSIVE (exhausted: \
+           memory) while the process is still healthy enough to write \
+           its report and checkpoint — instead of being killed by the \
+           OOM killer mid-write.")
 
 let reductions_arg =
   Arg.(
@@ -451,11 +454,12 @@ let cmd =
          (an error, or any warning under $(b,--deny-warnings)); no \
          assertion was run.";
       `P
-        "5 — interrupted by SIGINT/SIGTERM: the run stops at the \
-         interrupted assertion, the report covers what was checked, and \
-         with $(b,--checkpoint-out) the run can be continued with \
-         $(b,--resume). A definite failure still exits 1; an interrupt \
-         outranks a plain inconclusive 3.";
+        "5 — interrupted by SIGINT/SIGTERM, whether the check was \
+         compiling, normalising its specification or searching: the run \
+         stops at the interrupted assertion, the report covers what was \
+         checked, and with $(b,--checkpoint-out) the run can be \
+         continued with $(b,--resume). A definite failure still exits \
+         1; an interrupt outranks a plain inconclusive 3.";
     ]
   in
   Cmd.v

@@ -11,8 +11,17 @@
 let run_check script corpus specs dbc workers max_states format sample_limit
     trace_out =
   Cli.guard ~name:"cspm_tracecheck" @@ fun () ->
+  let token = Serve.Signals.create () in
+  Serve.Signals.install_termination token;
   Cli.with_trace trace_out @@ fun obs ->
-  let config = { Csp.Check_config.default with obs; max_states } in
+  let config =
+    {
+      Csp.Check_config.default with
+      obs;
+      max_states;
+      cancel = Some (Serve.Signals.read token);
+    }
+  in
   let ( let* ) = Result.bind in
   match
     let* _, loaded = Cli.load_cspm script in
@@ -194,8 +203,9 @@ let check_cmd =
       `P "0 — every stream accepted by every requirement.";
       `P "1 — some stream rejected, corrupt, or malformed.";
       `P
-        "2 — the script, database, or corpus could not be loaded, or the \
-         $(b,--trace-out) file could not be written.";
+        "2 — the script, database, or corpus could not be loaded, a \
+         spec's compile stopped (SIGINT/SIGTERM, or $(b,--max-states)), \
+         or the $(b,--trace-out) file could not be written.";
     ]
   in
   Cmd.v

@@ -13,9 +13,9 @@
       Refine.traces_refines ~config defs ~spec ~impl
     ]}
 
-    [Refine.check] additionally keeps [?model], [?max_states], and
-    [?deadline] as thin conveniences (they override the record's
-    fields). *)
+    [deadline], [cancel] and [memory_limit_mb] become one {!Budget.t} per
+    check ([Refine.budget]), which the check's staged compile,
+    specification normal form and product search all poll. *)
 
 type t = {
   max_states : int;
@@ -25,8 +25,9 @@ type t = {
   max_pairs : int option;
       (** budget for the product exploration; [None] = [max_states] *)
   deadline : float option;
-      (** wall-clock budget in seconds from the start of the check;
-          [None] = unbounded *)
+      (** wall-clock budget in seconds from the start of the check, for
+          its compile, its normal form and its search together; [None] =
+          unbounded *)
   workers : int;
       (** how many independent assertions [Cspm.Check.run] runs at once,
           each on its own domain; 1 = one after another. Every product
@@ -38,14 +39,15 @@ type t = {
       (** live progress callback, throttled to the engine's deadline-poll
           cadence (once per 256 dequeues) *)
   cancel : (unit -> bool) option;
-      (** cancellation token, polled at the same cadence: once it returns
-          [true] the product search stops with [Inconclusive]
-          ([Interrupt]) and a checkpoint in the hint — the hook the CLIs
-          use to turn SIGINT/SIGTERM into a flushed checkpoint *)
+      (** cancellation token, polled by the staged compile, the normal
+          form and the product search: once it returns [true] the check
+          stops with [Inconclusive] ([Interrupt]), with a checkpoint in
+          the hint when the search was running — the hook the CLIs use to
+          turn SIGINT/SIGTERM into a flushed checkpoint *)
   memory_limit_mb : int option;
-      (** heap watermark in MiB, polled at the same cadence: crossing it
-          stops the product search with [Inconclusive] ([Memory]) while
-          the process can still write its report *)
+      (** heap watermark in MiB, polled where [cancel] is: crossing it
+          stops the check with [Inconclusive] ([Memory]) while the
+          process can still write its report, whichever loop it is in *)
   reductions : Reduce.pipeline;
       (** the staged reduction pipeline ({!Reduce.default_pipeline} by
           default); [Reduce.effective] filters it per model, so

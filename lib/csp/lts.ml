@@ -9,12 +9,12 @@ exception State_limit of int
 type progress = {
   interned : int;
   frontier : int;
-  reason : [ `States | `Deadline | `Interrupt ];
+  reason : Budget.kind;
 }
 
 type compile_result =
   | Complete of t
-  | Partial of t * progress
+  | Partial of progress
 
 module Proc_tbl = Hashtbl.Make (struct
   type t = Proc.t
@@ -173,52 +173,78 @@ let trace_path_to t pred =
     in
     Some (trace, i)
 
-(* Tarjan's SCC over tau-edges only; a state diverges iff it belongs to a
-   tau-SCC of size >= 2 or has a tau self-loop. *)
-let divergences t =
+(* Tarjan over the tau edges, iterative. SCC ids follow completion
+   order, which is a reverse topological order of the condensation. *)
+let tau_sccs t =
   let n = num_states t in
+  let tau_succs i =
+    List.filter_map
+      (fun (l, j) -> match l with Event.Tau -> Some j | _ -> None)
+      t.transitions.(i)
+  in
   let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
+  let low = Array.make n 0 in
   let on_stack = Array.make n false in
   let stack = ref [] in
+  let scc = Array.make n (-1) in
   let counter = ref 0 in
-  let divergent = ref [] in
-  let rec strongconnect v =
-    index.(v) <- !counter;
-    lowlink.(v) <- !counter;
+  let nscc = ref 0 in
+  let visit root =
+    let frames = Stack.create () in
+    index.(root) <- !counter;
+    low.(root) <- !counter;
     incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) = -1 then begin
-          strongconnect w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
+    stack := root :: !stack;
+    on_stack.(root) <- true;
+    Stack.push (root, tau_succs root) frames;
+    while not (Stack.is_empty frames) do
+      let v, succs = Stack.pop frames in
+      match succs with
+      | [] ->
+        if low.(v) = index.(v) then begin
+          let id = !nscc in
+          incr nscc;
+          let rec popall () =
+            match !stack with
+            | w :: rest ->
+              stack := rest;
+              on_stack.(w) <- false;
+              scc.(w) <- id;
+              if w <> v then popall ()
+            | [] -> ()
+          in
+          popall ()
+        end;
+        (match Stack.top_opt frames with
+         | Some (parent, _) ->
+           if low.(v) < low.(parent) then low.(parent) <- low.(v)
+         | None -> ())
+      | w :: rest ->
+        Stack.push (v, rest) frames;
+        if index.(w) < 0 then begin
+          index.(w) <- !counter;
+          low.(w) <- !counter;
+          incr counter;
+          stack := w :: !stack;
+          on_stack.(w) <- true;
+          Stack.push (w, tau_succs w) frames
         end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      (tau_successors t v);
-    if lowlink.(v) = index.(v) then begin
-      (* pop the SCC rooted at v *)
-      let rec pop acc =
-        match !stack with
-        | [] -> acc
-        | w :: rest ->
-          stack := rest;
-          on_stack.(w) <- false;
-          if w = v then w :: acc else pop (w :: acc)
-      in
-      let scc = pop [] in
-      let self_loop w = List.exists (fun x -> x = w) (tau_successors t w) in
-      match scc with
-      | [ w ] -> if self_loop w then divergent := w :: !divergent
-      | _ :: _ :: _ -> divergent := scc @ !divergent
-      | [] -> ()
-    end
+        else if on_stack.(w) && index.(w) < low.(v) then low.(v) <- index.(w)
+    done
   in
-  for v = 0 to n - 1 do
-    if index.(v) = -1 then strongconnect v
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then visit root
   done;
-  List.sort_uniq Int.compare !divergent
+  scc, !nscc
+
+let divergences t =
+  let scc, nscc = tau_sccs t in
+  let size = Array.make (max 1 nscc) 0 in
+  Array.iter (fun c -> size.(c) <- size.(c) + 1) scc;
+  List.filter
+    (fun i ->
+      size.(scc.(i)) >= 2 || List.exists (Int.equal i) (tau_successors t i))
+    (List.init (num_states t) Fun.id)
 
 let to_dot ?(max_label = 40) t =
   let buf = Buffer.create 1024 in

@@ -16,17 +16,14 @@ type progress = {
       (** states the compile interned before it stopped, across every node
           of [Reduce.compile_staged]'s combinator tree *)
   frontier : int;  (** discovered but unexplored root states *)
-  reason : [ `States | `Deadline | `Interrupt ];
-      (** which budget ran out: the state budget, the wall clock, or the
-          cancellation token *)
+  reason : Budget.kind;  (** which budget ran out *)
 }
 
 type compile_result =
   | Complete of t
-  | Partial of t * progress
-      (** [Reduce.compile_staged] stopped early: the graph holds only the
-          root term, and [progress] says how far the compile got. Useful
-          for statistics, not for verdicts. *)
+  | Partial of progress
+      (** [Reduce.compile_staged] stopped early; [progress] says how far
+          it got. Useful for statistics, not for verdicts. *)
 
 val compile : ?max_states:int -> Defs.t -> Proc.t -> t
 (** Compile the reachable state graph of a ground term
@@ -71,8 +68,16 @@ val trace_path_to : t -> (int -> bool) -> (Event.t list * int) option
 (** Like {!path_to} but keeps only visible events (the counterexample-trace
     view of the path). *)
 
+val tau_sccs : t -> int array * int
+(** The strongly connected components of the [tau] edges: an SCC id per
+    state and the SCC count. Ids follow completion order, a reverse
+    topological order of the condensation: every [tau]-successor SCC of
+    [c] has an id smaller than [c]. *)
+
 val divergences : t -> int list
-(** States lying on a [tau]-cycle (each such state can diverge). *)
+(** States lying on a [tau]-cycle (each such state can diverge): members
+    of a [tau]-SCC of two or more states, or with a [tau] self-loop.
+    Sorted. *)
 
 val pp_stats : Format.formatter -> t -> unit
 

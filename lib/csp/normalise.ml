@@ -66,15 +66,11 @@ type session = {
   form : t;
   step : Proc.t -> row;
   max_states : int;
-  mutable stop_at : float option;
-  cancel : (unit -> bool) option;
+  budget : Budget.t;
   mutable work : int;  (* row edges stepped since the last poll *)
   obs : Obs.t;
   c_nodes : Obs.counter;
 }
-
-exception State_limit of int
-exception Stopped of [ `Deadline | `Interrupt ]
 
 let filler_node =
   {
@@ -117,10 +113,10 @@ let locked t f = Mutex.protect t.mu f
 
 (* Admit a term as a state. Every state is a member of some node, and
    closing a node needs its members' rows, so a state is stepped exactly
-   once, when it is admitted. Before a step, the deadline and the
-   cancellation token are polled once per 256 edges of the rows stepped
-   since the last poll: counting states instead, a tau-closure whose
-   terms and rows grow as it goes took seconds to notice a deadline. *)
+   once, when it is admitted. Before a step, the check's budget is polled
+   once per 256 edges of the rows stepped since the last poll: counting
+   states instead, a tau-closure whose terms and rows grow as it goes
+   took seconds to notice a deadline. *)
 let state s term =
   let t = s.form in
   match Proc_tbl.find_opt t.ids term with
@@ -128,10 +124,7 @@ let state s term =
   | None ->
     if s.work >= 256 then begin
       s.work <- 0;
-      match s.stop_at, s.cancel with
-      | Some limit, _ when Obs.now () > limit -> raise (Stopped `Deadline)
-      | _, Some cancelled when cancelled () -> raise (Stopped `Interrupt)
-      | _ -> ()
+      Budget.poll s.budget
     end;
     let row = s.step term in
     s.work <- s.work + List.length row + 1;
@@ -153,8 +146,7 @@ let rec tau_successors acc = function
 let has_tau = function (Event.Tau, _) :: _ -> true | _ -> false
 
 (* The tau-closure of a set of terms, as a sorted member set. A closure
-   larger than the state budget raises [State_limit]: the bound that
-   keeps an unbounded tau chain from running forever. *)
+   larger than the state budget runs out of [States]. *)
 let closure s seeds =
   match seeds with
   | [ term ] when not (has_tau s.form.rows.(state s term)) ->
@@ -170,7 +162,7 @@ let closure s seeds =
         else begin
           Hashtbl.replace seen i ();
           if Hashtbl.length seen > s.max_states then
-            raise (State_limit s.max_states);
+            raise (Budget.Exhausted States);
           visit (tau_successors rest s.form.rows.(i))
         end
     in
@@ -268,13 +260,13 @@ let resolve s node k =
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let session ?(obs = Obs.silent) ?(max_states = 1_000_000) ?stop_at ?cancel
-    ~step form =
-  { form; step; max_states; stop_at; cancel; work = 0; obs;
+let session ?(obs = Obs.silent) ?(max_states = 1_000_000)
+    ?(budget = Budget.create ()) ~step form =
+  { form; step; max_states; budget; work = 0; obs;
     c_nodes = Obs.counter obs "normalise.nodes" }
 
-let create ?obs ?max_states ?stop_at ?cancel ~step root =
-  let s = session ?obs ?max_states ?stop_at ?cancel ~step (empty ()) in
+let create ?obs ?max_states ?budget ~step root =
+  let s = session ?obs ?max_states ?budget ~step (empty ()) in
   Obs.span s.obs "normalise" (fun () ->
       locked s.form (fun () ->
           ignore (node_of_members s (closure s [ root ]))));
@@ -282,7 +274,6 @@ let create ?obs ?max_states ?stop_at ?cancel ~step root =
 
 let form s = s.form
 let max_states s = s.max_states
-let set_stop_at s stop_at = s.stop_at <- stop_at
 let num_nodes t = locked t (fun () -> t.num_nodes)
 (* Unlocked: the count only grows, so a reader sees a value some lock
    holder wrote; it is for accounting, which tolerates a lag. *)
@@ -298,7 +289,7 @@ let force s =
             let node = t.nodes.(!i) in
             Array.iteri (fun k _ -> ignore (resolve s node k)) node.labels;
             if t.num_states > s.max_states then
-              raise (State_limit s.max_states);
+              raise (Budget.Exhausted States);
             incr i
           done))
 

@@ -24,38 +24,30 @@ type t
 
 type session
 (** A normal form together with one check's transition function and
-    state budget. *)
-
-exception State_limit of int
-(** A tau-closure (or {!force}) exceeded the session's state budget,
-    which it carries. *)
-
-exception Stopped of [ `Deadline | `Interrupt ]
-(** The session's deadline passed, or its cancellation token tripped. *)
+    budgets. *)
 
 val create :
   ?obs:Obs.t ->
   ?max_states:int ->
-  ?stop_at:float ->
-  ?cancel:(unit -> bool) ->
+  ?budget:Budget.t ->
   step:(Proc.t -> (Event.label * Proc.t) list) ->
   Proc.t ->
   session
 (** A fresh normal form rooted at a ground term (const-folded by the
     caller), with its initial node built. [step] is the check's transition
     function, typically a per-check [Semantics.make_cached]; [max_states]
-    (default [1_000_000]) bounds any one tau-closure. [stop_at] (an
-    {!Obs.now} time) and [cancel] are polled once per 256 edges of the
-    rows the session steps, so a tau-closure that never ends raises
-    {!Stopped}. [obs] records a [normalise] span around the initial node
-    and counts every node the session builds in [normalise.nodes].
-    @raise State_limit when the initial closure exceeds [max_states]. *)
+    (default [1_000_000]) bounds any one tau-closure. The check's
+    [budget] (default: none) is polled once per 256 edges of the rows the
+    session steps, so a tau-closure that never ends stops. [obs] records
+    a [normalise] span around the initial node and counts every node the
+    session builds in [normalise.nodes].
+    @raise Budget.Exhausted [States] when the initial closure exceeds
+    [max_states], or the kind {!Budget.poll} raises. *)
 
 val session :
   ?obs:Obs.t ->
   ?max_states:int ->
-  ?stop_at:float ->
-  ?cancel:(unit -> bool) ->
+  ?budget:Budget.t ->
   step:(Proc.t -> (Event.label * Proc.t) list) ->
   t ->
   session
@@ -65,20 +57,18 @@ val session :
 
 val form : session -> t
 val max_states : session -> int
-val set_stop_at : session -> float option -> unit
-(** Re-arm the deadline, as a resumed search does past its replay. *)
 
 val force : session -> unit
 (** Materialise every node reachable from the initial one (what an
     offline trace checker consults), under a [normalise] span.
-    @raise State_limit when the normal form's states exceed the session's
-    [max_states]. *)
+    @raise Budget.Exhausted [States] when the normal form's states exceed
+    the session's [max_states]. *)
 
 val of_term : ?obs:Obs.t -> ?max_states:int -> Defs.t -> Proc.t -> session
 (** The whole normal form of a term at once: {!create} on the const-folded
     term with a fresh [Semantics.make_cached] stepper, then {!force}. For
     callers outside a check — tests, benches, stream synthesis.
-    @raise State_limit as {!force}. *)
+    @raise Budget.Exhausted as {!force}. *)
 
 val num_nodes : t -> int
 (** Nodes materialised so far. *)
@@ -94,8 +84,8 @@ val initial : session -> int
 (** {1 Node queries}
 
     Each takes a node id below [num_nodes]. Those that follow labels may
-    materialise nodes and raise {!State_limit}, {!Stopped} or the
-    transition function's exceptions. *)
+    materialise nodes and raise {!Budget.Exhausted} or the transition
+    function's exceptions. *)
 
 val members : session -> int -> Proc.t list
 (** The node's specification states, as terms. *)

@@ -118,33 +118,22 @@ let sort_edges edges =
 (* Staged compilation: lazy combinator tree                            *)
 (* ------------------------------------------------------------------ *)
 
-exception Stage_stop of [ `States | `Deadline | `Interrupt ]
-
 type env = {
   step : Proc.t -> (Event.label * Proc.t) list;
   defs : Defs.t;
   fenv : Expr.fenv;
   tys : Ty.lookup;
-  mutable budget : int;  (* total states across every tree node *)
-  mutable ticks : int;
-  stop_at : float option;
-  cancel : (unit -> bool) option;
+  max_states : int;  (* total states across every tree node *)
+  mutable interned : int;
+  stop : Budget.t;
 }
 
-(* Charged once per interned component state; the wall clock and the
-   cancellation token ride the search engine's budget-poll cadence. *)
+(* Charged once per interned component state; the check's budget is
+   polled on its cadence. *)
 let charge env =
-  env.budget <- env.budget - 1;
-  if env.budget < 0 then raise (Stage_stop `States);
-  env.ticks <- env.ticks + 1;
-  if Search.poll_due env.ticks then begin
-    (match env.stop_at with
-     | Some t when Obs.now () > t -> raise (Stage_stop `Deadline)
-     | _ -> ());
-    match env.cancel with
-    | Some cancelled when cancelled () -> raise (Stage_stop `Interrupt)
-    | _ -> ()
-  end
+  env.interned <- env.interned + 1;
+  if env.interned > env.max_states then raise (Budget.Exhausted States);
+  if Budget.poll_due env.interned then Budget.poll env.stop
 
 (* A combinator node: a lazily explored integer state space. [c_step] is
    memoized per state; [c_term] rebuilds the process term a state denotes
@@ -684,7 +673,7 @@ let finish states rows =
     transitions = Array.map (List.sort_uniq by_label_then_term) rows;
   }
 
-let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
+let compile_staged ?(max_states = 1_000_000) ?(budget = Budget.create ())
     ?(obs = Obs.silent) defs root =
   Obs.span obs "reduce.compile_staged" (fun () ->
       let fenv = Defs.fenv defs in
@@ -692,14 +681,13 @@ let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
       let root = Proc.const_fold ~tys fenv root in
       let env =
         {
-          step = Semantics.make_cached ~obs defs;
+          step = Semantics.make_cached ~obs ~budget defs;
           defs;
           fenv;
           tys;
-          budget = max_states;
-          ticks = 0;
-          stop_at;
-          cancel;
+          max_states;
+          interned = 0;
+          stop = budget;
         }
       in
       let c_states = Obs.counter obs "reduce.staged_states" in
@@ -743,19 +731,15 @@ let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
         in
         Obs.add c_states (Lts.num_states g);
         Lts.Complete g
-      | exception Stage_stop reason ->
+      | exception Budget.Exhausted reason ->
         (* What the budget was charged for: the states every tree node
            interned, the one that overran it excluded. *)
-        let progress =
+        Lts.Partial
           {
-            Lts.interned = min max_states (max_states - env.budget);
+            Lts.interned = min max_states env.interned;
             frontier = Queue.length queue;
             reason;
-          }
-        in
-        Lts.Partial
-          ( { Lts.initial = 0; states = [| root |]; transitions = [| [] |] },
-            progress ))
+          })
 
 (* The raw graph's initial state is the root term itself. When the root
    is a named composition's call, [compile_staged]'s state 0 is the body's
@@ -892,11 +876,11 @@ let spec_free_labels norm =
        if Label_tbl.length free > 0 then begin
          ignore (Normalise.afters norm i);
          if Normalise.num_states form > Normalise.max_states norm then
-           raise (Normalise.State_limit (Normalise.max_states norm))
+           raise (Budget.Exhausted States)
        end;
        incr node
      done
-   with Normalise.State_limit _ -> Label_tbl.reset free);
+   with Budget.Exhausted States -> Label_tbl.reset free);
   free
 
 (* Dead-event hiding (traces only): relabel spec-free events to tau. The
@@ -920,72 +904,6 @@ let hide_dead ~norm (lts : Lts.t) =
           lts.Lts.transitions;
     }
 
-(* Tarjan over the tau edges, iterative. Returns the SCC id per state and
-   the SCC count; ids follow Tarjan completion order, which is a reverse
-   topological order of the condensation (every tau-successor SCC of c
-   has an id smaller than c). *)
-let tau_sccs (lts : Lts.t) =
-  let n = Array.length lts.Lts.states in
-  let tau_succs i =
-    List.filter_map
-      (fun (l, j) -> match l with Event.Tau -> Some j | _ -> None)
-      lts.Lts.transitions.(i)
-  in
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let scc = Array.make n (-1) in
-  let counter = ref 0 in
-  let nscc = ref 0 in
-  let visit root =
-    let frames = Stack.create () in
-    index.(root) <- !counter;
-    low.(root) <- !counter;
-    incr counter;
-    stack := root :: !stack;
-    on_stack.(root) <- true;
-    Stack.push (root, tau_succs root) frames;
-    while not (Stack.is_empty frames) do
-      let v, succs = Stack.pop frames in
-      match succs with
-      | [] ->
-        if low.(v) = index.(v) then begin
-          let id = !nscc in
-          incr nscc;
-          let rec popall () =
-            match !stack with
-            | w :: rest ->
-              stack := rest;
-              on_stack.(w) <- false;
-              scc.(w) <- id;
-              if w <> v then popall ()
-            | [] -> ()
-          in
-          popall ()
-        end;
-        (match Stack.top_opt frames with
-         | Some (parent, _) ->
-           if low.(v) < low.(parent) then low.(parent) <- low.(v)
-         | None -> ())
-      | w :: rest ->
-        Stack.push (v, rest) frames;
-        if index.(w) < 0 then begin
-          index.(w) <- !counter;
-          low.(w) <- !counter;
-          incr counter;
-          stack := w :: !stack;
-          on_stack.(w) <- true;
-          Stack.push (w, tau_succs w) frames
-        end
-        else if on_stack.(w) && index.(w) < low.(v) then low.(v) <- index.(w)
-    done
-  in
-  for root = 0 to n - 1 do
-    if index.(root) < 0 then visit root
-  done;
-  scc, !nscc
-
 exception Pass_too_big
 
 (* Full tau elimination (traces only): each state adopts the visible
@@ -1000,7 +918,7 @@ exception Pass_too_big
    pass and return the graph unchanged. *)
 let tau_eliminate (lts : Lts.t) =
   let n = Array.length lts.Lts.states in
-  let scc, nscc = tau_sccs lts in
+  let scc, nscc = Lts.tau_sccs lts in
   let members = Array.make (max 1 nscc) [] in
   for i = n - 1 downto 0 do
     members.(scc.(i)) <- i :: members.(scc.(i))
@@ -1046,7 +964,7 @@ let tau_eliminate (lts : Lts.t) =
    properties the failures and FD checks read off tau edges. *)
 let tau_scc_collapse (lts : Lts.t) =
   let n = Array.length lts.Lts.states in
-  let scc, nscc = tau_sccs lts in
+  let scc, nscc = Lts.tau_sccs lts in
   let size = Array.make (max 1 nscc) 0 in
   Array.iter (fun c -> size.(c) <- size.(c) + 1) scc;
   if not (Array.exists (fun s -> s >= 2) size) then lts

@@ -83,8 +83,7 @@ val fingerprint : pipeline -> string
 
 val compile_staged :
   ?max_states:int ->
-  ?stop_at:float ->
-  ?cancel:(unit -> bool) ->
+  ?budget:Budget.t ->
   ?obs:Obs.t ->
   Defs.t ->
   Proc.t ->
@@ -105,9 +104,10 @@ val compile_staged :
     the graph starts at the body's initial state, which is what the
     passes reduce. {!with_root_call} restores the root's call state.
     [max_states] (default [1_000_000]) bounds the {e total} states
-    interned across all tree nodes; exceeding it, passing [stop_at], or a
-    true [cancel] poll returns [Partial] with reason [`States],
-    [`Deadline] or [`Interrupt], counting the states interned so far.
+    interned across all tree nodes. The check's [budget] (default: none)
+    is polled per interned tree state on {!Budget.poll_due}. Exceeding
+    either returns [Partial] with the kind that ran out, counting the
+    states interned so far.
     [obs] records a [reduce.compile_staged] span and a state counter. *)
 
 val with_root_call : Defs.t -> Proc.t -> Lts.t -> Lts.t

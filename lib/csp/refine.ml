@@ -28,7 +28,7 @@ type stats = Search.stats = {
   reductions : (string * int * int) list;
 }
 
-type budget_kind = Search.budget_kind =
+type budget_kind = Budget.kind =
   | Deadline
   | States
   | Pairs
@@ -75,10 +75,10 @@ let model_of_refusal = function
    compiled, or found in the cache's [staged-] entry keyed by the body:
    the assertions that name one system, under any hide sets, share its
    compile. *)
-let staged_graph ~(config : Check_config.t) ?stop_at ?cancel defs impl =
+let staged_graph ~(config : Check_config.t) ~budget defs impl =
   let body, hidden = Reduce.split_hiding impl in
   let compile () =
-    Reduce.compile_staged ~max_states:config.max_states ?stop_at ?cancel
+    Reduce.compile_staged ~max_states:config.max_states ~budget
       ~obs:config.obs defs body
   in
   let body_graph =
@@ -103,40 +103,41 @@ let staged_graph ~(config : Check_config.t) ?stop_at ?cancel defs impl =
    graph with the root's call state restored. [Lts.renumber] numbers it
    as the raw compiler does, which FD checkpoints record and [--dot]
    prints. *)
-let raw_graph ~config ?stop_at ?cancel defs proc =
-  match staged_graph ~config ?stop_at ?cancel defs proc with
+let raw_graph ~config ~budget defs proc =
+  match staged_graph ~config ~budget defs proc with
   | Lts.Complete g -> Lts.Complete (Reduce.with_root_call defs proc g)
   | Lts.Partial _ as r -> r
 
-(* A compile that stopped early, or a specification whose initial
-   tau-closure alone outgrew the budget, supports no verdict. *)
-let lts_inconclusive progress =
-  let exhausted =
-    match progress.Lts.reason with
-    | `States -> States
-    | `Deadline -> Deadline
-    | `Interrupt -> Interrupt
-  in
+(* One check's stop conditions, built from its config, shared by its
+   compile, its specification's normal form and its product search. A
+   resumed check replays with the deadline unarmed: the search arms it at
+   the crossing. *)
+let budget ?resume_from (config : Check_config.t) =
+  Budget.create ?deadline:config.deadline ~armed:(Option.is_none resume_from)
+    ?cancel:config.cancel ?memory_limit_mb:config.memory_limit_mb ()
+
+(* A resumed check compiles under no stop at all: a checkpoint exists
+   only if that compile completed, and the compile is deterministic. *)
+let compile_budget ?resume_from budget =
+  match resume_from with Some _ -> Budget.create () | None -> budget
+
+(* The one verdict of a budget that runs out outside the product search,
+   in a compile or in the specification's normal form: none, and nothing
+   explored that a search could resume. *)
+let stopped { Lts.interned; frontier; reason } =
   Inconclusive
-    ( Search.make_stats ~impl_states:progress.Lts.interned ~spec_nodes:0
-        ~pairs:0 (),
-      {
-        frontier = progress.Lts.frontier;
-        deepest = [];
-        exhausted;
-        checkpoint = None;
-      } )
+    ( Search.make_stats ~impl_states:interned ~spec_nodes:0 ~pairs:0 (),
+      { frontier; deepest = []; exhausted = reason; checkpoint = None } )
 
 let const_fold defs p =
   Proc.const_fold ~tys:(Defs.ty_lookup defs) (Defs.fenv defs) p
 
 (* Nothing is compiled up front: the search materialises the nodes it
    reaches. The key feeds the reduced-graph key. *)
-let cached_spec ~(config : Check_config.t) ?stop_at ?cancel ~step defs spec =
+let cached_spec ~(config : Check_config.t) ~budget ~step defs spec =
   let obs = config.obs and max_states = config.max_states in
   let fresh () =
-    Normalise.create ~obs ~max_states ?stop_at ?cancel ~step
-      (const_fold defs spec)
+    Normalise.create ~obs ~max_states ~budget ~step (const_fold defs spec)
   in
   match config.cache with
   | None -> fresh (), None
@@ -144,41 +145,38 @@ let cached_spec ~(config : Check_config.t) ?stop_at ?cancel ~step defs spec =
     let key = Cache.spec_key ~max_states defs spec in
     (match Cache.find cache key with
      | Some (Cache.Norm_spec norm) ->
-       Normalise.session ~obs ~max_states ?stop_at ?cancel ~step norm, Some key
+       Normalise.session ~obs ~max_states ~budget ~step norm, Some key
      | Some _ | None ->
        let session = fresh () in
        Cache.add cache key (Cache.Norm_spec (Normalise.form session));
        session, Some key)
 
 (* Run a check against the specification's normal form, then spill what
-   it materialised when the cache persists to disk. A spec that outgrows
-   the budgets outside the product search leaves the check inconclusive. *)
-let with_spec ~(config : Check_config.t) ?stop_at ~step defs spec check =
-  let stopped reason =
-    lts_inconclusive { Lts.interned = 0; frontier = 1; reason }
-  in
+   it materialised when the cache persists to disk. A budget that runs
+   out outside the product search is [Error] of its kind. *)
+let with_spec ~(config : Check_config.t) ~budget ~step defs spec check =
   match
-    let norm, key =
-      cached_spec ~config ?stop_at ?cancel:config.cancel ~step defs spec
-    in
+    let norm, key = cached_spec ~config ~budget ~step defs spec in
     let result = check norm key in
     (match config.cache, key with
      | Some cache, Some key -> Cache.spill cache key
      | _ -> ());
     result
   with
-  | result -> result
-  | exception Normalise.State_limit _ -> stopped `States
-  | exception Normalise.Stopped ((`Deadline | `Interrupt) as reason) ->
-    stopped reason
+  | result -> Ok result
+  | exception Budget.Exhausted reason -> Error reason
+
+(* The check's result, or the verdict of a stop outside its search. *)
+let verdict = function
+  | Ok result -> result
+  | Error reason -> stopped { Lts.interned = 0; frontier = 1; reason }
 
 (* One product search under the check's budgets and hooks. *)
-let search ~(config : Check_config.t) ~refusal ~max_pairs ?stop_at
-    ?resume_from ?pipeline ~norm source =
-  Search.product ~refusal ~max_pairs ?stop_at ~obs:config.obs
-    ?progress:config.progress ?cancel:config.cancel
-    ?memory_limit_mb:config.memory_limit_mb ?resume_from
-    ?resume_deadline:config.deadline ?pipeline ~norm source
+let search ~(config : Check_config.t) ~refusal ~budget ?resume_from
+    ?pipeline ~norm source =
+  let max_pairs = Option.value config.max_pairs ~default:config.max_states in
+  Search.product ~refusal ~max_pairs ~budget ~obs:config.obs
+    ?progress:config.progress ?resume_from ?pipeline ~norm source
 
 (* The effective pipeline, unless a checkpoint names the engine that
    recorded it. One recorded by the raw engine — including the raw
@@ -212,7 +210,7 @@ let cached_reduction ~(config : Check_config.t) ~model ~pipeline ~norm
   | Some (Cache.Reduced (reduced, pass_stats)) -> Ok (reduced, pass_stats)
   | Some _ | None ->
     (match Lazy.force graph with
-     | Lts.Partial (_, progress) -> Error progress
+     | Lts.Partial progress -> Error progress
      | Lts.Complete g ->
        let reduced, pass_stats =
          Reduce.apply ~obs:config.obs ~model ~norm pipeline g
@@ -244,21 +242,26 @@ let canonical result ~pass_stats ~unreduced =
   | Holds stats -> Holds { stats with reductions }
   | Inconclusive (stats, hint) -> Inconclusive ({ stats with reductions }, hint)
 
-let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
-    ?resume_from defs ~spec ~impl =
+let product_check ~(config : Check_config.t) ~refusal_mode ?resume_from defs
+    ~spec ~impl =
+  let budget = budget ?resume_from config in
   (* One transition function serves both sides of the check. It is
      created on first use: a re-check whose artifacts are all cached
      steps nothing. *)
-  let stepper = lazy (Semantics.make_cached ~obs:config.obs defs) in
+  let stepper = lazy (Semantics.make_cached ~obs:config.obs ~budget defs) in
   let step p = Lazy.force stepper p in
-  with_spec ~config ?stop_at ~step defs spec @@ fun norm spec_cache_key ->
+  verdict @@ with_spec ~config ~budget ~step defs spec
+  @@ fun norm spec_cache_key ->
+    let search ?resume_from ?pipeline source =
+      search ~config ~refusal:refusal_mode ~budget ?resume_from ?pipeline
+        ~norm source
+    in
     (* The unreduced engine: implementation states generated on the fly.
        Used when no pass applies and when the staged compile degrades,
        which it can do gracefully (and still find an early
        counterexample without the full graph). *)
     let raw_search () =
-      search ~config ~refusal:refusal_mode ~max_pairs ?stop_at ?resume_from
-        ~norm (Search.proc_source ~step (const_fold defs impl))
+      search ?resume_from (Search.proc_source ~step (const_fold defs impl))
     in
     match model_of_refusal refusal_mode with
     | None -> raw_search ()
@@ -271,12 +274,13 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
          (* The unreduced staged graph, forced by a reduced-graph miss,
             and otherwise only by a [Fails] that needs it. A checkpoint
             recorded against this pipeline implies the staged compile
-            completed; a resume rebuilds it deterministically, with no
-            cancellation mid-compile ([resume] sets no deadline). *)
-         let cancel =
-           match resume_from with Some _ -> None | None -> config.cancel
+            completed. *)
+         let compiled =
+           lazy
+             (staged_graph ~config
+                ~budget:(compile_budget ?resume_from budget)
+                defs impl)
          in
-         let compiled = lazy (staged_graph ~config ?stop_at ?cancel defs impl) in
          (match
             cached_reduction ~config ~model ~pipeline ~norm ~spec_cache_key
               defs impl compiled
@@ -284,37 +288,34 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
           | Error _ -> raw_search ()
           | Ok (reduced, pass_stats) ->
             let result =
-              search ~config ~refusal:refusal_mode ~max_pairs ?stop_at
-                ?resume_from ~pipeline:(Reduce.fingerprint pipeline)
-                ~norm (Search.lts_source ~check_divergence:false reduced)
+              search ?resume_from ~pipeline:(Reduce.fingerprint pipeline)
+                (Search.lts_source ~check_divergence:false reduced)
             in
             canonical result ~pass_stats ~unreduced:(fun () ->
                 match Lazy.force compiled with
                 | Lts.Partial _ -> None
                 | Lts.Complete g ->
                   Some
-                    (search ~config ~refusal:refusal_mode ~max_pairs ?stop_at
-                       ~norm
+                    (search
                        (Search.lts_source ~check_divergence:false
                           (Reduce.with_root_call defs impl g))))))
 
 (* Failures-divergences refinement: the implementation is compiled to its
    explicit graph (divergence detection needs its tau-SCCs), then the
    product is explored. *)
-let fd_check ~(config : Check_config.t) ~max_pairs ?stop_at ?resume_from defs
-    ~spec ~impl =
-  let step = Semantics.make_cached ~obs:config.obs defs in
-  with_spec ~config ?stop_at ~step defs spec @@ fun norm spec_cache_key ->
-    (* As in [product_check], a resume compiles without cancellation. *)
-    let cancel =
-      match resume_from with Some _ -> None | None -> config.cancel
-    in
+let fd_check ~(config : Check_config.t) ?resume_from defs ~spec ~impl =
+  let budget = budget ?resume_from config in
+  let step = Semantics.make_cached ~obs:config.obs ~budget defs in
+  verdict @@ with_spec ~config ~budget ~step defs spec
+  @@ fun norm spec_cache_key ->
     let search ?resume_from ?pipeline lts =
-      search ~config ~refusal:`Acceptances ~max_pairs ?stop_at ?resume_from
-        ?pipeline ~norm (Search.lts_source ~check_divergence:true lts)
+      search ~config ~refusal:`Acceptances ~budget ?resume_from ?pipeline
+        ~norm (Search.lts_source ~check_divergence:true lts)
     in
-    match raw_graph ~config ?stop_at ?cancel defs impl with
-    | Lts.Partial (_, progress) -> lts_inconclusive progress
+    match
+      raw_graph ~config ~budget:(compile_budget ?resume_from budget) defs impl
+    with
+    | Lts.Partial progress -> stopped progress
     | Lts.Complete g ->
       let impl_lts = Lts.renumber g in
       (match
@@ -330,7 +331,7 @@ let fd_check ~(config : Check_config.t) ~max_pairs ?stop_at ?resume_from defs
               ~spec_cache_key defs impl
               (Lazy.from_val (Lts.Complete impl_lts))
           with
-          | Error progress -> lts_inconclusive progress
+          | Error progress -> stopped progress
           | Ok (reduced, pass_stats) ->
             (* the search of the unreduced graph ignores the checkpoint
                of the reduced one *)
@@ -340,35 +341,24 @@ let fd_check ~(config : Check_config.t) ~max_pairs ?stop_at ?resume_from defs
               ~pass_stats
               ~unreduced:(fun () -> Some (search impl_lts))))
 
-let stop_at_of_deadline = function
-  | None -> None
-  | Some seconds -> Some (Obs.now () +. seconds)
-
-let check ?(config = Check_config.default) ?model ?max_states ?deadline defs
-    ~spec ~impl =
-  (* the convenience arguments override the record's fields *)
-  let config =
-    match max_states with
-    | Some n -> Check_config.with_max_states n config
-    | None -> config
-  in
-  let config =
-    match deadline with
-    | Some d -> Check_config.with_deadline d config
-    | None -> config
-  in
-  let model = Option.value model ~default:Traces in
-  let max_pairs = Option.value config.max_pairs ~default:config.max_states in
-  let stop_at = stop_at_of_deadline config.deadline in
+(* One dispatch for a fresh check and a resumed one. Resuming recompiles
+   the implementation's graphs (FD, or a reduced pipeline) under no stop
+   ([compile_budget]), then hands the checkpoint to the engine, which
+   fast-forwards the replay (the specification's normal form grows along
+   with it) and arms [config.deadline] (or the checkpoint's unconsumed
+   budget) at the crossing point. *)
+let refines ?resume_from ?(config = Check_config.default) ?(model = Traces)
+    defs ~spec ~impl =
   match model with
   | Traces ->
-    product_check ~config ~refusal_mode:`None ~max_pairs ?stop_at defs ~spec
-      ~impl
+    product_check ~config ~refusal_mode:`None ?resume_from defs ~spec ~impl
   | Failures ->
-    product_check ~config ~refusal_mode:`Acceptances ~max_pairs ?stop_at defs
-      ~spec ~impl
-  | Failures_divergences ->
-    fd_check ~config ~max_pairs ?stop_at defs ~spec ~impl
+    product_check ~config ~refusal_mode:`Acceptances ?resume_from defs ~spec
+      ~impl
+  | Failures_divergences -> fd_check ~config ?resume_from defs ~spec ~impl
+
+let check ?config ?model defs ~spec ~impl =
+  refines ?config ?model defs ~spec ~impl
 
 let traces_refines ?config defs ~spec ~impl =
   check ?config ~model:Traces defs ~spec ~impl
@@ -379,39 +369,16 @@ let failures_refines ?config defs ~spec ~impl =
 let fd_refines ?config defs ~spec ~impl =
   check ?config ~model:Failures_divergences defs ~spec ~impl
 
-(* Resuming recompiles the implementation's graphs (FD, or a reduced
-   pipeline) without a deadline — a checkpoint only exists if those
-   compiles completed, and they are deterministic — then hands the
-   checkpoint to the engine, which fast-forwards the replay (the
-   specification's normal form grows along with it) and arms
-   [config.deadline] (or the checkpoint's unconsumed budget) at the
-   crossing point. *)
-let resume ?(config = Check_config.default) ?model ~checkpoint defs ~spec
-    ~impl =
-  let model = Option.value model ~default:Traces in
-  let max_pairs = Option.value config.max_pairs ~default:config.max_states in
-  match model with
-  | Traces ->
-    product_check ~config ~refusal_mode:`None ~max_pairs
-      ~resume_from:checkpoint defs ~spec ~impl
-  | Failures ->
-    product_check ~config ~refusal_mode:`Acceptances ~max_pairs
-      ~resume_from:checkpoint defs ~spec ~impl
-  | Failures_divergences ->
-    fd_check ~config ~max_pairs ~resume_from:checkpoint defs ~spec ~impl
+let resume ?config ?model ~checkpoint defs ~spec ~impl =
+  refines ~resume_from:checkpoint ?config ?model defs ~spec ~impl
 
 let resume_deterministic ?(config = Check_config.default) ~checkpoint defs
     proc =
-  let max_pairs = Option.value config.max_pairs ~default:config.max_states in
-  product_check ~config ~refusal_mode:`Full ~max_pairs
-    ~resume_from:checkpoint defs ~spec:proc ~impl:proc
+  product_check ~config ~refusal_mode:`Full ~resume_from:checkpoint defs
+    ~spec:proc ~impl:proc
 
 let explicit_graph ?(config = Check_config.default) defs proc =
-  match
-    raw_graph ~config
-      ?stop_at:(stop_at_of_deadline config.deadline)
-      ?cancel:config.cancel defs proc
-  with
+  match raw_graph ~config ~budget:(budget config) defs proc with
   | Lts.Complete g -> Lts.Complete (Lts.renumber g)
   | Lts.Partial _ as r -> r
 
@@ -421,12 +388,8 @@ let explicit_graph ?(config = Check_config.default) defs proc =
    every row. The offender set is looked up through a bitset. *)
 let bad_state_check ~violation ~find ~(config : Check_config.t) defs proc =
   let t0 = Obs.now () in
-  match
-    raw_graph ~config
-      ?stop_at:(stop_at_of_deadline config.deadline)
-      ?cancel:config.cancel defs proc
-  with
-  | Lts.Partial (_, progress) -> lts_inconclusive progress
+  match raw_graph ~config ~budget:(budget config) defs proc with
+  | Lts.Partial progress -> stopped progress
   | Lts.Complete lts ->
     (match find lts with
      | [] ->
@@ -455,9 +418,7 @@ let divergence_free ?(config = Check_config.default) defs proc =
     proc
 
 let deterministic ?(config = Check_config.default) defs proc =
-  let max_pairs = Option.value config.max_pairs ~default:config.max_states in
-  product_check ~config ~refusal_mode:`Full ~max_pairs
-    ?stop_at:(stop_at_of_deadline config.deadline) defs ~spec:proc ~impl:proc
+  product_check ~config ~refusal_mode:`Full defs ~spec:proc ~impl:proc
 
 let holds = function
   | Holds _ -> true

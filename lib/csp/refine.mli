@@ -56,12 +56,12 @@ type stats = Search.stats = {
           application order; [[]] on the raw path *)
 }
 
-type budget_kind = Search.budget_kind =
-  | Deadline  (** the wall-clock deadline passed *)
-  | States  (** a compile or a normal form hit its state budget *)
-  | Pairs  (** the product exploration hit its pair budget *)
-  | Interrupt  (** the cancellation token tripped (signal, drain, …) *)
-  | Memory  (** the heap watermark was crossed before the OOM killer *)
+type budget_kind = Budget.kind =
+  | Deadline
+  | States
+  | Pairs
+  | Interrupt
+  | Memory
 
 type resume_hint = Search.resume_hint = {
   frontier : int;
@@ -96,8 +96,6 @@ type model =
 val check :
   ?config:Check_config.t ->
   ?model:model ->
-  ?max_states:int ->
-  ?deadline:float ->
   Defs.t ->
   spec:Proc.t ->
   impl:Proc.t ->
@@ -121,16 +119,14 @@ val check :
     Verdicts, counterexample traces, and state/pair counts are the same
     under any [config.obs] sink or [config.progress] callback.
 
-    [max_states] and [deadline] are conveniences for the two most common
-    one-off overrides; when given they take precedence over the record's
-    fields. The other checks below take only [?config].
-
-    [config.cancel] and [config.memory_limit_mb] degrade a running search
-    gracefully: once the token trips (or the heap watermark is crossed)
-    the product search returns {!Inconclusive} with [exhausted =
-    Interrupt] (respectively [Memory]) and a {!Search.checkpoint} in the
-    hint instead of dying. The specification's normal form polls the
-    token and the deadline, so a tau-closure that never ends stops too.
+    [config.deadline], [config.cancel] and [config.memory_limit_mb] make
+    one {!Budget.t} per check ({!budget}), which the staged compile, the
+    specification's normal form and the product search all poll: once
+    the deadline passes, the token trips or the heap watermark is
+    crossed, the check returns {!Inconclusive} with [exhausted =
+    Deadline], [Interrupt] or [Memory] instead of dying, with a
+    {!Search.checkpoint} in the hint when the stop came inside the
+    product search. A tau-closure that never ends stops too.
 
     [config.reductions] selects the staged reduction pipeline (see
     {!Reduce}): when any pass applies to the model, the implementation is
@@ -204,9 +200,8 @@ val divergence_free : ?config:Check_config.t -> Defs.t -> Proc.t -> result
 (** {!deadlock_free} and {!divergence_free} are an {!explicit_graph}
     compile, short of its renumbering (their results do not depend on
     it), plus an offender scan, not a product search. A compile that
-    runs out of budget, or whose cancellation token trips, is
-    {!Inconclusive} ([States], [Deadline] or [Interrupt]), with the states
-    it interned as [impl_states]. *)
+    runs out of budget is {!Inconclusive}, with the kind that ran out and
+    the states it interned as [impl_states]. *)
 
 val explicit_graph :
   ?config:Check_config.t -> Defs.t -> Proc.t -> Lts.compile_result
@@ -217,8 +212,8 @@ val explicit_graph :
     [config.cache]'s [staged-] entry when there is one), through
     [Reduce.hide_staged], [Reduce.with_root_call] and [Lts.renumber], so
     every check that names one system shares that compile.
-    [config.max_states], [config.deadline] and [config.cancel] budget the
-    compile; running out returns [Partial].
+    [config.max_states] and the check's {!budget} bound the compile;
+    running out returns [Partial].
     @raise Semantics.Unguarded and the other errors of stepping the
     term. *)
 
@@ -229,21 +224,33 @@ val deterministic : ?config:Check_config.t -> Defs.t -> Proc.t -> result
     internally). A counterexample exhibits a trace after which [P] can
     both accept and refuse the same event. *)
 
-val cached_spec :
+val budget : ?resume_from:Search.checkpoint -> Check_config.t -> Budget.t
+(** One check's stop conditions, from [config.deadline] (counted from the
+    call), [config.cancel] and [config.memory_limit_mb]. With
+    [resume_from], the deadline is left unarmed for the search to arm at
+    the crossing. *)
+
+val with_spec :
   config:Check_config.t ->
-  ?stop_at:float ->
-  ?cancel:(unit -> bool) ->
+  budget:Budget.t ->
   step:(Proc.t -> (Event.label * Proc.t) list) ->
   Defs.t ->
   Proc.t ->
-  Normalise.session * string option
-(** A session on a specification's normal form, stepped by the caller's
-    transition function, polling [stop_at] and [cancel]: the normal form
-    cached under {!Cache.spec_key} when [config.cache] holds one, else a
-    fresh one (then cached). Only the initial node is built up front. The
-    cache key comes back when there is a cache, for {!Cache.spill}.
-    @raise Normalise.State_limit when the initial tau-closure alone
-    exceeds [config.max_states], and [Normalise.Stopped]. *)
+  (Normalise.session -> string option -> 'a) ->
+  ('a, budget_kind) Stdlib.result
+(** [with_spec ~config ~budget ~step defs spec f] runs [f] on a session
+    on the specification's normal form, stepped by the caller's
+    transition function and polling [budget]: the normal form cached
+    under {!Cache.spec_key} when [config.cache] holds one (with that key
+    as [f]'s second argument), else a fresh one. Only the initial node is
+    built up front, and what [f] materialises is spilled afterwards when
+    the cache persists. A budget that runs out outside the product
+    search (a product search reports its own) is [Error] with its
+    kind. *)
+
+val pp_stopped : Format.formatter -> budget_kind -> unit
+(** ["deadline exhausted"], ["state budget exhausted"], ["pair budget
+    exhausted"], ["interrupted"] or ["memory watermark crossed"]. *)
 
 val holds : result -> bool
 (** [true] only for {!Holds}; {!Inconclusive} is not a pass. *)
@@ -254,10 +261,8 @@ val pp_violation : Format.formatter -> violation -> unit
 val pp_counterexample : Format.formatter -> counterexample -> unit
 
 val pp_resume_hint : Format.formatter -> resume_hint -> unit
-(** Leads with what stopped the search — ["deadline exhausted"],
-    ["state budget exhausted"], ["pair budget exhausted"], ["interrupted"]
-    or ["memory watermark crossed"] — then the frontier and the deepest
-    trace. *)
+(** Leads with what stopped the search ({!pp_stopped}), then the frontier
+    and the deepest trace. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 val pp_result : Format.formatter -> result -> unit

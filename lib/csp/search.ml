@@ -23,28 +23,6 @@ type stats = {
   reductions : (string * int * int) list;
 }
 
-type budget_kind =
-  | Deadline
-  | States
-  | Pairs
-  | Interrupt
-  | Memory
-
-let budget_kind_to_string = function
-  | Deadline -> "deadline"
-  | States -> "states"
-  | Pairs -> "pairs"
-  | Interrupt -> "interrupt"
-  | Memory -> "memory"
-
-let budget_kind_of_string = function
-  | "deadline" -> Some Deadline
-  | "states" -> Some States
-  | "pairs" -> Some Pairs
-  | "interrupt" -> Some Interrupt
-  | "memory" -> Some Memory
-  | _ -> None
-
 (* A checkpoint is a commit-boundary snapshot of the deterministic search:
    because pairs are interned (and committed) in a fixed order, "the state
    after [explored] commits" fully determines the remaining search. The
@@ -60,7 +38,7 @@ type checkpoint = {
   impl_states : int;
   visited_digest : int;
   deadline_left : float option;  (* unconsumed wall budget, seconds *)
-  exhausted : budget_kind;  (* why the original run stopped *)
+  exhausted : Budget.kind;  (* why the original run stopped *)
   pipeline : string;
       (* fingerprint of the reduction pipeline the search ran under
          ("none" for the raw engine): pair ids and the visit-order digest
@@ -71,7 +49,7 @@ type checkpoint = {
 type resume_hint = {
   frontier : int;
   deepest : Event.label list;
-  exhausted : budget_kind;
+  exhausted : Budget.kind;
   checkpoint : checkpoint option;
 }
 
@@ -96,7 +74,7 @@ let json_of_checkpoint cp =
       "visited_digest", Num (float_of_int cp.visited_digest);
       ( "deadline_left",
         match cp.deadline_left with Some s -> Num s | None -> Null );
-      "exhausted", Str (budget_kind_to_string cp.exhausted);
+      "exhausted", Str (Budget.kind_to_string cp.exhausted);
       "reductions", Str cp.pipeline;
     ]
 
@@ -120,7 +98,7 @@ let checkpoint_of_json json =
                     match
                       Option.bind
                         (Option.bind (member "exhausted" json) to_str)
-                        budget_kind_of_string
+                        Budget.kind_of_string
                     with
                     | Some exhausted ->
                       (* absent in pre-reduction checkpoints, which were
@@ -176,17 +154,6 @@ type progress = {
 (* Progress cadence: progress callbacks and live gauge updates fire once
    per this many explored pairs. *)
 let progress_poll_mask = 255
-
-(* Budget polling cadence, shared with [Reduce.compile_staged]: a clock
-   read is a syscall, so a poller consults its budgets every 256 ticks,
-   and also at ticks 1, 2, 4, ..., 128 — a search or compile whose every
-   step is expensive then notices an expired deadline after a few steps,
-   not after hundreds. *)
-let poll_due n = n > 0 && (n land 255 = 0 || n land (n - 1) = 0)
-
-(* Internal: unwound to an [Inconclusive] verdict at the end of [product],
-   where the current counters and frontier are in scope. *)
-exception Out_of_budget of budget_kind
 
 let visible_trace labels =
   List.filter
@@ -278,16 +245,8 @@ end)
 
 module Int_tbl = Hashtbl.Make (Int)
 
-(* Heap watermark for the memory guard, in MiB. [Gc.quick_stat] reads
-   counters without walking the heap, so polling it on the dequeue cadence
-   costs about as much as the deadline's clock read. *)
-let heap_mb () =
-  let words = (Gc.quick_stat ()).Gc.heap_words in
-  float_of_int (words * (Sys.word_size / 8)) /. (1024. *. 1024.)
-
-let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
-    ?cancel ?memory_limit_mb ?resume_from ?resume_deadline
-    ?(pipeline = "none") ~norm source =
+let product ~refusal ~max_pairs ~budget ?(obs = Obs.silent) ?progress
+    ?resume_from ?(pipeline = "none") ~norm source =
   (* A checkpoint records the pipeline it was taken under; its pair ids
      and visit-order digest are meaningless under any other pipeline. *)
   (match resume_from with
@@ -337,10 +296,10 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
         | Some k -> k
         | None ->
           let k = Int_tbl.length spec_order in
-          if k >= max_spec_nodes then raise (Out_of_budget States);
+          if k >= max_spec_nodes then raise (Budget.Exhausted States);
           k
       in
-      if !pair_count >= max_pairs then raise (Out_of_budget Pairs);
+      if !pair_count >= max_pairs then raise (Budget.Exhausted Pairs);
       Int_tbl.replace spec_order node spec_i;
       let id = !pair_count in
       incr pair_count;
@@ -386,27 +345,20 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
   let explored = ref 0 in
   let last_dequeued = ref 0 in
   (* Fast-forward state: while [ff] holds the checkpoint being resumed,
-     the engine replays the deterministic prefix with the deadline unarmed
-     and progress suppressed; [pending_budget] is armed as an absolute
-     deadline only once the recorded position is crossed and validated.
-     Fresh runs arm [stop_at] immediately and never fast-forward. *)
+     the engine replays the deterministic prefix with the budget's
+     deadline unarmed and progress suppressed, and arms it only once the
+     recorded position is crossed and validated: the check's own
+     deadline, else the checkpoint's unconsumed one. *)
   let ff = ref resume_from in
-  let stop_at_r =
-    ref (match resume_from with Some _ -> None | None -> stop_at)
-  in
-  let pending_budget =
-    ref
-      (match resume_from with
-       | Some cp ->
-         (match resume_deadline with
-          | Some _ -> resume_deadline
-          | None -> cp.deadline_left)
-       | None -> None)
+  let pending_deadline cp =
+    match Budget.seconds budget with
+    | Some _ as seconds -> seconds
+    | None -> cp.deadline_left
   in
   let deadline_left_now () =
-    match !stop_at_r with
-    | Some limit -> Some (Float.max 0. (limit -. Obs.now ()))
-    | None -> !pending_budget
+    match !ff with
+    | Some cp -> pending_deadline cp
+    | None -> Budget.left budget
   in
   (* Commit-boundary snapshot: updated after every fully committed pair,
      so a checkpoint taken mid-commit (a pair budget trips while interning
@@ -419,8 +371,9 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
   in
   (* Crossing the recorded position of a resumed run: validate that the
      replay reproduced the interrupted search exactly, then arm the
-     remaining wall budget. Checked at the head of every commit, where the
-     state equals a commit boundary. *)
+     remaining wall budget, for the search and the normal form alike.
+     Checked at the head of every commit, where the state equals a commit
+     boundary. *)
   let cross_if_resuming () =
     match !ff with
     | Some cp when !explored >= cp.explored ->
@@ -438,31 +391,8 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
                  interrupted run"
                 cp.explored cp.pairs cp.visited_digest !pair_count !digest));
       ff := None;
-      (match !pending_budget with
-       | Some budget ->
-         stop_at_r := Some (Obs.now () +. budget);
-         Normalise.set_stop_at norm !stop_at_r
-       | None -> ());
-      pending_budget := None
+      Budget.arm budget (pending_deadline cp)
     | _ -> ()
-  in
-  (* All degradation triggers ride one cadence ([poll_due]): the engine
-     polls the cancellation token, the heap watermark, and the wall clock
-     (each a function call, a counter read, and a syscall respectively —
-     nothing per-pair). *)
-  let check_budgets () =
-    if poll_due !explored then begin
-      (match cancel with
-       | Some cancelled when cancelled () -> raise (Out_of_budget Interrupt)
-       | _ -> ());
-      (match memory_limit_mb with
-       | Some mb when heap_mb () > float_of_int mb ->
-         raise (Out_of_budget Memory)
-       | _ -> ());
-      match !stop_at_r with
-      | Some limit when Obs.now () > limit -> raise (Out_of_budget Deadline)
-      | _ -> ()
-    end
   in
   (* Progress callbacks and gauge refreshes share the poll cadence; with a
      silent handle and no callback the whole tick is one boolean test per
@@ -575,8 +505,6 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
             | None -> fails [ l ] (Trace_violation l))
           steps)
   in
-  intern_pair None (source.initial, Normalise.initial norm);
-  note_boundary ();
   let rec search () =
     (* an empty queue is a completed search: the verdict stands even if
        the deadline expired while reaching it *)
@@ -584,7 +512,7 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
     else begin
       cross_if_resuming ();
       tick ();
-      check_budgets ();
+      if Budget.poll_due !explored then Budget.poll budget;
       match visit (Queue.take queue) with
       | Some result -> result
       | None ->
@@ -593,10 +521,18 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
     end
   in
   (* Unwinding on an exhausted budget: the verdict carries the counters,
-     the frontier and a checkpoint at the last commit boundary. *)
-  let inconclusive ?(pending = 0) kind =
-    (* [pending]: the pair a [Pairs] exhaustion failed to intern, or the
-       one a stopped spec session was visiting — unexplored work. *)
+     the frontier and a checkpoint at the last commit boundary. A stop
+     inside a pair's visit (between its dequeue and its commit) leaves
+     that pair unexplored, and so does the pair a [Pairs] exhaustion
+     failed to intern: both count as frontier. A [States] exhaustion
+     reports the queue alone. *)
+  let inconclusive kind =
+    let pending =
+      match (kind : Budget.kind) with
+      | States -> 0
+      | Pairs -> 1
+      | Deadline | Interrupt | Memory -> !explored - !b_explored
+    in
     let frontier = Queue.length queue + pending in
     let cp : checkpoint =
       {
@@ -619,6 +555,8 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
         } )
   in
   try
+    intern_pair None (source.initial, Normalise.initial norm);
+    note_boundary ();
     let result = Obs.span obs "search.product" search in
     (* A terminal verdict while still fast-forwarding means the replay ran
        out of states before the recorded position — the checkpoint cannot
@@ -635,9 +573,4 @@ let product ~refusal ~max_pairs ?stop_at ?(obs = Obs.silent) ?progress
                !explored cp.explored))
      | None -> ());
     result
-  with
-  | Out_of_budget Pairs -> inconclusive ~pending:1 Pairs
-  | Out_of_budget kind -> inconclusive kind
-  | Normalise.State_limit _ -> inconclusive States
-  | Normalise.Stopped `Deadline -> inconclusive ~pending:1 Deadline
-  | Normalise.Stopped `Interrupt -> inconclusive ~pending:1 Interrupt
+  with Budget.Exhausted kind -> inconclusive kind

@@ -54,20 +54,6 @@ type stats = {
           staged graph. *)
 }
 
-type budget_kind =
-  | Deadline  (** the wall-clock deadline passed *)
-  | States  (** a compile or a normal form hit its state budget *)
-  | Pairs  (** the product exploration hit its pair budget *)
-  | Interrupt  (** the cancellation token tripped (signal, drain, …) *)
-  | Memory  (** the heap watermark was crossed before the OOM killer *)
-
-val budget_kind_to_string : budget_kind -> string
-(** Stable lowercase names ("deadline", "states", "pairs", "interrupt",
-    "memory") used by every JSON schema that mentions an exhausted
-    budget. *)
-
-val budget_kind_of_string : string -> budget_kind option
-
 type checkpoint = {
   explored : int;  (** commits completed at the recorded boundary *)
   pairs : int;  (** product pairs interned at the boundary *)
@@ -78,7 +64,7 @@ type checkpoint = {
   deadline_left : float option;
       (** unconsumed wall budget at capture, seconds; [None] = the run
           had no deadline *)
-  exhausted : budget_kind;  (** why the original run stopped *)
+  exhausted : Budget.kind;  (** why the original run stopped *)
   pipeline : string;
       (** fingerprint of the reduction pipeline the interrupted search ran
           under ([Reduce.fingerprint]; ["none"] for the raw engine). Pair
@@ -115,7 +101,7 @@ type resume_hint = {
       (** visible trace to the most recently explored state; under BFS this
           is a deepest explored path, a natural place to resume or to
           narrow the model *)
-  exhausted : budget_kind;
+  exhausted : Budget.kind;
   checkpoint : checkpoint option;
       (** resumable snapshot of the interrupted product search; [None]
           when the exhaustion happened outside the product engine (in a
@@ -183,10 +169,6 @@ val lts_source : ?check_divergence:bool -> Lts.t -> int source
 (** States are the nodes of a precompiled graph. [check_divergence]
     (default [true]) precomputes the tau-SCC divergence bitset. *)
 
-val poll_due : int -> bool
-(** The budget-poll cadence of {!product} and [Reduce.compile_staged]:
-    true at ticks 1, 2, 4, ..., 128 and at every multiple of 256. *)
-
 val visible_trace : Event.label list -> Event.label list
 (** Drop [Tau] labels (keeps [Tick]). *)
 
@@ -205,22 +187,26 @@ val make_stats :
 val product :
   refusal:refusal ->
   max_pairs:int ->
-  ?stop_at:float ->
+  budget:Budget.t ->
   ?obs:Obs.t ->
   ?progress:(progress -> unit) ->
-  ?cancel:(unit -> bool) ->
-  ?memory_limit_mb:int ->
   ?resume_from:checkpoint ->
-  ?resume_deadline:float ->
   ?pipeline:string ->
   norm:Normalise.session ->
   's source ->
   result
-(** Run the search. [stop_at] is an absolute wall-clock deadline (seconds,
-    on the {!Obs.now} clock), polled on the {!poll_due} cadence (a clock
-    read is a syscall); an empty queue always yields the exact verdict
-    even if the deadline has passed, so an {!Inconclusive} result always
-    carries non-zero stats.
+(** Run the search. [budget] holds the check's deadline, cancellation
+    token and heap watermark, shared with [norm]; it is polled per
+    dequeued pair on the {!Budget.poll_due} cadence, so the first pair is
+    always explored before it is read, and an empty queue always yields
+    the exact verdict even if the deadline has passed: an {!Inconclusive}
+    result always carries non-zero stats. A deadline stops the search
+    with [Inconclusive] ([Deadline]), a tripped token with [Interrupt]
+    and a fresh {!checkpoint} (the hook CLIs use to turn SIGINT/SIGTERM
+    into a flushed checkpoint instead of a dead process), and a crossed
+    watermark with [Memory] while the process is still healthy enough to
+    write its report. None of them affects verdicts of runs that
+    complete.
 
     [norm] is the check's session on the specification's normal form,
     which the search materialises as it goes. Spec nodes are numbered by
@@ -229,25 +215,17 @@ val product :
     [Normalise.max_states norm] distinct nodes, else [Inconclusive]
     ([States]) — read that numbering, so they do not depend on what other
     checks sharing the normal form materialised before. A stop in [norm]
-    ([Normalise.Stopped]) ends the search as its own deadline would.
+    ends the search as its own deadline would, counting the pair it was
+    visiting as frontier.
 
-    [cancel] is a cancellation token polled on the same cadence: once it
-    returns [true] the search stops with [Inconclusive] ([Interrupt]) and
-    a fresh {!checkpoint} — the hook CLIs use to turn SIGINT/SIGTERM into
-    a flushed checkpoint instead of a dead process. [memory_limit_mb]
-    installs a heap watermark (also polled on the cadence): crossing it
-    stops with [Inconclusive] ([Memory]) while the process is still
-    healthy enough to write its report. Neither affects verdicts of runs
-    that complete.
-
-    [resume_from] replays a checkpointed search: the deterministic prefix
-    is re-explored with the deadline unarmed and progress suppressed
-    ([cancel] and the memory guard stay live), the engine validates the
-    pair count and visited digest at the recorded boundary (raising
-    {!Resume_mismatch} on disagreement), and only then arms
-    [resume_deadline] seconds of wall budget (default: the checkpoint's
-    own [deadline_left]) measured from the crossing point, in [norm]
-    too. The final
+    [resume_from] replays a checkpointed search under a [budget] created
+    unarmed: the deterministic prefix is re-explored with the deadline
+    unarmed and progress suppressed (the token and the watermark stay
+    live), the engine validates the pair count and visited digest at the
+    recorded boundary (raising {!Resume_mismatch} on disagreement), and
+    only then arms the budget's deadline ({!Budget.seconds}, else the
+    checkpoint's own [deadline_left]) from the crossing point, for the
+    search and [norm] alike. The final
     verdict, counterexample, and state/pair counts are byte-identical to
     an uninterrupted run with sufficient budget.
 

@@ -69,8 +69,9 @@ let expand_prefix defs chan items cont =
    unguarded recursion), so its value may be cached per {e subterm}: a
    parallel composition of n cells then recomputes only the O(spine)
    terms an event actually rewrote, instead of re-deriving every cell's
-   transitions in every state that contains it. *)
-let transitions_via lookup store defs proc =
+   transitions in every state that contains it. [spend n] is told of the
+   pairs each synchronisation join tries. *)
+let transitions_via lookup store ~spend defs proc =
   let fenv = Defs.fenv defs in
   let ty_lookup = Defs.ty_lookup defs in
   let fold p = Proc.const_fold ~tys:ty_lookup fenv p in
@@ -234,27 +235,43 @@ let transitions_via lookup store defs proc =
           | Event.Vis _ | Event.Tick -> None)
         ts
     in
+    (* A side can offer one move more than once ([Q [] Q] offers each of
+       Q's moves twice), and the join below pairs every copy on one side
+       with every copy on the other: in a composition that nests itself
+       as it runs, the copies would square at every level, and one step
+       would outrun every deadline. Each side joins its distinct moves. *)
     let syncing ts =
-      List.filter_map
-        (fun (l, t) ->
-          match l with
-          | Event.Vis e when sync e -> Some (e, t)
-          | Event.Vis _ | Event.Tau | Event.Tick -> None)
-        ts
+      List.rev
+        (List.fold_left
+           (fun acc (l, t) ->
+             match l with
+             | Event.Vis e
+               when sync e
+                    && not
+                         (List.exists
+                            (fun (e', t') ->
+                              Proc.equal t t' && Event.equal e e')
+                            acc) ->
+               (e, t) :: acc
+             | Event.Vis _ | Event.Tau | Event.Tick -> acc)
+           [] ts)
     in
     let ticks ts =
       List.exists (fun (l, _) -> match l with Event.Tick -> true | _ -> false) ts
     in
     let left = free allowed_left (fun t -> mk t p2) t1 in
     let right = free allowed_right (fun t -> mk p1 t) t2 in
+    let offers = syncing t2 in
+    let n_offers = List.length offers in
     let synced =
       List.concat_map
         (fun (e1, t1') ->
+          spend n_offers;
           List.filter_map
             (fun (e2, t2') ->
               if Event.equal e1 e2 then Some (Event.Vis e1, mk t1' t2')
               else None)
-            (syncing t2))
+            offers)
         (syncing t1)
     in
     let tick =
@@ -270,7 +287,7 @@ let transitions_via lookup store defs proc =
     result
 
 let transitions defs proc =
-  transitions_via (fun _ -> None) (fun _ _ -> ()) defs proc
+  transitions_via (fun _ -> None) (fun _ _ -> ()) ~spend:ignore defs proc
 
 (* Transition memoization. Hash-consing makes the cache key O(1): lookup
    is physical equality on the interned term plus its precomputed hash.
@@ -283,7 +300,10 @@ module Proc_tbl = Hashtbl.Make (struct
   let hash = Proc.hash
 end)
 
-let make_cached ?(obs = Obs.silent) defs =
+(* The join is the one place a step multiplies: nested compositions that
+   synchronise can make a single term's row exponentially long, so the
+   budget is polled once per 4,096 joined pairs, within the step. *)
+let make_cached ?(obs = Obs.silent) ?budget defs =
   (* two tables: [memo] holds raw per-subterm transition lists shared by
      every recursive call; [sorted] holds the deduplicated, sorted
      top-level answers handed to callers *)
@@ -291,6 +311,18 @@ let make_cached ?(obs = Obs.silent) defs =
   let sorted = Proc_tbl.create 64 in
   let c_hits = Obs.counter obs "semantics.memo_hits" in
   let c_misses = Obs.counter obs "semantics.memo_misses" in
+  let spend =
+    match budget with
+    | None -> ignore
+    | Some budget ->
+      let work = ref 0 in
+      fun n ->
+        work := !work + n;
+        if !work >= 4096 then begin
+          work := 0;
+          Budget.poll budget
+        end
+  in
   fun proc ->
     match Proc_tbl.find_opt sorted proc with
     | Some ts ->
@@ -302,7 +334,7 @@ let make_cached ?(obs = Obs.silent) defs =
         transitions_via
           (Proc_tbl.find_opt memo)
           (Proc_tbl.replace memo)
-          defs proc
+          ~spend defs proc
       in
       Proc_tbl.replace sorted proc ts;
       ts

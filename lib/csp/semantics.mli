@@ -25,13 +25,21 @@ val transitions : Defs.t -> Proc.t -> (Event.label * Proc.t) list
 (** All transitions, sorted and deduplicated. *)
 
 val make_cached :
-  ?obs:Obs.t -> Defs.t -> Proc.t -> (Event.label * Proc.t) list
+  ?obs:Obs.t ->
+  ?budget:Budget.t ->
+  Defs.t ->
+  Proc.t ->
+  (Event.label * Proc.t) list
 (** A fresh memoizing transition function with its own private cache.
     Hash-consing makes the key O(1) (physical equality + precomputed
     hash); the cache dies with the closure, so nothing outlives its
     check. [obs] counts cache hits and misses ([semantics.memo_*];
     counters are shared when several steppers are built from one
-    handle). *)
+    handle). A check's [budget] (default: none) is polled once per 4,096
+    pairs the synchronisation joins try, within a step: nested
+    synchronising compositions can give one term an exponentially long
+    row.
+    @raise Budget.Exhausted the kind {!Budget.poll} raises. *)
 
 val initials : Defs.t -> Proc.t -> Event.label list
 (** The labels offered by the term (sorted, deduplicated). *)

@@ -22,14 +22,6 @@ let alphabet t =
   List.sort String.compare
     (Hashtbl.fold (fun c () acc -> c :: acc) t.chans [])
 
-(* The state budget a forced normal form ran out of. Forcing explores
-   every state, as the eager compiler did, so the count is the budget. *)
-let budget_error max_states =
-  Error
-    (Printf.sprintf
-       "specification graph exceeded its state budget (%d states explored)"
-       max_states)
-
 let of_norm ?alphabet:alpha norm =
   let n = Normalise.num_nodes (Normalise.form norm) in
   let edges = Array.init n (fun _ -> Label_tbl.create 4) in
@@ -55,38 +47,22 @@ let of_norm ?alphabet:alpha norm =
   done;
   { edges; expected; terminal; chans; initial = Normalise.initial norm }
 
-(* Through [Refine.cached_spec]: a cache hit resumes from whatever
-   earlier checks materialised, and what forcing adds is shared with
-   them (and spilled to disk when the cache persists). Forcing polls the
-   config's deadline and cancellation token, as a check's normal form
-   does, so a specification whose tau-closure never ends stops. *)
+(* Through [Refine.with_spec]: a cache hit resumes from whatever earlier
+   checks materialised, and what forcing adds is shared with them (and
+   spilled to disk when the cache persists). Forcing polls the config's
+   budget, as a check's normal form does, so a specification whose
+   tau-closure never ends stops. *)
 let compile ?(config = Check_config.default) ?alphabet defs spec =
-  let max_states = config.Check_config.max_states in
-  let stop_at =
-    Option.map (fun s -> Obs.now () +. s) config.Check_config.deadline
+  let budget = Refine.budget config in
+  let step =
+    Semantics.make_cached ~obs:config.Check_config.obs ~budget defs
   in
-  let step = Semantics.make_cached ~obs:config.Check_config.obs defs in
-  match
-    let norm, key =
-      Refine.cached_spec ~config ?stop_at ?cancel:config.Check_config.cancel
-        ~step defs spec
-    in
-    Normalise.force norm;
-    (norm, key)
-  with
-  | exception Normalise.State_limit _ -> budget_error max_states
-  | exception Normalise.Stopped reason ->
-    Error
-      ("specification compile stopped: "
-      ^
-      match reason with
-      | `Deadline -> "deadline exhausted"
-      | `Interrupt -> "interrupted")
-  | norm, key ->
-    (match config.Check_config.cache, key with
-     | Some cache, Some key -> Cache.spill cache key
-     | _ -> ());
-    Ok (of_norm ?alphabet norm)
+  Refine.with_spec ~config ~budget ~step defs spec
+    (fun norm _ ->
+      Normalise.force norm;
+      of_norm ?alphabet norm)
+  |> Result.map_error
+       (Format.asprintf "specification compile stopped: %a" Refine.pp_stopped)
 
 type verdict =
   | Accepted

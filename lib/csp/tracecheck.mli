@@ -30,11 +30,10 @@ val compile :
 (** Normalise the whole specification ([config] supplies the state
     budget, observability handle, and the optional {!Cache}: a cached
     normal form is shared with the refinement checks, and forcing it
-    builds only what they have not). Forcing polls [config.deadline]
-    (counted from the call) and [config.cancel] as a check's normal form
-    does. [Error] reports a specification whose states exceed the
-    budget, or a compile that ran out of its deadline or was
-    interrupted.
+    builds only what they have not). Forcing polls the config's
+    {!Refine.budget} (its deadline counted from the call) as a check's
+    normal form does. [Error] names the budget that ran out:
+    ["specification compile stopped: "] and {!Refine.pp_stopped}.
 
     [alphabet] is the set of channels the checker considers observable.
     Events on channels outside it are {e skipped}, not rejected — a

@@ -211,7 +211,7 @@ let json_of_outcome i o =
                "frontier", num hint.Csp.Refine.frontier;
                ( "exhausted",
                  Str
-                   (Csp.Search.budget_kind_to_string
+                   (Csp.Budget.kind_to_string
                       hint.Csp.Refine.exhausted) );
                "deepest", labels hint.Csp.Refine.deepest;
              ]

@@ -61,7 +61,7 @@ val json_of_outcomes : ?cache:Csp.Cache.stats -> outcome list -> Obs.Json.t
     New fields may be added over time; existing fields keep their names
     and meanings (earlier revisions added ["resume_hint"]["checkpoint"] —
     the engine checkpoint, when one exists — and widened ["exhausted"] to
-    the full {!Csp.Search.budget_kind_to_string} vocabulary; this one
+    the full {!Csp.Budget.kind_to_string} vocabulary; this one
     adds ["stats"]["reductions"], the per-pass state counts of the staged
     reduction pipeline, [[]] on the raw path, and this one adds the
     optional top-level ["cache"] object — [{"hits", "misses",

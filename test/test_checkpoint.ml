@@ -86,14 +86,14 @@ let test_checkpoint_codec () =
       impl_states = 4096;
       visited_digest = 0xF_FFFF_FFFF_FFFF;
       deadline_left = Some 1.25;
-      exhausted = Search.Interrupt;
+      exhausted = Budget.Interrupt;
       pipeline = "dead,tau,bisim,por";
     }
   in
   let cp' = roundtrip cp in
   Alcotest.(check bool) "all fields survive the JSON round trip" true
     (cp = cp');
-  let cp_nodl = { cp with Search.deadline_left = None; exhausted = Search.Pairs } in
+  let cp_nodl = { cp with Search.deadline_left = None; exhausted = Budget.Pairs } in
   Alcotest.(check bool) "no-deadline variant survives" true
     (cp_nodl = roundtrip cp_nodl);
   (match Search.checkpoint_of_json (Obs.Json.Str "nonsense") with
@@ -130,11 +130,11 @@ let checkpoint_lines =
                    pipeline;
                  }))
           [
-            Search.Deadline, Some 1.25, "dead,tau,bisim,por";
-            Search.States, None, "none";
-            Search.Pairs, Some 0., "bisim";
-            Search.Interrupt, None, "dead,tau";
-            Search.Memory, Some 30., "por";
+            Budget.Deadline, Some 1.25, "dead,tau,bisim,por";
+            Budget.States, None, "none";
+            Budget.Pairs, Some 0., "bisim";
+            Budget.Interrupt, None, "dead,tau";
+            Budget.Memory, Some 30., "por";
           ]))
 
 let checkpoints_never_raise =

@@ -313,6 +313,159 @@ let print_parse_roundtrip =
       else
         QCheck.Test.fail_reportf "printed %s@.got different traces" printed)
 
+(* ------------------------------------------------------------------ *)
+(* Generated scripts                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Scripts of three definitions P, Q, R of arity 0 or 1 over channel a :
+   {0..2} and channel b, with calls at their arities: depth-3 terms over
+   output, input and dotted prefixes, [], |~|, |||, [| {|a|} |], hiding,
+   ;, if, STOP, SKIP and calls, then four assertions drawn from [T=, [F=,
+   [FD= and :[deadlock free]. They need not be sensible: unguarded
+   recursion, unbounded data and out-of-range values are all fair. *)
+let gen_script : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let names = [ "P"; "Q"; "R" ] in
+  list_repeat 3 (int_range 0 1) >>= fun arities ->
+  let arity name = List.assoc name (List.combine names arities) in
+  let expr vars =
+    let lit = map string_of_int (int_range 0 2) in
+    if vars = [] then lit
+    else
+      oneof
+        [
+          lit;
+          oneofl vars;
+          map (Printf.sprintf "((%s + 1) %% 3)") (oneofl vars);
+        ]
+  in
+  let call vars =
+    oneofl names >>= fun name ->
+    if arity name = 0 then return name
+    else map (Printf.sprintf "%s(%s)" name) (expr vars)
+  in
+  let rec term depth vars =
+    let leaf = frequency [ 1, return "STOP"; 1, return "SKIP"; 2, call vars ] in
+    if depth = 0 then leaf
+    else
+      let sub = term (depth - 1) vars in
+      let binary op =
+        map2 (fun l r -> Printf.sprintf "(%s %s %s)" l op r) sub sub
+      in
+      let bound = Printf.sprintf "v%d" depth in
+      frequency
+        [
+          2, leaf;
+          2, map2 (Printf.sprintf "a!%s -> %s") (expr vars) sub;
+          1, map2 (Printf.sprintf "a.%s -> %s") (expr vars) sub;
+          2,
+          map (Printf.sprintf "a?%s -> %s" bound)
+            (term (depth - 1) (bound :: vars));
+          1, map (Printf.sprintf "b -> %s") sub;
+          1, binary "[]";
+          1, binary "|~|";
+          1, binary "|||";
+          1, binary "[| {|a|} |]";
+          1, binary ";";
+          1, map (Printf.sprintf "(%s \\ {|a|})") sub;
+          ( 1,
+            map3
+              (Printf.sprintf "(if %s == 1 then %s else %s)")
+              (expr vars) sub sub );
+        ]
+  in
+  let definition name =
+    if arity name = 0 then map (Printf.sprintf "%s = %s" name) (term 3 [])
+    else map (Printf.sprintf "%s(x) = %s" name) (term 3 [ "x" ])
+  in
+  let assertion =
+    call [] >>= fun left ->
+    call [] >>= fun right ->
+    oneofl
+      [
+        Printf.sprintf "assert %s [T= %s" left right;
+        Printf.sprintf "assert %s [F= %s" left right;
+        Printf.sprintf "assert %s [FD= %s" left right;
+        Printf.sprintf "assert %s :[deadlock free]" left;
+      ]
+  in
+  flatten_l (List.map definition names) >>= fun defs ->
+  list_repeat 4 assertion >>= fun asserts ->
+  return
+    (String.concat "\n"
+       (("channel a : {0..2}" :: "channel b" :: defs) @ asserts)
+    ^ "\n")
+
+(* Whatever the script, loading it returns a script or a positioned
+   error, and checking it under [config] returns outcomes or a positioned
+   [Check_error] within the config's deadline plus a second. *)
+let classified ~name config =
+  let deadline = Option.value config.Csp.Check_config.deadline ~default:0. in
+  QCheck.Test.make ~count:100 ~name
+    (QCheck.make ~print:Fun.id gen_script)
+    (fun script ->
+      match Elaborate.load_string script with
+      | exception
+          ( Parser.Parse_error _ | Lexer.Lex_error _
+          | Elaborate.Elab_error (_, Some _) ) ->
+        true
+      | loaded ->
+        let t0 = Obs.now () in
+        (match Check.run ~config loaded with
+         | (_ : Check.outcome list) -> ()
+         | exception Check.Check_error _ -> ());
+        Obs.now () -. t0 <= deadline +. 1.)
+
+let budget =
+  Csp.Check_config.(default |> with_max_states 2_000 |> with_deadline 0.1)
+
+(* Two steps that outran every budget. In [Q [] Q] each move appears
+   twice, and a composition that nests itself as it runs paired every
+   copy with every copy, squaring them level by level; in the second
+   script nested synchronising compositions give one term an
+   exponentially long row, which the join now stops at the deadline. *)
+let test_exploding_steps () =
+  let run config script =
+    let t0 = Obs.now () in
+    let outcomes = Check.run ~config (Elaborate.load_string script) in
+    Obs.now () -. t0, List.map (fun o -> o.Check.result) outcomes
+  in
+  let elapsed, results =
+    run
+      Csp.Check_config.(default |> with_max_states 2_000 |> with_deadline 5.)
+      "channel a : {0..2}\n\
+       Q = a?x -> ((Q [] Q) [| {|a|} |] Q)\n\
+       assert STOP [T= Q\n"
+  in
+  check_bool "copies dropped: fails long before the deadline" true
+    (elapsed < 2.
+    && match results with [ Csp.Refine.Fails _ ] -> true | _ -> false);
+  let elapsed, results =
+    run
+      Csp.Check_config.(default |> with_deadline 0.3)
+      "channel a : {0..2}\n\
+       P = a?x -> (Q [| {|a|} |] P)\n\
+       Q = (a?x -> P) ||| P\n\
+       R = a!0 -> (P [| {|a|} |] Q)\n\
+       assert R [T= R\n"
+  in
+  check_bool "an exploding row stops at the deadline" true
+    (elapsed < 1.3
+    &&
+    match results with
+    | [ Csp.Refine.Inconclusive (_, { Csp.Refine.exhausted = Deadline; _ }) ]
+      ->
+      true
+    | _ -> false)
+
+let generated_scripts_classified =
+  classified ~name:"generated scripts come back classified" budget
+
+let generated_scripts_watermark =
+  classified
+    ~name:"generated scripts come back classified under a 1 MB watermark"
+    (Csp.Check_config.with_memory_limit 1 budget)
+
 let suite =
   ( "cspm",
     [
@@ -341,4 +494,7 @@ let suite =
         test_counterexample_through_cspm;
       Alcotest.test_case "script round trip" `Quick test_script_roundtrip;
       QCheck_alcotest.to_alcotest print_parse_roundtrip;
+      QCheck_alcotest.to_alcotest generated_scripts_classified;
+      Alcotest.test_case "exploding steps stop" `Quick test_exploding_steps;
+      QCheck_alcotest.to_alcotest generated_scripts_watermark;
     ] )

@@ -68,6 +68,64 @@ let test_initials_stability () =
   check_bool "initials include a.0" true
     (List.exists (Event.equal_label (vis "a" 0)) (Lts.initials lts lts.Lts.initial))
 
+(* Random graphs, up to 12 states, each edge tau or a.0, rows sorted as
+   every [Lts.t]'s are (taus first). *)
+let gen_graph =
+  let open QCheck.Gen in
+  int_range 1 12 >>= fun n ->
+  let edge = pair (oneofl [ Event.Tau; vis "a" 0 ]) (int_bound (n - 1)) in
+  map
+    (fun rows ->
+      {
+        Lts.initial = 0;
+        states = Array.make n Proc.stop;
+        transitions =
+          Array.of_list
+            (List.map
+               (List.sort_uniq (fun (l1, j1) (l2, j2) ->
+                    let c = Event.compare_label l1 l2 in
+                    if c <> 0 then c else Int.compare j1 j2))
+               rows);
+      })
+    (list_repeat n (list_size (int_bound 3) edge))
+
+(* A state diverges iff it reaches itself by one or more tau edges. *)
+let divergences_match_definition =
+  QCheck.Test.make ~count:500
+    ~name:"divergences are the states on a tau cycle"
+    (QCheck.make
+       ~print:(fun lts ->
+         String.concat "; "
+           (Array.to_list
+              (Array.mapi
+                 (fun i row ->
+                   Printf.sprintf "%d -> %s" i
+                     (String.concat ","
+                        (List.map
+                           (fun (l, j) ->
+                             Printf.sprintf "%s:%d" (Event.label_to_string l) j)
+                           row)))
+                 lts.Lts.transitions)))
+       gen_graph) (fun lts ->
+      let n = Lts.num_states lts in
+      let tau_succs i =
+        List.filter_map
+          (fun (l, j) -> match l with Event.Tau -> Some j | _ -> None)
+          (Lts.transitions_of lts i)
+      in
+      let on_cycle i =
+        let seen = Array.make n false in
+        let rec reach = function
+          | [] -> false
+          | j :: rest when seen.(j) -> reach rest
+          | j :: rest ->
+            seen.(j) <- true;
+            j = i || reach (tau_succs j @ rest)
+        in
+        reach (tau_succs i)
+      in
+      Lts.divergences lts = List.filter on_cycle (List.init n Fun.id))
+
 let suite =
   ( "lts",
     [
@@ -78,4 +136,5 @@ let suite =
       Alcotest.test_case "shortest path search" `Quick test_path_to;
       Alcotest.test_case "divergence detection" `Quick test_divergences;
       Alcotest.test_case "initials and stability" `Quick test_initials_stability;
+      QCheck_alcotest.to_alcotest divergences_match_definition;
     ] )

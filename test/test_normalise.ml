@@ -228,7 +228,7 @@ let lazy_matches_reference =
           match Lts.compile ~max_states:20_000 defs spec with
           | exception Lts.State_limit _ -> (
             match Normalise.of_term ~max_states:20_000 defs spec with
-            | exception Normalise.State_limit _ -> true
+            | exception Budget.Exhausted States -> true
             | _ -> false)
           | lts ->
             let reference = R.normalise lts in

@@ -85,7 +85,7 @@ let infinite_counter () =
 let test_state_limit () =
   let defs = infinite_counter () in
   match
-    Refine.check ~max_states:100 defs
+    Refine.check ~config:Check_config.(default |> with_max_states 100) defs
       ~spec:(Proc.run (Eventset.chan "done_"))
       ~impl:(Proc.call ("N", [ Expr.int 0 ]))
   with
@@ -99,7 +99,7 @@ let test_state_limit () =
 let test_deadline () =
   let defs = infinite_counter () in
   match
-    Refine.check ~deadline:0.001 defs
+    Refine.check ~config:Check_config.(default |> with_deadline 0.001) defs
       ~spec:(Proc.run (Eventset.chan "done_"))
       ~impl:(Proc.call ("N", [ Expr.int 0 ]))
   with
@@ -114,7 +114,9 @@ let test_deadline_does_not_mask_verdicts () =
      must not change verdicts. *)
   let a0 = send "a" 0 Proc.stop in
   check_bool "holds under deadline" true
-    (holds (Refine.check ~deadline:60.0 defs ~spec:a0 ~impl:a0))
+    (holds
+       (Refine.check ~config:Check_config.(default |> with_deadline 60.0)
+          defs ~spec:a0 ~impl:a0))
 
 (* The resume hint leads with what stopped the search: three budgets run
    out, an interrupt and the heap watermark do not. *)
@@ -137,14 +139,16 @@ let test_resume_hint_kinds () =
     ]
 
 (* Preorder laws, checked on random processes. *)
+let big = Check_config.(default |> with_max_states 50_000)
+
 let reflexive =
   QCheck.Test.make ~count:100 ~name:"trace refinement is reflexive" arb_proc
-    (fun p -> holds (Refine.check ~max_states:50_000 defs ~spec:p ~impl:p))
+    (fun p -> holds (Refine.check ~config:big defs ~spec:p ~impl:p))
 
 let transitive =
   QCheck.Test.make ~count:60 ~name:"trace refinement is transitive"
     (QCheck.triple arb_proc arb_proc arb_proc) (fun (p, q, r) ->
-      let check a b = holds (Refine.check ~max_states:50_000 defs ~spec:a ~impl:b) in
+      let check a b = holds (Refine.check ~config:big defs ~spec:a ~impl:b) in
       QCheck.assume (check p q && check q r);
       check p r)
 
@@ -154,7 +158,7 @@ let agrees_with_trace_subset =
   QCheck.Test.make ~count:100 ~name:"refinement matches trace inclusion"
     (QCheck.pair arb_proc arb_proc) (fun (spec, impl) ->
       let verdict =
-        holds (Refine.check ~max_states:50_000 defs ~spec ~impl)
+        holds (Refine.check ~config:big defs ~spec ~impl)
       in
       let ts_spec = Traces.of_lts ~depth:4 (Lts.compile defs spec) in
       let ts_impl = Traces.of_lts ~depth:4 (Lts.compile defs impl) in
@@ -168,7 +172,7 @@ let agrees_with_trace_subset =
 let counterexample_is_genuine =
   QCheck.Test.make ~count:100 ~name:"counterexamples are genuine"
     (QCheck.pair arb_proc arb_proc) (fun (spec, impl) ->
-      match Refine.check ~max_states:50_000 defs ~spec ~impl with
+      match Refine.check ~config:big defs ~spec ~impl with
       | Refine.Holds _ | Refine.Inconclusive _ -> true
       | Refine.Fails cex ->
         let depth = List.length cex.Refine.trace in

@@ -271,6 +271,17 @@ let lint_eager_compile path contents =
       "Lts.compile outside lib/csp/lts.ml (compile through \
        Reduce.compile_staged; Refine.explicit_graph is Lts.compile's graph)"
 
+(* Budget discipline: [lib/csp/budget.ml] is the one reader of the heap
+   watermark, as it is of a check's deadline and cancellation token, so
+   every loop of a check stops on the same conditions. A [Gc.quick_stat]
+   anywhere else under lib/ is a loop polling a watermark of its own;
+   poll the check's [Budget.t] instead. Textual, like the other
+   discipline lints. *)
+let lint_heap_reads path contents =
+  if Filename.basename path <> "budget.ml" then
+    scan_word path contents "Gc.quick_stat"
+      "Gc.quick_stat outside lib/csp/budget.ml (poll the check's Budget.t)"
+
 (* Front-end discipline: [bin/cli.ml] holds what the binaries share. It
    is the one place under bin/ that opens a file for writing, so every
    unwritable output ends in a message naming the path and exit 2, and
@@ -452,6 +463,7 @@ let lint_file ~strict path =
         lint_writers path contents
       end;
       if not (under_cache path) then lint_digest path contents;
+      lint_heap_reads path contents;
       if not (spawns_domains path) then lint_domains path contents;
       if under_csp path && not (defines_identity path) then
         lint_poly_compare path contents
