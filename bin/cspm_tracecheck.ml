@@ -14,13 +14,9 @@ let run_check script corpus specs dbc workers max_states format sample_limit
   let token = Serve.Signals.create () in
   Serve.Signals.install_termination token;
   Cli.with_trace trace_out @@ fun obs ->
+  let cancel = Serve.Signals.read token in
   let config =
-    {
-      Csp.Check_config.default with
-      obs;
-      max_states;
-      cancel = Some (Serve.Signals.read token);
-    }
+    { Csp.Check_config.default with obs; max_states; cancel = Some cancel }
   in
   let ( let* ) = Result.bind in
   match
@@ -29,8 +25,9 @@ let run_check script corpus specs dbc workers max_states format sample_limit
       Serve.Trace_run.prepare ~config ~script:loaded ~specs
         ~dbc:(Option.map Cli.read_file dbc) ~corpus ()
     in
-    Serve.Trace_run.check_corpus ~workers ~obs ~sample_limit ~map
-      ~requirements ~path:corpus ()
+    Serve.Trace_run.check_corpus ~workers ~obs ~sample_limit
+      ~budget:(Csp.Budget.create ~cancel ()) ~map ~requirements ~path:corpus
+      ()
   with
   | Error msg ->
     prerr_endline ("cspm_tracecheck: " ^ msg);
@@ -205,7 +202,8 @@ let check_cmd =
       `P
         "2 — the script, database, or corpus could not be loaded, a \
          spec's compile stopped (SIGINT/SIGTERM, or $(b,--max-states)), \
-         or the $(b,--trace-out) file could not be written.";
+         the corpus pass stopped (SIGINT/SIGTERM), or the \
+         $(b,--trace-out) file could not be written.";
     ]
   in
   Cmd.v

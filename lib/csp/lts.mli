@@ -15,7 +15,9 @@ type progress = {
   interned : int;
       (** states the compile interned before it stopped, across every node
           of [Reduce.compile_staged]'s combinator tree *)
-  frontier : int;  (** discovered but unexplored root states *)
+  frontier : int;
+      (** root states discovered and not yet explored, the one being
+          expanded included: at least 1 *)
   reason : Budget.kind;  (** which budget ran out *)
 }
 

@@ -733,11 +733,13 @@ let compile_staged ?(max_states = 1_000_000) ?(budget = Budget.create ())
         Lts.Complete g
       | exception Budget.Exhausted reason ->
         (* What the budget was charged for: the states every tree node
-           interned, the one that overran it excluded. *)
+           interned, the one that overran it excluded. The frontier counts
+           the root state being expanded, or the root itself when the stop
+           came while the tree was being built. *)
         Lts.Partial
           {
             Lts.interned = min max_states env.interned;
-            frontier = Queue.length queue;
+            frontier = Queue.length queue + 1;
             reason;
           })
 

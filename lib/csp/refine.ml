@@ -180,7 +180,7 @@ let search ~(config : Check_config.t) ~refusal ~budget ?resume_from
 
 (* The effective pipeline, unless a checkpoint names the engine that
    recorded it. One recorded by the raw engine — including the raw
-   fallback of a reduced run whose staged compile ran out of deadline —
+   fallback of a reduced run whose staged compile ran out of states —
    resumes on the raw path regardless of [config.reductions]; one
    recorded by a reduced search must be resumed by the same pipeline,
    and [Search.product] raises [Resume_mismatch] if it is not. *)
@@ -257,8 +257,8 @@ let product_check ~(config : Check_config.t) ~refusal_mode ?resume_from defs
         ~norm source
     in
     (* The unreduced engine: implementation states generated on the fly.
-       Used when no pass applies and when the staged compile degrades,
-       which it can do gracefully (and still find an early
+       Used when no pass applies and when the staged compile runs out of
+       states, which it can do gracefully (and still find an early
        counterexample without the full graph). *)
     let raw_search () =
       search ?resume_from (Search.proc_source ~step (const_fold defs impl))
@@ -285,7 +285,12 @@ let product_check ~(config : Check_config.t) ~refusal_mode ?resume_from defs
             cached_reduction ~config ~model ~pipeline ~norm ~spec_cache_key
               defs impl compiled
           with
-          | Error _ -> raw_search ()
+          (* Only a compile too big for its state budget falls back: the
+             raw engine may still find a counterexample without the whole
+             graph. A deadline, an interrupt or the watermark stops the
+             check, as in [fd_check], so a retry re-runs it reduced. *)
+          | Error { Lts.reason = Budget.States; _ } -> raw_search ()
+          | Error progress -> stopped progress
           | Ok (reduced, pass_stats) ->
             let result =
               search ?resume_from ~pipeline:(Reduce.fingerprint pipeline)

@@ -139,9 +139,12 @@ val check :
     results are byte-identical to [with_reductions []]; if that search
     reaches no verdict within the budgets, the reduced counterexample
     stands. [stats.reductions] and the wall clock are the only observable
-    differences. If the staged compile runs out of budget the check falls
+    differences. If the staged compile runs out of states the check falls
     back to the raw engine (which can still find an early counterexample
-    without the full graph). The determinism check always runs raw. *)
+    without the full graph); a compile stopped by the deadline, the
+    cancellation token or the heap watermark ends the check
+    [Inconclusive] with no checkpoint. The determinism check always runs
+    raw. *)
 
 val resume :
   ?config:Check_config.t ->

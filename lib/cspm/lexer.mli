@@ -65,3 +65,7 @@ val tokens : string -> (token * Ast.pos) list
     @raise Lex_error on an unexpected character or unterminated comment. *)
 
 val token_to_string : token -> string
+
+val is_ident_start : char -> bool
+(** An ASCII letter or ['_']: the first character of an identifier or a
+    keyword. *)

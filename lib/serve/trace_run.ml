@@ -200,8 +200,8 @@ type totals = {
    spawning the domains. *)
 let fanout_batch = 8192
 
-let check_corpus ?(workers = 1) ?(obs = Obs.silent) ?(sample_limit = 5) ~map
-    ~requirements ~path () =
+let check_corpus ?(workers = 1) ?(obs = Obs.silent) ?(sample_limit = 5)
+    ?(budget = Csp.Budget.create ()) ~map ~requirements ~path () =
   Obs.span obs "tracecheck.corpus" (fun () ->
       let reqs = Array.of_list requirements in
       let nreq = Array.length reqs in
@@ -281,13 +281,20 @@ let check_corpus ?(workers = 1) ?(obs = Obs.silent) ?(sample_limit = 5) ~map
         done;
         pending := 0
       in
+      (* The budget is polled on the compile's cadence, by ticks of
+         corpus lines read (line 2 is the first after the header). *)
       let take () ~line_no raw =
+        if Csp.Budget.poll_due (line_no - 1) then Csp.Budget.poll budget;
         if !pending = 0 then first_line := line_no;
         lines.(!pending) <- raw;
         incr pending;
         if !pending = batch then replay ()
       in
       match Trace_io.fold_lines ~path ~init:() take with
+      | exception Csp.Budget.Exhausted kind ->
+        Error
+          (Format.asprintf "corpus check stopped: %a" Csp.Refine.pp_stopped
+             kind)
       | Error _ as e -> e
       | Ok ((), header) ->
         if !pending > 0 then replay ();

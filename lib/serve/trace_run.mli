@@ -73,6 +73,7 @@ val check_corpus :
   ?workers:int ->
   ?obs:Obs.t ->
   ?sample_limit:int ->
+  ?budget:Csp.Budget.t ->
   map:(Canbus.Trace_log.entry -> Csp.Event.label option) ->
   requirements:(string * Csp.Tracecheck.t) list ->
   path:string ->
@@ -81,7 +82,10 @@ val check_corpus :
 (** Check the whole corpus. [map] turns a log entry into the observation
     it contributes ([None] = not an observation — skipped);
     [requirements] pairs each spec name with its compiled checker.
-    [Error] only for an unreadable file or a missing/foreign header.
+    [budget] (default: never stops) is polled on {!Csp.Budget.poll_due}
+    ticks of corpus lines read. [Error] for an unreadable file, a
+    missing/foreign header, or a stop of [budget]
+    (["corpus check stopped: "] and {!Csp.Refine.pp_stopped}).
     [obs] receives the [tracecheck.events]/[tracecheck.streams] counters,
     an events-per-second histogram observation and a
     [tracecheck.corpus] span. *)

@@ -105,8 +105,27 @@ let test_deadline () =
   with
   | Refine.Inconclusive (stats, hint) ->
     check_bool "deadline exhausted" true (hint.Refine.exhausted = Refine.Deadline);
-    check_bool "non-zero progress" true
-      (stats.Refine.pairs > 0 || stats.Refine.spec_nodes > 0)
+    (* the counter never finishes compiling, so the deadline stops the
+       staged compile and its progress is the states it interned *)
+    check_bool "non-zero progress" true (stats.Refine.impl_states > 0)
+  | r -> Alcotest.failf "expected Inconclusive, got %a" Refine.pp_result r
+
+(* A reduced check whose staged compile is stopped by the token ends
+   there: it does not fall back to the raw engine, whose search would stop
+   at its first poll and leave a checkpoint recording the raw pipeline. *)
+let test_interrupted_compile_stops () =
+  let defs = infinite_counter () in
+  match
+    Refine.check
+      ~config:Check_config.(default |> with_cancel (fun () -> true))
+      defs
+      ~spec:(Proc.run (Eventset.chan "done_"))
+      ~impl:(Proc.call ("N", [ Expr.int 0 ]))
+  with
+  | Refine.Inconclusive (stats, hint) ->
+    check_bool "interrupted" true (hint.Refine.exhausted = Refine.Interrupt);
+    check_bool "no checkpoint" true (Option.is_none hint.Refine.checkpoint);
+    Alcotest.(check int) "no pairs searched" 0 stats.Refine.pairs
   | r -> Alcotest.failf "expected Inconclusive, got %a" Refine.pp_result r
 
 let test_deadline_does_not_mask_verdicts () =
@@ -192,6 +211,8 @@ let suite =
       Alcotest.test_case "deadlock and divergence" `Quick test_deadlock_divergence_checks;
       Alcotest.test_case "state limits" `Quick test_state_limit;
       Alcotest.test_case "deadline budget" `Quick test_deadline;
+      Alcotest.test_case "interrupted compile stops the check" `Quick
+        test_interrupted_compile_stops;
       Alcotest.test_case "deadline preserves verdicts" `Quick
         test_deadline_does_not_mask_verdicts;
       Alcotest.test_case "resume hint names what stopped the search" `Quick

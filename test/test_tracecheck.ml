@@ -605,6 +605,37 @@ let test_corpus_workers_identical () =
         (doc base) (doc (run w)))
     [ 2; 4 ]
 
+(* The corpus pass stops through the check's budget: a tripped token ends
+   it with an error, an untripped one changes nothing. *)
+let test_corpus_budget () =
+  with_tmp @@ fun path ->
+  ignore (Ota.Corpus.generate ~seed:5 ~streams:3 ~until_ms:150 ~path ());
+  let script = Cspm.Elaborate.load_string ota_specs in
+  let map, requirements =
+    match
+      Serve.Trace_run.prepare ~script ~specs:[] ~dbc:None ~corpus:path ()
+    with
+    | Ok v -> v
+    | Error msg -> Alcotest.failf "prepare: %s" msg
+  in
+  let run ?budget () =
+    Serve.Trace_run.check_corpus ?budget ~map ~requirements ~path ()
+  in
+  let doc = function
+    | Ok report ->
+      Obs.Json.to_string (Serve.Trace_run.json_of_report ~timing:false report)
+    | Error msg -> Alcotest.failf "check_corpus: %s" msg
+  in
+  let budget tripped = Csp.Budget.create ~cancel:(fun () -> tripped) () in
+  Alcotest.(check string)
+    "an untripped token gives the same report" (doc (run ()))
+    (doc (run ~budget:(budget false) ()));
+  match run ~budget:(budget true) () with
+  | Error msg ->
+    Alcotest.(check string) "stop reason" "corpus check stopped: interrupted"
+      msg
+  | Ok _ -> Alcotest.fail "a tripped token must stop the corpus pass"
+
 let suite =
   ( "tracecheck",
     [
@@ -631,4 +662,6 @@ let suite =
       test_rejection_attribution;
     Alcotest.test_case "corpus verdicts identical across workers" `Quick
       test_corpus_workers_identical;
+    Alcotest.test_case "corpus pass stops on the budget" `Quick
+      test_corpus_budget;
   ] )

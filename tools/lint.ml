@@ -271,6 +271,22 @@ let lint_eager_compile path contents =
       "Lts.compile outside lib/csp/lts.ml (compile through \
        Reduce.compile_staged; Refine.explicit_graph is Lts.compile's graph)"
 
+(* Parse discipline: [lib/cspm/elaborate.ml] is the one caller of the
+   CSPm [Parser.script] under lib/ and bin/. Every load goes through
+   [Elaborate.parse], so a caller that holds a declaration memo (the
+   daemon's runner) cannot bypass it with a whole-script parse of its
+   own. Interfaces may name it in their docs. Textual, like the other
+   discipline lints. *)
+let parses_scripts path =
+  Filename.basename path = "elaborate.ml"
+  && Filename.basename (Filename.dirname path) = "cspm"
+
+let lint_parser_caller path contents =
+  if Filename.check_suffix path ".ml" && not (parses_scripts path) then
+    scan_word path contents "Parser.script"
+      "Parser.script outside lib/cspm/elaborate.ml (parse through \
+       Cspm.Elaborate.parse or load_source, which take the memo)"
+
 (* Budget discipline: [lib/csp/budget.ml] is the one reader of the heap
    watermark, as it is of a check's deadline and cancellation token, so
    every loop of a check stops on the same conditions. A [Gc.quick_stat]
@@ -468,7 +484,10 @@ let lint_file ~strict path =
       if under_csp path && not (defines_identity path) then
         lint_poly_compare path contents
     end;
-    if strict || under_bin path then lint_eager_compile path contents;
+    if strict || under_bin path then begin
+      lint_eager_compile path contents;
+      lint_parser_caller path contents
+    end;
     if under_bin path && Filename.basename path <> "cli.ml" then
       lint_cli path contents
   end
